@@ -24,7 +24,7 @@ from .errors import (
     EigendecompositionError,
     NearDefectiveBasisError,
 )
-from .numerics import COND_LIMIT, condition_number
+from .numerics import COND_LIMIT, guarded_solve
 from .operators import OperatorPair
 
 # Effective indices below this magnitude count as cutoff modes.
@@ -91,6 +91,13 @@ def _principal_branch(lam: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _near_defective(name: str, z: float):
+    """Error factory for a basis matrix ``name`` that fails the conditioning guard."""
+    return lambda cond: NearDefectiveBasisError(
+        f"near-defective eigenbasis at z = {z:g}: cond({name}) = {cond:.3e} exceeds {COND_LIMIT:.0e}"
+    )
+
+
 def eigen_basis(ops: OperatorPair) -> ModalBasis:
     """Diagonalize P Q and build the modal basis at ops.z.
 
@@ -98,7 +105,9 @@ def eigen_basis(ops: OperatorPair) -> ModalBasis:
     Im(lam), so identical operator pairs always produce the same basis (up
     to the eigensolver's own determinism). Raises CutoffModeError when an
     effective index sits below LAMBDA_CUTOFF and NearDefectiveBasisError
-    when cond(W) exceeds the shared conditioning limit.
+    when cond(W) or cond(V) exceeds the shared conditioning limit. Both
+    are checked once here, and W_inv and V_inv come from the guarded
+    factorizations.
     """
     pq = ops.P @ ops.Q
     if not np.all(np.isfinite(pq)):
@@ -121,18 +130,10 @@ def eigen_basis(ops: OperatorPair) -> ModalBasis:
             "add a small material loss (e.g. Im(eps) ~ 1e-6) to move the mode off cutoff"
         )
 
-    cond_w = condition_number(w)
-    if not np.isfinite(cond_w) or cond_w > COND_LIMIT:
-        raise NearDefectiveBasisError(
-            f"near-defective eigenbasis at z = {ops.z:g}: cond(W) = {cond_w:.3e} exceeds {COND_LIMIT:.0e}"
-        )
-
+    eye = np.eye(lam.size)
+    w_inv = guarded_solve(w, eye, _near_defective("W", ops.z))
     v = ops.Q @ (w / lam[None, :])
-    try:
-        w_inv = np.linalg.inv(w)
-        v_inv = np.linalg.inv(v)
-    except np.linalg.LinAlgError as exc:
-        raise NearDefectiveBasisError(f"singular modal basis at z = {ops.z:g}: {exc}") from exc
+    v_inv = guarded_solve(v, eye, _near_defective("V", ops.z))
 
     return ModalBasis(
         W=w,

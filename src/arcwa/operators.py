@@ -82,14 +82,18 @@ def _piecewise_coefficients(
     return coeffs
 
 
+def _inverse_intervals(slc: PermittivitySlice) -> tuple[tuple[float, float, complex], ...]:
+    """The slice's intervals with 1/eps in place of eps."""
+    return tuple((x0, x1, 1.0 / eps) for x0, x1, eps in slc.intervals)
+
+
 def fourier_eps(slc: PermittivitySlice, order: int) -> FourierEps:
     """Exact Fourier coefficients of a slice's eps(x) and 1/eps(x)."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    inv_intervals = tuple((x0, x1, 1.0 / eps) for x0, x1, eps in slc.intervals)
     return FourierEps(
         coeffs=_piecewise_coefficients(slc.intervals, slc.period_x, order),
-        coeffs_inv=_piecewise_coefficients(inv_intervals, slc.period_x, order),
+        coeffs_inv=_piecewise_coefficients(_inverse_intervals(slc), slc.period_x, order),
     )
 
 
@@ -108,11 +112,11 @@ def assemble_operators(slc: PermittivitySlice, spec: StructureSpec) -> OperatorP
 
     Pure function; raises SingularOperatorError (with a condition estimate)
     if a permittivity Toeplitz matrix cannot be inverted, which requires a
-    pathological eps distribution.
+    pathological eps distribution. The 1/eps coefficients are computed
+    only for TM, the one filling that uses them.
     """
     order = spec.truncation_order
-    fe = fourier_eps(slc, order)
-    eps_toeplitz = _toeplitz_from(fe.coeffs, order)
+    eps_toeplitz = _toeplitz_from(_piecewise_coefficients(slc.intervals, slc.period_x, order), order)
     m = np.arange(-order, order + 1, dtype=np.float64)
     kt = m * spec.wavelength_um / spec.period_x_um  # transverse wavevector / k0
     n = 2 * order + 1
@@ -123,7 +127,8 @@ def assemble_operators(slc: PermittivitySlice, spec: StructureSpec) -> OperatorP
     else:
         eps_inv = checked_inv(eps_toeplitz, SingularOperatorError, "Toeplitz(eps)")
         p = kt[:, None] * eps_inv * kt[None, :] - np.eye(n, dtype=np.complex128)
-        inv_toeplitz = _toeplitz_from(fe.coeffs_inv, order)
+        inv_coeffs = _piecewise_coefficients(_inverse_intervals(slc), slc.period_x, order)
+        inv_toeplitz = _toeplitz_from(inv_coeffs, order)
         q = -checked_inv(inv_toeplitz, SingularOperatorError, "Toeplitz(1/eps)")
 
     return OperatorPair(P=p, Q=q, z=slc.z, polarization=spec.polarization, k0=spec.k0)

@@ -157,26 +157,34 @@ def first_order_smatrix(
     basis: ModalBasis,
     ref_ops: OperatorPair,
     eig_count: int = 1,
+    end_ops: tuple[OperatorPair, OperatorPair] | None = None,
 ) -> SectionResult:
     """Solve one section to first perturbation order in the given basis.
 
     The reference position must lie inside [z_L, z_R]. ``eig_count``
     records how many eigendecompositions the caller spent on this section
-    (0 when the basis was inherited from a parent section).
+    (0 when the basis was inherited from a parent section). ``end_ops``
+    optionally supplies the operators at z_L and z_R, which neighbouring
+    sections share; without it they are assembled here.
     """
     if not z_R > z_L:
         raise ValueError(f"z_R = {z_R:g} must be > z_L = {z_L:g}")
     span = z_R - z_L
     if not (z_L - _SAMPLE_RTOL * span <= basis.z_ref <= z_R + _SAMPLE_RTOL * span):
         raise ValueError(f"basis reference z = {basis.z_ref:g} lies outside section [{z_L:g}, {z_R:g}]")
+    if end_ops is not None and (end_ops[0].z != z_L or end_ops[1].z != z_R):
+        raise ValueError(
+            f"end operators at z = {end_ops[0].z:g}, {end_ops[1].z:g} do not match section [{z_L:g}, {z_R:g}]"
+        )
 
     sample_z = [z_L, 0.5 * (z_L + z_R), z_R]
     weights = [span / 6.0, 4.0 * span / 6.0, span / 6.0]
+    known = [None, None, None] if end_ops is None else [end_ops[0], None, end_ops[1]]
     deltas = []
-    for zk in sample_z:
+    for zk, ops_k in zip(sample_z, known):
         if abs(zk - basis.z_ref) <= _SAMPLE_RTOL * max(span, 1.0):
             ops_k = ref_ops
-        else:
+        elif ops_k is None:
             ops_k = operators.assemble_operators(geometry.slice_at(spec, zk), spec)
         deltas.append(delta_ab(ops_k, ref_ops, basis))
 

@@ -101,8 +101,15 @@ def _reference_z(z_l: float, z_r: float, rule: ReferenceRule) -> float:
     return 0.5 * (z_l + z_r) if rule is ReferenceRule.MIDPOINT else z_r
 
 
-def _build_basis(spec: StructureSpec, z: float) -> tuple[OperatorPair, ModalBasis]:
-    ops = operators.assemble_operators(geometry.slice_at(spec, z), spec)
+def _assemble(spec: StructureSpec, z: float) -> OperatorPair:
+    return operators.assemble_operators(geometry.slice_at(spec, z), spec)
+
+
+def _build_basis(
+    spec: StructureSpec, z: float, ends: tuple[OperatorPair, OperatorPair] | None = None
+) -> tuple[OperatorPair, ModalBasis]:
+    """Operators and eigenbasis at z; the endpoint rule's z reuses the section's right end."""
+    ops = ends[1] if ends is not None and ends[1].z == z else _assemble(spec, z)
     return ops, modal.eigen_basis(ops)
 
 
@@ -143,10 +150,11 @@ def _solve_section(
     ops: OperatorPair,
     order: int,
     eig_count: int,
+    ends: tuple[OperatorPair, OperatorPair] | None,
 ) -> SectionResult:
     """One section at the requested order; order 0 skips the estimator."""
     if order == 1:
-        return sections.first_order_smatrix(spec, z_l, z_r, basis, ops, eig_count=eig_count)
+        return sections.first_order_smatrix(spec, z_l, z_r, basis, ops, eig_count=eig_count, end_ops=ends)
     smat = sections.zeroth_order_smatrix(basis, z_l, z_r)
     return SectionResult(smat=smat, est_error=0.0, eig_count=eig_count, z_L=z_l, z_R=z_r, order=0)
 
@@ -161,6 +169,8 @@ def solve_uniform(
 
     Every section gets its own reference basis (one eigendecomposition
     each); the result is expressed in the end cross-section port bases.
+    At order 1 each section hands its right-end operators on to the next
+    one, so every section boundary is assembled once.
     """
     if n_sections < 1:
         raise ValueError(f"n_sections must be >= 1, got {n_sections}")
@@ -171,11 +181,14 @@ def solve_uniform(
     span = spec.z_max - spec.z_min
     comp: _Composite | None = None
     solved: list[SectionResult] = []
+    ends: tuple[OperatorPair, OperatorPair] | None = None
     for i in range(n_sections):
         z_l = spec.z_min + span * i / n_sections
         z_r = spec.z_max if i == n_sections - 1 else spec.z_min + span * (i + 1) / n_sections
-        ops, basis = _build_basis(spec, _reference_z(z_l, z_r, reference_rule))
-        result = _solve_section(spec, z_l, z_r, basis, ops, order, eig_count=1)
+        if order == 1:
+            ends = (_assemble(spec, z_l) if ends is None else ends[1], _assemble(spec, z_r))
+        ops, basis = _build_basis(spec, _reference_z(z_l, z_r, reference_rule), ends)
+        result = _solve_section(spec, z_l, z_r, basis, ops, order, eig_count=1, ends=ends)
         solved.append(result)
         piece = _Composite(result.smat, basis, basis)
         comp = piece if comp is None else _attach_right(comp, piece)
@@ -207,6 +220,11 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
     zero estimate and is accepted unrefined. Keep modulation periods
     non-commensurate with the span, or start from solve_uniform at a
     resolution finer than the modulation, when in doubt.
+
+    Every node receives the operators at its own ends from its parent and
+    assembles its inner child boundaries once, handing each to the two
+    children that share it. Only O(depth) operator pairs are alive at a
+    time.
     """
     started = time.perf_counter()
     counters = {"eig": 0, "solved": 0}
@@ -219,20 +237,22 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
         reuse_index = None
 
     def solve_node(
-        z_l: float,
-        z_r: float,
+        ends: tuple[OperatorPair, OperatorPair],
         depth: int,
         inherited: tuple[OperatorPair, ModalBasis] | None,
     ) -> tuple[_Composite, list[SectionResult]]:
+        z_l, z_r = ends[0].z, ends[1].z
         if inherited is None:
-            ops, basis = _build_basis(spec, _reference_z(z_l, z_r, rule))
+            ops, basis = _build_basis(spec, _reference_z(z_l, z_r, rule), ends)
             local_eigs = 1
         else:
             ops, basis = inherited
             local_eigs = 0
         counters["eig"] += local_eigs
         counters["solved"] += 1
-        result = sections.first_order_smatrix(spec, z_l, z_r, basis, ops, eig_count=local_eigs)
+        result = sections.first_order_smatrix(
+            spec, z_l, z_r, basis, ops, eig_count=local_eigs, end_ops=ends
+        )
 
         if result.est_error < config.alpha:
             if config.order == 0:
@@ -251,16 +271,17 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
         comp: _Composite | None = None
         leaves: list[SectionResult] = []
         m = config.subdivision_m
+        left_ops = ends[0]
         for i in range(m):
-            child_l = z_l + (z_r - z_l) * i / m
-            child_r = z_r if i == m - 1 else z_l + (z_r - z_l) * (i + 1) / m
+            right_ops = ends[1] if i == m - 1 else _assemble(spec, z_l + (z_r - z_l) * (i + 1) / m)
             child_inherited = (ops, basis) if i == reuse_index else None
-            child_comp, child_leaves = solve_node(child_l, child_r, depth + 1, child_inherited)
+            child_comp, child_leaves = solve_node((left_ops, right_ops), depth + 1, child_inherited)
             leaves.extend(child_leaves)
             comp = child_comp if comp is None else _attach_right(comp, child_comp)
+            left_ops = right_ops
         return comp, leaves
 
-    comp, leaves = solve_node(spec.z_min, spec.z_max, 0, None)
+    comp, leaves = solve_node((_assemble(spec, spec.z_min), _assemble(spec, spec.z_max)), 0, None)
     smat = _normalize_to_ports(spec, comp)
     return SolveReport(
         smat=smat,

@@ -1,0 +1,98 @@
+"""Conditioning guard: LU screen plus exact 2-norm verdict."""
+
+import numpy as np
+import pytest
+
+from arcwa.errors import ResonanceError, SingularOperatorError
+from arcwa.numerics import COND_LIMIT, checked_inv, checked_solve
+
+SIZES = (2, 7, 21, 51)
+# 2-norm condition numbers from 1 to 1e14, dense around COND_LIMIT.
+CONDITIONS = np.concatenate((np.logspace(0, 14, 29), np.logspace(11, 13, 41)))
+KINDS = ("geometric", "one-small", "flat-null")
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def matrix_with_condition(rng, n, cond, kind):
+    """A matrix with 2-norm condition number ``cond``, singular values 1 down to 1/cond.
+
+    "geometric" and "one-small" are U diag(s) V^H with random unitary U, V
+    and geometrically spread or all-but-one unit singular values.
+    "flat-null" is H diag(1, ..., 1, 1/cond) with a reflector H taking e_n
+    to a vector of equal-magnitude entries; its 1-norm condition number is
+    below the 2-norm one (0.3 times at n = 51), which the factor n in the
+    LU screen must absorb.
+    """
+    s = np.ones(n)
+    s[-1] = 1.0 / cond
+    if kind == "geometric":
+        s = np.logspace(0.0, -np.log10(cond), n)
+    if kind != "flat-null":
+        return (random_unitary(rng, n) * s) @ random_unitary(rng, n).conj().T
+    flat = np.exp(2j * np.pi * rng.random(n)) / np.sqrt(n)
+    flat[-1] = 1.0 / np.sqrt(n)
+    v = np.eye(n)[:, -1] - flat
+    v /= np.linalg.norm(v)
+    return (np.eye(n) - 2.0 * np.outer(v, v.conj())) * s
+
+
+def guard_cases():
+    rng = np.random.default_rng(20261017)
+    for n in SIZES:
+        for cond in CONDITIONS:
+            for kind in KINDS:
+                yield matrix_with_condition(rng, n, cond, kind)
+
+
+def test_verdicts_and_messages_follow_the_exact_2norm_condition_number():
+    rng = np.random.default_rng(5)
+    rejected = 0
+    for a in guard_cases():
+        n = a.shape[0]
+        b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        cond = np.linalg.cond(a)
+        if cond > COND_LIMIT:
+            rejected += 1
+            message = f"Redheffer (I - R_R R_L): condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
+            with pytest.raises(ResonanceError) as solve_err:
+                checked_solve(a, b, ResonanceError, "Redheffer (I - R_R R_L)")
+            assert str(solve_err.value) == message
+            with pytest.raises(SingularOperatorError) as inv_err:
+                checked_inv(a, SingularOperatorError, "Toeplitz(eps)")
+            assert str(inv_err.value) == message.replace("Redheffer (I - R_R R_L)", "Toeplitz(eps)")
+        else:
+            x = checked_solve(a, b, ResonanceError, "solve")
+            assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x)
+            inv = checked_inv(a, SingularOperatorError, "inverse")
+            assert np.linalg.norm(a @ inv - np.eye(n)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(inv)
+    # Both verdicts occur.
+    assert 0 < rejected < len(SIZES) * CONDITIONS.size * len(KINDS)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.zeros((3, 3)),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    ],
+    ids=["zero", "rank-deficient", "nan", "inf"],
+)
+def test_singular_and_non_finite_inputs_rejected(a):
+    with pytest.raises(ResonanceError, match="condition number .* exceeds"):
+        checked_solve(a, np.ones(a.shape[0]), ResonanceError, "solve")
+    with pytest.raises(SingularOperatorError, match="condition number .* exceeds"):
+        checked_inv(a, SingularOperatorError, "inverse")
+
+
+def test_real_matrix_with_complex_right_hand_side():
+    a = np.array([[2.0, 1.0], [0.0, 3.0]])
+    b = np.array([1.0, 2.0j])
+    x = checked_solve(a, b, ResonanceError, "solve")
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-15)
+    assert checked_inv(a, SingularOperatorError, "inverse").dtype == np.float64

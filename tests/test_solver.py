@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from arcwa import numerics, operators, sections
 from arcwa.errors import MaxDepthExceededError
 from arcwa.geometry import parse_structure
 from arcwa.harness import max_norm_difference
@@ -17,6 +18,21 @@ from arcwa.solver import (
 )
 
 from conftest import TAPER_DOC
+
+
+# README taper at n = 7: (solve, operator assemblies, sections solved, eigendecompositions).
+REUSE_CASES = {
+    "midpoint-M3": (lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4)), 163, 121, 81),
+    "endpoint-M2": (
+        lambda spec: solve_adaptive(
+            spec, SolverConfig(alpha=1e-4, subdivision_m=2, reference_rule=ReferenceRule.ENDPOINT)
+        ),
+        768,
+        511,
+        256,
+    ),
+    "uniform-N64-order1": (lambda spec: solve_uniform(spec, 64, order=1), 129, 64, 64),
+}
 
 
 def leaf_edges(report):
@@ -214,3 +230,54 @@ def test_solver_config_validation():
         SolverConfig(alpha=1.0, order=2)
     with pytest.raises(ValueError):
         solve_uniform(parse_structure(TAPER_DOC), 0)
+
+
+def counted(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper; returns the list of its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("case", REUSE_CASES.values(), ids=REUSE_CASES.keys())
+def test_operator_and_guard_counters(taper_spec, monkeypatch, case):
+    """Each section boundary is assembled once; no guard needs the SVD fallback."""
+    solve, assemblies, solved, eigs = case
+    port_bases(taper_spec)  # cached per spec, so not part of the count
+    assembled = counted(monkeypatch, operators, "assemble_operators")
+    exact_conds = counted(monkeypatch, numerics, "condition_number")
+    report = solve(taper_spec)
+    assert len(assembled) == assemblies
+    assert report.sections_solved == solved
+    assert report.total_eig_count == eigs
+    assert exact_conds == []
+
+
+@pytest.mark.parametrize("case", REUSE_CASES.values(), ids=REUSE_CASES.keys())
+def test_handed_down_operators_match_fresh_assembly(taper_spec, monkeypatch, case):
+    """Every leaf re-solved with freshly assembled end operators is bit-identical."""
+    solve = case[0]
+    original = sections.first_order_smatrix
+    solved = {}
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        solved[(result.z_L, result.z_R)] = (args, kwargs, result)
+        return result
+
+    monkeypatch.setattr(sections, "first_order_smatrix", recording)
+    report = solve(taper_spec)
+    assert len(report.sections) > 1
+    for z_l, z_r, est_error in report.sections:
+        args, kwargs, used = solved[(z_l, z_r)]
+        assert kwargs["end_ops"] is not None
+        fresh = original(*args, **{**kwargs, "end_ops": None})
+        assert fresh.est_error == used.est_error == est_error
+        for block in ("T_LR", "R_R", "R_L", "T_RL"):
+            assert np.array_equal(getattr(fresh.smat, block), getattr(used.smat, block))
