@@ -4,7 +4,8 @@ Each check compares a pipeline result against a value known in closed form
 (vacuum spectra, two-interface slab formulas) or against an exact identity
 (round trips, the star identity element). Together they pin every sign
 convention in the operator assembly, the modal branch rule, the interface
-projection and the composition order.
+projection and the composition order. The uniform-medium and random
+scattering-matrix helpers are shared with the test suite.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ def airy_slab_coefficients(n_slab: complex, thickness_um: float, wavelength_um: 
     return (r12 + r23 * phase**2) / denom, t12 * t23 * phase / denom
 
 
-def _uniform_spec(eps: complex, thickness: float, wavelength: float, polarization: Polarization, order: int) -> StructureSpec:
+def uniform_spec(
+    eps: complex, thickness: float, wavelength: float = 1.55, polarization: Polarization = Polarization.TE, order: int = 0
+) -> StructureSpec:
+    """Minimal spec for a uniform medium (background only, no regions)."""
     return StructureSpec(
         wavelength_um=wavelength,
         polarization=polarization,
@@ -58,8 +62,19 @@ def _uniform_spec(eps: complex, thickness: float, wavelength: float, polarizatio
     )
 
 
-def _uniform_slice(eps: complex, period: float = 1.0) -> PermittivitySlice:
-    return PermittivitySlice(z=0.0, period_x=period, intervals=((0.0, period, complex(eps)),))
+def uniform_slice(eps: complex, z: float = 0.0) -> PermittivitySlice:
+    """Cross-section of a uniform medium on the unit transverse period."""
+    return PermittivitySlice(z=z, period_x=1.0, intervals=((0.0, 1.0, complex(eps)),))
+
+
+def random_passive_smatrix(rng: np.random.Generator, n: int, left_id: int, right_id: int) -> sections.ScatteringMatrix:
+    """Random scattering matrix with spectral norm of R blocks bounded away from resonance."""
+
+    def block(scale: float) -> np.ndarray:
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return scale * raw / np.linalg.norm(raw, 2)
+
+    return sections.ScatteringMatrix(block(0.9), block(0.3), block(0.3), block(0.9), left_id, right_id)
 
 
 @dataclass(frozen=True)
@@ -85,9 +100,9 @@ def slab_sandwich_smatrix(
     each face. Returns the matrix together with the two port bases so
     callers can identify modes.
     """
-    spec = _uniform_spec(eps_slab, thickness_um, wavelength_um, polarization, order)
-    vac_ops = operators.assemble_operators(_uniform_slice(1.0), spec)
-    slab_ops = operators.assemble_operators(_uniform_slice(eps_slab), spec)
+    spec = uniform_spec(eps_slab, thickness_um, wavelength_um, polarization, order)
+    vac_ops = operators.assemble_operators(uniform_slice(1.0), spec)
+    slab_ops = operators.assemble_operators(uniform_slice(eps_slab), spec)
     vac_basis = modal.eigen_basis(vac_ops)
     slab_basis = modal.eigen_basis(slab_ops)
 
@@ -108,8 +123,8 @@ def slab_sandwich_smatrix(
 
 
 def _check_vacuum_te_spectrum() -> tuple[bool, str]:
-    spec = _uniform_spec(1.0, 1.0, 1.55, Polarization.TE, order=3)
-    ops = operators.assemble_operators(_uniform_slice(1.0), spec)
+    spec = uniform_spec(1.0, 1.0, order=3)
+    ops = operators.assemble_operators(uniform_slice(1.0), spec)
     m = np.arange(-3, 4)
     expected = np.sort(1.0 - (m * 1.55) ** 2)
     got = np.sort(np.linalg.eigvals(ops.P @ ops.Q).real)
@@ -118,8 +133,8 @@ def _check_vacuum_te_spectrum() -> tuple[bool, str]:
 
 
 def _check_vacuum_tm_unit_index() -> tuple[bool, str]:
-    spec = _uniform_spec(1.0, 1.0, 1.55, Polarization.TM, order=0)
-    ops = operators.assemble_operators(_uniform_slice(1.0), spec)
+    spec = uniform_spec(1.0, 1.0, polarization=Polarization.TM)
+    ops = operators.assemble_operators(uniform_slice(1.0), spec)
     err = abs((ops.P @ ops.Q)[0, 0] - 1.0)
     return err < 1e-12, f"|PQ - 1| = {err:.2e}"
 
@@ -143,8 +158,8 @@ def _check_slab_airy(polarization: Polarization) -> tuple[bool, str]:
 
 def _check_mode_roundtrip() -> tuple[bool, str]:
     rng = np.random.default_rng(20240811)
-    spec = _uniform_spec(2.25, 1.0, 1.55, Polarization.TE, order=2)
-    ops = operators.assemble_operators(_uniform_slice(2.25), spec)
+    spec = uniform_spec(2.25, 1.0, order=2)
+    ops = operators.assemble_operators(uniform_slice(2.25), spec)
     basis = modal.eigen_basis(ops)
     worst = 0.0
     for _ in range(20):
@@ -156,25 +171,10 @@ def _check_mode_roundtrip() -> tuple[bool, str]:
     return worst < 1e-12, f"max round-trip residual {worst:.2e}"
 
 
-def _random_passive_smatrix(rng: np.random.Generator, n: int, basis_id: int) -> sections.ScatteringMatrix:
-    def block(scale):
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return scale * raw / np.linalg.norm(raw, 2)
-
-    return sections.ScatteringMatrix(
-        T_LR=block(0.9),
-        R_R=block(0.3),
-        R_L=block(0.3),
-        T_RL=block(0.9),
-        left_basis_id=basis_id,
-        right_basis_id=basis_id,
-    )
-
-
 def _check_star_identity() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     n = 5
-    s = _random_passive_smatrix(rng, n, basis_id=0)
+    s = random_passive_smatrix(rng, n, 0, 0)
     eye = np.eye(n, dtype=np.complex128)
     zero = np.zeros((n, n), dtype=np.complex128)
     ident = sections.ScatteringMatrix(eye, zero, zero, eye.copy(), 0, 0)
@@ -190,14 +190,14 @@ def _check_star_identity() -> tuple[bool, str]:
 
 
 def _check_projection_identity() -> tuple[bool, str]:
-    spec = _uniform_spec(2.25, 1.0, 1.55, Polarization.TE, order=2)
-    ops = operators.assemble_operators(_uniform_slice(2.25), spec)
+    spec = uniform_spec(2.25, 1.0, order=2)
+    ops = operators.assemble_operators(uniform_slice(2.25), spec)
     basis = modal.eigen_basis(ops)
     pp = cascade.projection_pair(basis, basis)
     eye = np.eye(basis.n)
     err = max(max_abs(pp.X - eye), max_abs(pp.Y))
     rng = np.random.default_rng(11)
-    s = _random_passive_smatrix(rng, basis.n, basis.basis_id)
+    s = random_passive_smatrix(rng, basis.n, basis.basis_id, basis.basis_id)
     projected = cascade.project_left(s, pp, basis.basis_id)
     err = max(
         err,
@@ -208,8 +208,8 @@ def _check_projection_identity() -> tuple[bool, str]:
 
 
 def _check_constant_section_orders() -> tuple[bool, str]:
-    spec = _uniform_spec(6.25, 0.8, 1.55, Polarization.TE, order=2)
-    ops = operators.assemble_operators(_uniform_slice(6.25), spec)
+    spec = uniform_spec(6.25, 0.8, order=2)
+    ops = operators.assemble_operators(uniform_slice(6.25), spec)
     basis = modal.eigen_basis(ops)
     first = sections.first_order_smatrix(spec, 0.0, 0.8, basis, ops)
     zeroth = sections.zeroth_order_smatrix(basis, 0.0, 0.8)

@@ -14,8 +14,7 @@ have magnitude <= 1 for dz >= 0, so cascaded sections can never amplify.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,27 +29,29 @@ from .operators import OperatorPair
 # Effective indices below this magnitude count as cutoff modes.
 LAMBDA_CUTOFF = 1e-8
 
-_basis_ids = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class ModalBasis:
     """Eigenbasis of P_r Q_r at one reference position.
 
-    ``basis_id`` is unique per eigendecomposition; id equality therefore
-    implies matrix equality, which is what the cascade bookkeeping relies
-    on. Inverses are precomputed because every downstream product needs
-    them.
+    ``basis_id`` hashes the bytes of W, V and lam (``dataclasses.replace``
+    recomputes it): within one process equal content means an equal id and
+    any bitwise difference a different one. Ids differ between processes
+    (``PYTHONHASHSEED``). Inverses are precomputed because every downstream
+    product needs them.
     """
 
     W: np.ndarray
     V: np.ndarray
     lam: np.ndarray
     z_ref: float
-    basis_id: int
+    basis_id: int = field(init=False)
     k0: float
     W_inv: np.ndarray
     V_inv: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "basis_id", hash((self.W.tobytes(), self.V.tobytes(), self.lam.tobytes())))
 
     @property
     def n(self) -> int:
@@ -140,7 +141,6 @@ def eigen_basis(ops: OperatorPair) -> ModalBasis:
         V=v,
         lam=lam,
         z_ref=ops.z,
-        basis_id=next(_basis_ids),
         k0=ops.k0,
         W_inv=w_inv,
         V_inv=v_inv,

@@ -15,10 +15,10 @@ M = 2).
 
 The final scattering matrix is re-expressed in the eigenbases of the end
 cross-sections (the slices at z_min and z_max). Those "port" bases depend
-only on the structure, never on the discretization, which makes scattering
-matrices from different methods and resolutions directly comparable. The
-two port eigendecompositions are a fixed overhead shared by every method
-and are not charged to ``total_eig_count``.
+only on the structure and basis ids hash basis content, so results of
+different methods, resolutions and solves compare entry by entry. Each
+solve decomposes its own end operators (nothing is cached); the two port
+eigendecompositions are not charged to ``total_eig_count``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from . import cascade, geometry, modal, operators, sections
 from .errors import MaxDepthExceededError
@@ -113,12 +112,9 @@ def _build_basis(
     return ops, modal.eigen_basis(ops)
 
 
-@lru_cache(maxsize=32)
 def port_bases(spec: StructureSpec) -> tuple[ModalBasis, ModalBasis]:
-    """End cross-section bases; cached so equal specs share basis ids."""
-    _, left = _build_basis(spec, spec.z_min)
-    _, right = _build_basis(spec, spec.z_max)
-    return left, right
+    """End cross-section bases that solve results are expressed in (not cached)."""
+    return modal.eigen_basis(_assemble(spec, spec.z_min)), modal.eigen_basis(_assemble(spec, spec.z_max))
 
 
 def _attach_right(acc: _Composite, piece: _Composite) -> _Composite:
@@ -132,8 +128,8 @@ def _attach_right(acc: _Composite, piece: _Composite) -> _Composite:
     )
 
 
-def _normalize_to_ports(spec: StructureSpec, comp: _Composite) -> ScatteringMatrix:
-    left_port, right_port = port_bases(spec)
+def _normalize_to_ports(comp: _Composite, root: tuple[OperatorPair, OperatorPair]) -> ScatteringMatrix:
+    left_port, right_port = modal.eigen_basis(root[0]), modal.eigen_basis(root[1])
     pp_left = cascade.projection_pair(left_port, comp.left_basis)
     smat = cascade.project_left(comp.smat, pp_left, left_port.basis_id)
     ident = sections.zeroth_order_smatrix(right_port, right_port.z_ref, right_port.z_ref)
@@ -179,21 +175,23 @@ def solve_uniform(
     started = time.perf_counter()
 
     span = spec.z_max - spec.z_min
+    root = (_assemble(spec, spec.z_min), _assemble(spec, spec.z_max))
     comp: _Composite | None = None
     solved: list[SectionResult] = []
     ends: tuple[OperatorPair, OperatorPair] | None = None
     for i in range(n_sections):
+        last = i == n_sections - 1
         z_l = spec.z_min + span * i / n_sections
-        z_r = spec.z_max if i == n_sections - 1 else spec.z_min + span * (i + 1) / n_sections
+        z_r = spec.z_max if last else spec.z_min + span * (i + 1) / n_sections
         if order == 1:
-            ends = (_assemble(spec, z_l) if ends is None else ends[1], _assemble(spec, z_r))
+            ends = (root[0] if ends is None else ends[1], root[1] if last else _assemble(spec, z_r))
         ops, basis = _build_basis(spec, _reference_z(z_l, z_r, reference_rule), ends)
         result = _solve_section(spec, z_l, z_r, basis, ops, order, eig_count=1, ends=ends)
         solved.append(result)
         piece = _Composite(result.smat, basis, basis)
         comp = piece if comp is None else _attach_right(comp, piece)
 
-    smat = _normalize_to_ports(spec, comp)
+    smat = _normalize_to_ports(comp, root)
     return SolveReport(
         smat=smat,
         sections=tuple((r.z_L, r.z_R, r.est_error) for r in solved),
@@ -281,8 +279,9 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
             left_ops = right_ops
         return comp, leaves
 
-    comp, leaves = solve_node((_assemble(spec, spec.z_min), _assemble(spec, spec.z_max)), 0, None)
-    smat = _normalize_to_ports(spec, comp)
+    root = (_assemble(spec, spec.z_min), _assemble(spec, spec.z_max))
+    comp, leaves = solve_node(root, 0, None)
+    smat = _normalize_to_ports(comp, root)
     return SolveReport(
         smat=smat,
         sections=tuple((r.z_L, r.z_R, r.est_error) for r in leaves),

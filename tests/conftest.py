@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
-from arcwa.geometry import PermittivitySlice, Polarization, StructureSpec, parse_structure
+from arcwa.checks import random_passive_smatrix, uniform_slice, uniform_spec  # noqa: F401 - re-exported to the tests
+from arcwa.geometry import StructureSpec, parse_structure
 from arcwa.modal import ModalBasis
 from arcwa.numerics import max_abs
 from arcwa.sections import ScatteringMatrix
@@ -32,9 +31,6 @@ CONSTANT_DOC = TAPER_DOC.replace(
     "{kind: linear, start: 0.26, end: 0.37}", "{kind: constant, value: 0.3}"
 )
 
-# Test-local basis ids start high so they never collide with library ids.
-_test_ids = itertools.count(10_000_000)
-
 
 @pytest.fixture(scope="session")
 def taper_spec() -> StructureSpec:
@@ -57,31 +53,6 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20250810)
 
 
-def uniform_spec(
-    eps: complex,
-    thickness: float,
-    wavelength: float = 1.55,
-    polarization: Polarization = Polarization.TE,
-    order: int = 0,
-    period: float = 1.0,
-) -> StructureSpec:
-    """Minimal spec for a uniform medium (background only, no regions)."""
-    return StructureSpec(
-        wavelength_um=wavelength,
-        polarization=polarization,
-        period_x_um=period,
-        z_min=0.0,
-        z_max=thickness,
-        truncation_order=order,
-        background_eps=complex(eps),
-        regions=(),
-    )
-
-
-def uniform_slice(eps: complex, period: float = 1.0, z: float = 0.0) -> PermittivitySlice:
-    return PermittivitySlice(z=z, period_x=period, intervals=((0.0, period, complex(eps)),))
-
-
 def random_basis(rng: np.random.Generator, n: int, k0: float = 2.0 * np.pi / 1.55) -> ModalBasis:
     """Well-conditioned random basis; only W/V (and inverses) are meaningful."""
     w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 2.0 * np.eye(n)
@@ -92,38 +63,10 @@ def random_basis(rng: np.random.Generator, n: int, k0: float = 2.0 * np.pi / 1.5
         V=v,
         lam=lam,
         z_ref=0.0,
-        basis_id=next(_test_ids),
         k0=k0,
         W_inv=np.linalg.inv(w),
         V_inv=np.linalg.inv(v),
     )
-
-
-def random_passive_smatrix(
-    rng: np.random.Generator,
-    n: int,
-    left_id: int,
-    right_id: int,
-    reflection_norm: float = 0.3,
-) -> ScatteringMatrix:
-    """Random scattering matrix with spectral norm of R blocks bounded away from resonance."""
-
-    def block(scale: float) -> np.ndarray:
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return scale * raw / np.linalg.norm(raw, 2)
-
-    return ScatteringMatrix(
-        T_LR=block(0.9),
-        R_R=block(reflection_norm),
-        R_L=block(reflection_norm),
-        T_RL=block(0.9),
-        left_basis_id=left_id,
-        right_basis_id=right_id,
-    )
-
-
-def fresh_test_id() -> int:
-    return next(_test_ids)
 
 
 def blocks_diff(s1: ScatteringMatrix, s2: ScatteringMatrix) -> float:

@@ -223,9 +223,12 @@ def test_validate_detects_tm_sign_flip(monkeypatch, capsys):
 
 
 def test_module_entry_point(taper_file, tmp_path):
+    import os
     import subprocess
     import sys
 
+    # The child finds arcwa where this process found it, installed or not.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = tmp_path / "cli.csv"
     proc = subprocess.run(
         [
@@ -242,6 +245,7 @@ def test_module_entry_point(taper_file, tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

@@ -1,5 +1,7 @@
 """Modal bases: branch rule, ordering, round trips, propagation factors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -68,14 +70,16 @@ def test_random_operator_matches_dense_eigensolve(rng):
     assert np.max(np.abs(lam_w - lam_v)) <= 1e-9 * np.max(np.abs(basis.lam))
 
 
-def test_deterministic_ordering_and_unique_ids():
+def test_deterministic_ordering_and_content_ids():
     spec = uniform_spec(2.25, 1.0, order=2)
     ops = assemble_operators(uniform_slice(2.25), spec)
     b1 = eigen_basis(ops)
     b2 = eigen_basis(ops)
     assert np.array_equal(b1.W, b2.W)
     assert np.array_equal(b1.lam, b2.lam)
-    assert b1.basis_id != b2.basis_id
+    assert b1.basis_id == b2.basis_id
+    assert eigen_basis(assemble_operators(uniform_slice(2.5), spec)).basis_id != b1.basis_id
+    assert replace(b1, W=2.0 * b1.W, W_inv=b1.W_inv / 2.0).basis_id != b1.basis_id
 
 
 def test_cutoff_mode_rejected():

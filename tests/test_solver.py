@@ -219,6 +219,17 @@ def test_sweep_records_mirror_reports(taper_spec):
     assert all(r.error_max_norm >= 0.0 for r in records)
 
 
+def test_results_compare_after_many_other_solves(taper_spec):
+    """Port basis ids follow the content, not a cache of recently solved specs."""
+    config = SolverConfig(alpha=1e-2)
+    first = solve_adaptive(taper_spec, config)
+    for k in range(40):
+        other = parse_structure(TAPER_DOC.replace("end: 0.37", f"end: {0.30 + 0.001 * k:.3f}"))
+        solve_uniform(other, 1)
+    again = solve_adaptive(taper_spec, config)
+    assert max_norm_difference(first.smat, again.smat) == 0.0
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(alpha=-1.0)
@@ -247,9 +258,8 @@ def counted(monkeypatch, module, name):
 
 @pytest.mark.parametrize("case", REUSE_CASES.values(), ids=REUSE_CASES.keys())
 def test_operator_and_guard_counters(taper_spec, monkeypatch, case):
-    """Each section boundary is assembled once; no guard needs the SVD fallback."""
+    """Boundaries are assembled once, the ports add no assembly, and no guard needs the SVD fallback."""
     solve, assemblies, solved, eigs = case
-    port_bases(taper_spec)  # cached per spec, so not part of the count
     assembled = counted(monkeypatch, operators, "assemble_operators")
     exact_conds = counted(monkeypatch, numerics, "condition_number")
     report = solve(taper_spec)
