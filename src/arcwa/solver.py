@@ -1,29 +1,33 @@
-"""Structure solvers: fixed-resolution cascades and adaptive subdivision.
+"""Structure solver: one engine for fixed partitions and adaptive subdivision.
 
-Both solvers cut [z_min, z_max] into sections, solve each in the eigenbasis
-of its reference position, reproject every section onto its left
-neighbour's basis and fold the results with the Redheffer star product.
+The engine cuts [z_min, z_max] into equal pieces, solves each section in
+the eigenbasis of its reference position and subdivides it evenly into M
+subsections whenever its estimated error reaches the user bound alpha.
+Accepted sections are reprojected onto their left neighbour's basis and
+folded left to right with the Redheffer star product.
 
-``solve_adaptive`` starts from the whole structure as a single section and
-recursively subdivides evenly into M subsections whenever the section's
-estimated error reaches the user bound alpha. With the midpoint reference
-rule and M = 3, the middle subsection's reference coincides with its
-parent's, so the parent's eigendecomposition is reused there;
-``total_eig_count`` reflects that reuse. With the endpoint rule the last
-subsection reuses the parent's decomposition (the natural pairing is
-M = 2).
+``solve_adaptive`` starts from the whole structure as a single piece. With
+the midpoint reference rule and M = 3, the middle subsection's reference
+coincides with its parent's, so the parent's eigendecomposition is reused
+there; ``total_eig_count`` reflects that reuse. With the endpoint rule the
+last subsection reuses the parent's decomposition (the natural pairing is
+M = 2). ``solve_uniform`` is the same engine with N pieces and alpha = inf:
+a fixed partition that is never refined.
 
 The final scattering matrix is re-expressed in the eigenbases of the end
 cross-sections (the slices at z_min and z_max). Those "port" bases depend
 only on the structure and basis ids hash basis content, so results of
 different methods, resolutions and solves compare entry by entry. Each
-solve decomposes its own end operators (nothing is cached); the two port
-eigendecompositions are not charged to ``total_eig_count``.
+solve decomposes its own end operators (nothing is cached); under the
+endpoint rule the last section's basis sits at z_max and serves as the
+right port. The port eigendecompositions are not charged to
+``total_eig_count``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -44,12 +48,14 @@ class ReferenceRule(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Adaptive solver knobs.
+    """Solver knobs.
 
     ``alpha`` is the per-section error bound the estimate is compared
-    against. The natural pairings are midpoint with M = 3 and endpoint
-    with M = 2 (only those reuse the parent decomposition), but any
-    combination is accepted.
+    against; alpha = inf never refines. At order 0 with alpha = inf
+    nothing reads the estimate, so it is not computed and every section
+    reports ``est_error`` 0.0. The natural pairings are midpoint with
+    M = 3 and endpoint with M = 2 (only those reuse the parent
+    decomposition), but any combination is accepted.
     """
 
     alpha: float
@@ -59,7 +65,7 @@ class SolverConfig:
     order: int = 1
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
         if self.subdivision_m not in (2, 3):
             raise ValueError(f"subdivision_m must be 2 or 3, got {self.subdivision_m!r}")
@@ -96,6 +102,10 @@ class _Composite:
     right_basis: ModalBasis
 
 
+# Operators at a section's two ends; None where nothing reads them.
+_Ends = tuple[OperatorPair | None, OperatorPair | None]
+
+
 def _reference_z(z_l: float, z_r: float, rule: ReferenceRule) -> float:
     return 0.5 * (z_l + z_r) if rule is ReferenceRule.MIDPOINT else z_r
 
@@ -104,11 +114,9 @@ def _assemble(spec: StructureSpec, z: float) -> OperatorPair:
     return operators.assemble_operators(geometry.slice_at(spec, z), spec)
 
 
-def _build_basis(
-    spec: StructureSpec, z: float, ends: tuple[OperatorPair, OperatorPair] | None = None
-) -> tuple[OperatorPair, ModalBasis]:
+def _build_basis(spec: StructureSpec, z: float, ends: _Ends) -> tuple[OperatorPair, ModalBasis]:
     """Operators and eigenbasis at z; the endpoint rule's z reuses the section's right end."""
-    ops = ends[1] if ends is not None and ends[1].z == z else _assemble(spec, z)
+    ops = ends[1] if ends[1] is not None and ends[1].z == z else _assemble(spec, z)
     return ops, modal.eigen_basis(ops)
 
 
@@ -129,7 +137,9 @@ def _attach_right(acc: _Composite, piece: _Composite) -> _Composite:
 
 
 def _normalize_to_ports(comp: _Composite, root: tuple[OperatorPair, OperatorPair]) -> ScatteringMatrix:
-    left_port, right_port = modal.eigen_basis(root[0]), modal.eigen_basis(root[1])
+    left_port = modal.eigen_basis(root[0])
+    # A last basis at z_max was decomposed from root[1] itself, so it is the right port.
+    right_port = comp.right_basis if comp.right_basis.z_ref == root[1].z else modal.eigen_basis(root[1])
     pp_left = cascade.projection_pair(left_port, comp.left_basis)
     smat = cascade.project_left(comp.smat, pp_left, left_port.basis_id)
     ident = sections.zeroth_order_smatrix(right_port, right_port.z_ref, right_port.z_ref)
@@ -138,21 +148,95 @@ def _normalize_to_ports(comp: _Composite, root: tuple[OperatorPair, OperatorPair
     return cascade.star(smat, iface)
 
 
-def _solve_section(
-    spec: StructureSpec,
-    z_l: float,
-    z_r: float,
-    basis: ModalBasis,
-    ops: OperatorPair,
-    order: int,
-    eig_count: int,
-    ends: tuple[OperatorPair, OperatorPair] | None,
-) -> SectionResult:
-    """One section at the requested order; order 0 skips the estimator."""
-    if order == 1:
-        return sections.first_order_smatrix(spec, z_l, z_r, basis, ops, eig_count=eig_count, end_ops=ends)
-    smat = sections.zeroth_order_smatrix(basis, z_l, z_r)
-    return SectionResult(smat=smat, est_error=0.0, eig_count=eig_count, z_L=z_l, z_R=z_r, order=0)
+def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveReport:
+    """Cut [z_min, z_max] into ``pieces`` equal sections and refine each down to alpha.
+
+    Every node receives the operators at its own ends from its parent and
+    assembles its inner child boundaries once, handing each to the two
+    children that share it. The recursion is depth first, so only
+    O(depth) operator pairs are alive at a time. At order 0 with
+    alpha = inf nothing reads the estimate: sections are solved at zeroth
+    order directly and no inner boundary is assembled.
+    """
+    started = time.perf_counter()
+    counters = {"eig": 0, "solved": 0}
+    rule = config.reference_rule
+    estimate = config.order == 1 or config.alpha < math.inf
+    if rule is ReferenceRule.MIDPOINT and config.subdivision_m % 2 == 1:
+        reuse_index = config.subdivision_m // 2
+    elif rule is ReferenceRule.ENDPOINT:
+        reuse_index = config.subdivision_m - 1
+    else:
+        reuse_index = None
+
+    def solve_node(
+        z_l: float,
+        z_r: float,
+        ends: _Ends,
+        depth: int,
+        inherited: tuple[OperatorPair, ModalBasis] | None,
+    ) -> tuple[_Composite, list[SectionResult]]:
+        if inherited is None:
+            ops, basis = _build_basis(spec, _reference_z(z_l, z_r, rule), ends)
+            local_eigs = 1
+        else:
+            ops, basis = inherited
+            local_eigs = 0
+        counters["eig"] += local_eigs
+        counters["solved"] += 1
+        if estimate:
+            result = sections.first_order_smatrix(
+                spec, z_l, z_r, basis, ops, eig_count=local_eigs, end_ops=ends
+            )
+        else:
+            smat = sections.zeroth_order_smatrix(basis, z_l, z_r)
+            result = SectionResult(smat=smat, est_error=0.0, eig_count=local_eigs, z_L=z_l, z_R=z_r, order=0)
+
+        if result.est_error < config.alpha:
+            if result.order != config.order:
+                result = replace(result, smat=sections.zeroth_order_smatrix(basis, z_l, z_r), order=0)
+            return _Composite(result.smat, basis, basis), [result]
+
+        if depth >= config.max_depth:
+            raise MaxDepthExceededError(
+                f"section [{z_l:g}, {z_r:g}] still has estimated error "
+                f"{result.est_error:.3e} >= alpha = {config.alpha:.3e} at depth {depth}; "
+                "the structure is too singular for this accuracy"
+            )
+        return solve_children(z_l, z_r, ends, config.subdivision_m, depth + 1, (ops, basis))
+
+    def solve_children(
+        z_l: float,
+        z_r: float,
+        ends: _Ends,
+        m: int,
+        depth: int,
+        parent: tuple[OperatorPair, ModalBasis] | None,
+    ) -> tuple[_Composite, list[SectionResult]]:
+        comp: _Composite | None = None
+        leaves: list[SectionResult] = []
+        z_a, left_ops = z_l, ends[0]
+        for i in range(m):
+            last = i == m - 1
+            z_b = z_r if last else z_l + (z_r - z_l) * (i + 1) / m
+            right_ops = ends[1] if last else (_assemble(spec, z_b) if estimate else None)
+            inherited = parent if i == reuse_index else None
+            child_comp, child_leaves = solve_node(z_a, z_b, (left_ops, right_ops), depth, inherited)
+            leaves.extend(child_leaves)
+            comp = child_comp if comp is None else _attach_right(comp, child_comp)
+            z_a, left_ops = z_b, right_ops
+        return comp, leaves
+
+    root = (_assemble(spec, spec.z_min), _assemble(spec, spec.z_max))
+    comp, leaves = solve_children(spec.z_min, spec.z_max, root, pieces, 0, None)
+    smat = _normalize_to_ports(comp, root)
+    return SolveReport(
+        smat=smat,
+        sections=tuple((r.z_L, r.z_R, r.est_error) for r in leaves),
+        total_eig_count=counters["eig"],
+        total_wall_time=time.perf_counter() - started,
+        sections_solved=counters["solved"],
+    )
 
 
 def solve_uniform(
@@ -161,53 +245,28 @@ def solve_uniform(
     order: int = 0,
     reference_rule: ReferenceRule = ReferenceRule.MIDPOINT,
 ) -> SolveReport:
-    """Fixed-resolution cascade: N equal sections at the requested order.
+    """Fixed-resolution cascade: N equal sections that are never refined.
 
-    Every section gets its own reference basis (one eigendecomposition
-    each); the result is expressed in the end cross-section port bases.
-    At order 1 each section hands its right-end operators on to the next
-    one, so every section boundary is assembled once.
+    The solve engine with N pieces and alpha = inf. Every section gets its
+    own reference basis (one eigendecomposition each); the result is
+    expressed in the end cross-section port bases. At order 1 every
+    section boundary is assembled once and shared by its two sections; at
+    order 0 only the reference positions and the two ends are assembled.
     """
     if n_sections < 1:
         raise ValueError(f"n_sections must be >= 1, got {n_sections}")
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {order!r}")
-    started = time.perf_counter()
-
-    span = spec.z_max - spec.z_min
-    root = (_assemble(spec, spec.z_min), _assemble(spec, spec.z_max))
-    comp: _Composite | None = None
-    solved: list[SectionResult] = []
-    ends: tuple[OperatorPair, OperatorPair] | None = None
-    for i in range(n_sections):
-        last = i == n_sections - 1
-        z_l = spec.z_min + span * i / n_sections
-        z_r = spec.z_max if last else spec.z_min + span * (i + 1) / n_sections
-        if order == 1:
-            ends = (root[0] if ends is None else ends[1], root[1] if last else _assemble(spec, z_r))
-        ops, basis = _build_basis(spec, _reference_z(z_l, z_r, reference_rule), ends)
-        result = _solve_section(spec, z_l, z_r, basis, ops, order, eig_count=1, ends=ends)
-        solved.append(result)
-        piece = _Composite(result.smat, basis, basis)
-        comp = piece if comp is None else _attach_right(comp, piece)
-
-    smat = _normalize_to_ports(comp, root)
-    return SolveReport(
-        smat=smat,
-        sections=tuple((r.z_L, r.z_R, r.est_error) for r in solved),
-        total_eig_count=n_sections,
-        total_wall_time=time.perf_counter() - started,
-        sections_solved=n_sections,
-    )
+    config = SolverConfig(alpha=math.inf, reference_rule=reference_rule, order=order)
+    return _solve(spec, config, n_sections)
 
 
 def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
     """Recursive adaptive subdivision down to the error bound alpha.
 
-    A section whose estimated error stays below alpha is accepted as a
-    leaf; otherwise it is split evenly into ``subdivision_m`` subsections
-    that are solved recursively, reprojected left-to-right and composed.
-    The estimate is always the first-order one; ``config.order`` selects
+    The solve engine with the whole structure as one piece. A section
+    whose estimated error stays below alpha is accepted as a leaf;
+    otherwise it is split evenly into ``subdivision_m`` subsections that
+    are solved recursively, reprojected left-to-right and composed. The
+    estimate is always the first-order one; ``config.order`` selects
     which scattering matrix a leaf contributes. Raises
     MaxDepthExceededError when the recursion limit is hit, which signals a
     structure too singular for the requested alpha.
@@ -218,74 +277,5 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
     zero estimate and is accepted unrefined. Keep modulation periods
     non-commensurate with the span, or start from solve_uniform at a
     resolution finer than the modulation, when in doubt.
-
-    Every node receives the operators at its own ends from its parent and
-    assembles its inner child boundaries once, handing each to the two
-    children that share it. Only O(depth) operator pairs are alive at a
-    time.
     """
-    started = time.perf_counter()
-    counters = {"eig": 0, "solved": 0}
-    rule = config.reference_rule
-    if rule is ReferenceRule.MIDPOINT and config.subdivision_m % 2 == 1:
-        reuse_index = config.subdivision_m // 2
-    elif rule is ReferenceRule.ENDPOINT:
-        reuse_index = config.subdivision_m - 1
-    else:
-        reuse_index = None
-
-    def solve_node(
-        ends: tuple[OperatorPair, OperatorPair],
-        depth: int,
-        inherited: tuple[OperatorPair, ModalBasis] | None,
-    ) -> tuple[_Composite, list[SectionResult]]:
-        z_l, z_r = ends[0].z, ends[1].z
-        if inherited is None:
-            ops, basis = _build_basis(spec, _reference_z(z_l, z_r, rule), ends)
-            local_eigs = 1
-        else:
-            ops, basis = inherited
-            local_eigs = 0
-        counters["eig"] += local_eigs
-        counters["solved"] += 1
-        result = sections.first_order_smatrix(
-            spec, z_l, z_r, basis, ops, eig_count=local_eigs, end_ops=ends
-        )
-
-        if result.est_error < config.alpha:
-            if config.order == 0:
-                result = replace(
-                    result, smat=sections.zeroth_order_smatrix(basis, z_l, z_r), order=0
-                )
-            return _Composite(result.smat, basis, basis), [result]
-
-        if depth >= config.max_depth:
-            raise MaxDepthExceededError(
-                f"section [{z_l:g}, {z_r:g}] still has estimated error "
-                f"{result.est_error:.3e} >= alpha = {config.alpha:.3e} at depth {depth}; "
-                "the structure is too singular for this accuracy"
-            )
-
-        comp: _Composite | None = None
-        leaves: list[SectionResult] = []
-        m = config.subdivision_m
-        left_ops = ends[0]
-        for i in range(m):
-            right_ops = ends[1] if i == m - 1 else _assemble(spec, z_l + (z_r - z_l) * (i + 1) / m)
-            child_inherited = (ops, basis) if i == reuse_index else None
-            child_comp, child_leaves = solve_node((left_ops, right_ops), depth + 1, child_inherited)
-            leaves.extend(child_leaves)
-            comp = child_comp if comp is None else _attach_right(comp, child_comp)
-            left_ops = right_ops
-        return comp, leaves
-
-    root = (_assemble(spec, spec.z_min), _assemble(spec, spec.z_max))
-    comp, leaves = solve_node(root, 0, None)
-    smat = _normalize_to_ports(comp, root)
-    return SolveReport(
-        smat=smat,
-        sections=tuple((r.z_L, r.z_R, r.est_error) for r in leaves),
-        total_eig_count=counters["eig"],
-        total_wall_time=time.perf_counter() - started,
-        sections_solved=counters["solved"],
-    )
+    return _solve(spec, config, 1)

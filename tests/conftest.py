@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from arcwa.checks import random_passive_smatrix, uniform_slice, uniform_spec  # noqa: F401 - re-exported to the tests
+from arcwa.checks import (  # noqa: F401 - re-exported to the tests
+    identity_smatrix,
+    random_passive_smatrix,
+    uniform_slice,
+    uniform_spec,
+)
 from arcwa.geometry import StructureSpec, parse_structure
 from arcwa.modal import ModalBasis
 from arcwa.numerics import max_abs

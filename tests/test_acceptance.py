@@ -23,6 +23,7 @@ from arcwa.solver import SolverConfig, solve_adaptive, solve_uniform
 from conftest import (
     CONSTANT_DOC,
     blocks_diff,
+    identity_smatrix,
     random_basis,
     random_passive_smatrix,
     smat_scale,
@@ -191,11 +192,7 @@ def test_criterion_7_algebra_properties():
         worst_assoc = max(worst_assoc, blocks_diff(star(star(s1, s2), s3), star(s1, star(s2, s3))))
         assert worst_assoc <= 1e-10
 
-    eye = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    from arcwa.sections import ScatteringMatrix
-
-    ident = ScatteringMatrix(eye, zero, zero.copy(), eye.copy(), ids[0], ids[0])
+    ident = identity_smatrix(n, ids[0])
     s = random_passive_smatrix(rng, n, ids[0], ids[0])
     ident_gap = max(blocks_diff(star(s, ident), s), blocks_diff(star(ident, s), s))
     assert ident_gap <= 1e-12

@@ -15,6 +15,7 @@ from arcwa.sections import ScatteringMatrix, zeroth_order_smatrix
 
 from conftest import (
     blocks_diff,
+    identity_smatrix,
     random_basis,
     random_passive_smatrix,
     uniform_slice,
@@ -25,12 +26,6 @@ from conftest import (
 def medium_basis(eps, order=0, wavelength=1.55, polarization=Polarization.TE):
     spec = uniform_spec(eps, 1.0, wavelength=wavelength, polarization=polarization, order=order)
     return eigen_basis(assemble_operators(uniform_slice(eps), spec))
-
-
-def identity_smatrix(n, basis_id):
-    eye = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    return ScatteringMatrix(eye, zero, zero.copy(), eye.copy(), basis_id, basis_id)
 
 
 def continuity_residual(b_from, b_to, pp, rng):

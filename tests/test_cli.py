@@ -89,6 +89,12 @@ def test_invalid_document_exit2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_nan_alpha_exit2(taper_file, capsys):
+    code = cli.main(["solve", "--structure", str(taper_file), "--alpha", "nan"])
+    assert code == 2
+    assert "alpha must be >= 0, got nan" in capsys.readouterr().err
+
+
 def test_uniform_command(taper_file, tmp_path, capsys):
     out = tmp_path / "uniform.csv"
     code = cli.main(

@@ -1,10 +1,12 @@
 """Fixed-resolution and adaptive solvers."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arcwa import numerics, operators, sections
+from arcwa import modal, numerics, operators, sections
 from arcwa.errors import MaxDepthExceededError
 from arcwa.geometry import parse_structure
 from arcwa.harness import max_norm_difference
@@ -20,9 +22,11 @@ from arcwa.solver import (
 from conftest import TAPER_DOC
 
 
-# README taper at n = 7: (solve, operator assemblies, sections solved, eigendecompositions).
+# README taper at n = 7: (solve, operator assemblies, sections solved, eigendecompositions,
+# eigen_basis calls). The calls add the ports: two, or one when the endpoint rule's last
+# basis sits at z_max and serves as the right port.
 REUSE_CASES = {
-    "midpoint-M3": (lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4)), 163, 121, 81),
+    "midpoint-M3": (lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4)), 163, 121, 81, 83),
     "endpoint-M2": (
         lambda spec: solve_adaptive(
             spec, SolverConfig(alpha=1e-4, subdivision_m=2, reference_rule=ReferenceRule.ENDPOINT)
@@ -30,9 +34,23 @@ REUSE_CASES = {
         768,
         511,
         256,
+        257,
     ),
-    "uniform-N64-order1": (lambda spec: solve_uniform(spec, 64, order=1), 129, 64, 64),
+    "uniform-N64-order1": (lambda spec: solve_uniform(spec, 64, order=1), 129, 64, 64, 66),
 }
+
+# Fixed partitions at order 0 read no estimate: only the ends and the references are assembled.
+ORDER0_CASES = {
+    "uniform-N64-order0-midpoint": (lambda spec: solve_uniform(spec, 64), 66, 64, 64, 66),
+    "uniform-N64-order0-endpoint": (
+        lambda spec: solve_uniform(spec, 64, reference_rule=ReferenceRule.ENDPOINT),
+        65,
+        64,
+        64,
+        65,
+    ),
+}
+COUNTER_CASES = {**REUSE_CASES, **ORDER0_CASES}
 
 
 def leaf_edges(report):
@@ -182,6 +200,19 @@ def test_adaptive_order0_uses_zeroth_order_leaves(taper_spec, taper_oracle):
     assert e1 <= e0
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_uniform_is_one_piece_adaptive_at_infinite_alpha(taper_spec, order):
+    uniform = solve_uniform(taper_spec, 1, order=order)
+    adaptive = solve_adaptive(taper_spec, SolverConfig(alpha=math.inf, order=order))
+    assert uniform.sections == adaptive.sections
+    assert uniform.sections_solved == adaptive.sections_solved == 1
+    for block in ("T_LR", "R_R", "R_L", "T_RL"):
+        assert np.array_equal(getattr(uniform.smat, block), getattr(adaptive.smat, block))
+    if order == 0:
+        # Nothing reads the estimate, so it is not computed.
+        assert adaptive.sections[0][2] == 0.0
+
+
 def test_tm_adaptive_bound():
     spec = parse_structure(TAPER_DOC.replace("TE", "TM"))
     oracle = solve_uniform(spec, 256, order=0)
@@ -233,6 +264,8 @@ def test_results_compare_after_many_other_solves(taper_spec):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(alpha=-1.0)
+    with pytest.raises(ValueError, match="alpha must be >= 0, got nan"):
+        SolverConfig(alpha=math.nan)
     with pytest.raises(ValueError):
         SolverConfig(alpha=1.0, subdivision_m=4)
     with pytest.raises(ValueError):
@@ -256,16 +289,18 @@ def counted(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("case", REUSE_CASES.values(), ids=REUSE_CASES.keys())
+@pytest.mark.parametrize("case", COUNTER_CASES.values(), ids=COUNTER_CASES.keys())
 def test_operator_and_guard_counters(taper_spec, monkeypatch, case):
     """Boundaries are assembled once, the ports add no assembly, and no guard needs the SVD fallback."""
-    solve, assemblies, solved, eigs = case
+    solve, assemblies, solved, eigs, eigen_basis_calls = case
     assembled = counted(monkeypatch, operators, "assemble_operators")
+    decomposed = counted(monkeypatch, modal, "eigen_basis")
     exact_conds = counted(monkeypatch, numerics, "condition_number")
     report = solve(taper_spec)
     assert len(assembled) == assemblies
     assert report.sections_solved == solved
     assert report.total_eig_count == eigs
+    assert len(decomposed) == eigen_basis_calls
     assert exact_conds == []
 
 
