@@ -10,6 +10,7 @@ form), so only the wall-time column varies between runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -51,13 +52,20 @@ def max_norm_difference(s1: ScatteringMatrix, s2: ScatteringMatrix) -> float:
     )
 
 
+def _section_count(method: str, knob: float) -> int:
+    """A uniform method's knob as its section count: a finite integer >= 1."""
+    if not (math.isfinite(knob) and knob >= 1 and knob == int(knob)):
+        raise ValueError(f"{method} knob must be a whole number of sections >= 1, got {knob!r}")
+    return int(knob)
+
+
 def _run_method(
     spec: StructureSpec, method: str, knob: float, reference_rule: ReferenceRule
 ) -> SolveReport:
     if method == "uniform0":
-        return solve_uniform(spec, int(knob), order=0, reference_rule=reference_rule)
+        return solve_uniform(spec, _section_count(method, knob), order=0, reference_rule=reference_rule)
     if method == "uniform1":
-        return solve_uniform(spec, int(knob), order=1, reference_rule=reference_rule)
+        return solve_uniform(spec, _section_count(method, knob), order=1, reference_rule=reference_rule)
     if method == "adaptive":
         config = SolverConfig(
             alpha=float(knob),

@@ -15,6 +15,8 @@ Concrete fillings, normal incidence, nonmagnetic media:
     TM:  P = K E^-1 K - I,      Q = -inv(Toeplitz(1/eps))
 
 where E = Toeplitz(eps coefficients), K = diag(m * wavelength / period).
+The coefficients are exact for the piecewise-constant slice; eps and 1/eps
+share one table of interval phases, computed with a single exp.
 The TM sign fold makes vacuum satisfy P*Q = I, matching TE; the inverse
 rule for Q keeps TM convergence correct across material steps. Both
 fillings are pinned by the vacuum spectrum check and the analytic slab
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import SingularOperatorError
 from .geometry import PermittivitySlice, Polarization, StructureSpec
@@ -62,38 +63,52 @@ class OperatorPair:
         return int(self.P.shape[0])
 
 
+def _phase_table(slc: PermittivitySlice, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-interval phase differences and their denominators, for m != 0.
+
+    exp(-2j*pi*m*x/period) is evaluated at both bounds of every interval in
+    one call, shaped (intervals, 2, m) with m over [-2*order, 2*order]
+    without 0. Returns the upper-minus-lower differences, shaped
+    (intervals, m), and -2j*pi*m. eps and 1/eps share the table.
+    """
+    m = np.arange(-2 * order, 2 * order + 1)
+    rate = -2j * np.pi * m[m != 0]
+    bounds = np.array([(x0, x1) for x0, x1, _ in slc.intervals])
+    phases = np.exp(rate * bounds[:, :, None] / slc.period_x)
+    return phases[:, 1] - phases[:, 0], rate
+
+
 def _piecewise_coefficients(
-    intervals: tuple[tuple[float, float, complex], ...], period: float, order: int
+    slc: PermittivitySlice, values: list[complex], table: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Closed-form Fourier coefficients of a piecewise-constant function.
 
+    The function takes ``values[i]`` on the slice's interval i;
     c_m = (1/period) * integral f(x) exp(-2j*pi*m*x/period) dx, evaluated
-    exactly per interval; m runs over [-2*order, 2*order].
+    exactly per interval from the slice's ``_phase_table``; m runs over
+    [-2*order, 2*order]. The intervals are summed in order, one at a time.
     """
-    m = np.arange(-2 * order, 2 * order + 1)
-    coeffs = np.zeros(m.size, dtype=np.complex128)
-    nonzero = m != 0
-    mk = m[nonzero]
-    for x0, x1, value in intervals:
-        coeffs[~nonzero] += value * (x1 - x0) / period
-        phase1 = np.exp(-2j * np.pi * mk * x1 / period)
-        phase0 = np.exp(-2j * np.pi * mk * x0 / period)
-        coeffs[nonzero] += value * (phase1 - phase0) / (-2j * np.pi * mk)
-    return coeffs
-
-
-def _inverse_intervals(slc: PermittivitySlice) -> tuple[tuple[float, float, complex], ...]:
-    """The slice's intervals with 1/eps in place of eps."""
-    return tuple((x0, x1, 1.0 / eps) for x0, x1, eps in slc.intervals)
+    diff, rate = table
+    terms = np.array(values)[:, None] * diff / rate
+    nonzero = np.zeros(rate.size, dtype=np.complex128)
+    for term in terms:
+        nonzero += term
+    c0 = 0j
+    for (x0, x1, _), value in zip(slc.intervals, values):
+        c0 += value * (x1 - x0) / slc.period_x
+    half = rate.size // 2
+    return np.concatenate((nonzero[:half], [c0], nonzero[half:]))
 
 
 def fourier_eps(slc: PermittivitySlice, order: int) -> FourierEps:
     """Exact Fourier coefficients of a slice's eps(x) and 1/eps(x)."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    table = _phase_table(slc, order)
+    values = [eps for _, _, eps in slc.intervals]
     return FourierEps(
-        coeffs=_piecewise_coefficients(slc.intervals, slc.period_x, order),
-        coeffs_inv=_piecewise_coefficients(_inverse_intervals(slc), slc.period_x, order),
+        coeffs=_piecewise_coefficients(slc, values, table),
+        coeffs_inv=_piecewise_coefficients(slc, [1.0 / eps for eps in values], table),
     )
 
 
@@ -102,9 +117,8 @@ def _toeplitz_from(coeffs: np.ndarray, order: int) -> np.ndarray:
     center = coeffs.size // 2
     if center < 2 * order:
         raise ValueError(f"need coefficients up to |m| = {2 * order}, got {center}")
-    col = coeffs[center : center + 2 * order + 1]
-    row = coeffs[center - 2 * order : center + 1][::-1]
-    return toeplitz(col, row).astype(np.complex128)
+    index = np.arange(2 * order + 1)
+    return coeffs[center + index[:, None] - index]
 
 
 def assemble_operators(slc: PermittivitySlice, spec: StructureSpec) -> OperatorPair:
@@ -116,7 +130,9 @@ def assemble_operators(slc: PermittivitySlice, spec: StructureSpec) -> OperatorP
     only for TM, the one filling that uses them.
     """
     order = spec.truncation_order
-    eps_toeplitz = _toeplitz_from(_piecewise_coefficients(slc.intervals, slc.period_x, order), order)
+    table = _phase_table(slc, order)
+    values = [eps for _, _, eps in slc.intervals]
+    eps_toeplitz = _toeplitz_from(_piecewise_coefficients(slc, values, table), order)
     m = np.arange(-order, order + 1, dtype=np.float64)
     kt = m * spec.wavelength_um / spec.period_x_um  # transverse wavevector / k0
     n = 2 * order + 1
@@ -127,7 +143,7 @@ def assemble_operators(slc: PermittivitySlice, spec: StructureSpec) -> OperatorP
     else:
         eps_inv = checked_inv(eps_toeplitz, SingularOperatorError, "Toeplitz(eps)")
         p = kt[:, None] * eps_inv * kt[None, :] - np.eye(n, dtype=np.complex128)
-        inv_coeffs = _piecewise_coefficients(_inverse_intervals(slc), slc.period_x, order)
+        inv_coeffs = _piecewise_coefficients(slc, [1.0 / eps for eps in values], table)
         inv_toeplitz = _toeplitz_from(inv_coeffs, order)
         q = -checked_inv(inv_toeplitz, SingularOperatorError, "Toeplitz(1/eps)")
 

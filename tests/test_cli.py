@@ -166,6 +166,16 @@ def test_sweep_unknown_method_exit2(taper_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("knob", ["inf", "2.5", "0.5"])
+def test_sweep_rejects_non_integer_section_count(taper_file, capsys, knob):
+    code = cli.main(
+        ["sweep", "--structure", str(taper_file), "--methods", "uniform0", "--grid", knob, "--oracle-sections", "4"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"uniform0 knob must be a whole number of sections >= 1, got {float(knob)!r}" in err
+
+
 def test_sweep_csv_bit_stable(taper_file, tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):

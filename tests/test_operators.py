@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 
 from arcwa.errors import SingularOperatorError
 from arcwa.geometry import PermittivitySlice, Polarization
+from arcwa.numerics import checked_inv
 from arcwa.operators import _toeplitz_from, assemble_operators, fourier_eps
 
 from conftest import uniform_slice, uniform_spec
@@ -214,3 +218,70 @@ def test_operator_metadata():
     assert ops.z == 0.4
     assert ops.n == 5
     assert ops.k0 == pytest.approx(spec.k0)
+
+
+def loop_coefficients(intervals, period, order):
+    """Reference: Fourier coefficients accumulated one interval at a time."""
+    m = np.arange(-2 * order, 2 * order + 1)
+    coeffs = np.zeros(m.size, dtype=np.complex128)
+    nonzero = m != 0
+    mk = m[nonzero]
+    for x0, x1, value in intervals:
+        coeffs[~nonzero] += value * (x1 - x0) / period
+        phase1 = np.exp(-2j * np.pi * mk * x1 / period)
+        phase0 = np.exp(-2j * np.pi * mk * x0 / period)
+        coeffs[nonzero] += value * (phase1 - phase0) / (-2j * np.pi * mk)
+    return coeffs
+
+
+def loop_toeplitz(coeffs, order):
+    """Reference: scipy's Toeplitz constructor on the centred coefficients."""
+    center = coeffs.size // 2
+    col = coeffs[center : center + 2 * order + 1]
+    row = coeffs[center - 2 * order : center + 1][::-1]
+    return toeplitz(col, row).astype(np.complex128)
+
+
+def loop_operators(slc, spec):
+    """Reference: P and Q assembled from the per-interval loop."""
+    order = spec.truncation_order
+    inverted = tuple((x0, x1, 1.0 / eps) for x0, x1, eps in slc.intervals)
+    eps_toeplitz = loop_toeplitz(loop_coefficients(slc.intervals, slc.period_x, order), order)
+    kt = np.arange(-order, order + 1, dtype=np.float64) * spec.wavelength_um / spec.period_x_um
+    n = 2 * order + 1
+    if spec.polarization is Polarization.TE:
+        return np.eye(n, dtype=np.complex128), eps_toeplitz - np.diag(kt**2).astype(np.complex128)
+    eps_inv = checked_inv(eps_toeplitz, SingularOperatorError, "Toeplitz(eps)")
+    p = kt[:, None] * eps_inv * kt[None, :] - np.eye(n, dtype=np.complex128)
+    inv_toeplitz = loop_toeplitz(loop_coefficients(inverted, slc.period_x, order), order)
+    return p, -checked_inv(inv_toeplitz, SingularOperatorError, "Toeplitz(1/eps)")
+
+
+@st.composite
+def lossy_slices(draw):
+    """Slices of 1-6 intervals with passive complex eps."""
+    period = draw(st.floats(0.5, 2.0))
+    k = draw(st.integers(1, 6))
+    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=k - 1, max_size=k - 1, unique=True))
+    bounds = [0.0, *(period * cut for cut in sorted(cuts)), period]
+    values = draw(
+        st.lists(
+            st.builds(complex, st.floats(1.0, 13.0), st.floats(0.0, 1.0)), min_size=k, max_size=k
+        )
+    )
+    intervals = tuple((bounds[i], bounds[i + 1], values[i]) for i in range(k))
+    return PermittivitySlice(z=0.0, period_x=period, intervals=intervals)
+
+
+@settings(max_examples=50, deadline=None)
+@given(slc=lossy_slices(), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
+def test_assembly_matches_interval_loop_bit_for_bit(slc, order, polarization):
+    spec = uniform_spec(1.0, 1.0, polarization=polarization, order=order)
+    ops = assemble_operators(slc, spec)
+    p, q = loop_operators(slc, spec)
+    assert np.array_equal(ops.P, p)
+    assert np.array_equal(ops.Q, q)
+    fe = fourier_eps(slc, order)
+    inverted = tuple((x0, x1, 1.0 / eps) for x0, x1, eps in slc.intervals)
+    assert np.array_equal(fe.coeffs, loop_coefficients(slc.intervals, slc.period_x, order))
+    assert np.array_equal(fe.coeffs_inv, loop_coefficients(inverted, slc.period_x, order))

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from arcwa.geometry import parse_structure, slice_at
-from arcwa.modal import eigen_basis
+from arcwa.modal import eigen_basis, propagation_factor
 from arcwa.numerics import max_abs
 from arcwa.operators import OperatorPair, assemble_operators
 from arcwa.sections import (
@@ -168,6 +170,79 @@ def test_estimator_is_max_norm_of_integral_terms(rng):
     scaled = [DeltaPair(dA=3.0 * d.dA, dB=3.0 * d.dB) for d in deltas]
     blocks3 = _integral_blocks(basis, scaled, sample_z, weights, 0.0, 1.0)
     assert estimate_error(blocks3.values()) == pytest.approx(3.0 * eps, rel=1e-12)
+
+
+def test_section_with_every_sample_at_the_reference(taper):
+    # All three Simpson samples lie within the sample tolerance of the
+    # midpoint reference, so no deviation is formed at all.
+    z_l, z_r = 0.5, 0.5 + 1e-13
+    ops, basis = taper_section_inputs(taper, z_l, z_r)
+    first = first_order_smatrix(taper, z_l, z_r, basis, ops)
+    zeroth = zeroth_order_smatrix(basis, z_l, z_r)
+    assert first.est_error == 0.0
+    for name in ("T_LR", "R_R", "R_L", "T_RL"):
+        assert np.array_equal(getattr(first.smat, name), getattr(zeroth, name))
+
+
+def loop_first_order(spec, z_l, z_r, basis, ref_ops, end_ops):
+    """Reference: all three Simpson samples, the reference one included, block by block."""
+    span = z_r - z_l
+    sample_z = [z_l, 0.5 * (z_l + z_r), z_r]
+    weights = [span / 6.0, 4.0 * span / 6.0, span / 6.0]
+    known = [None, None, None] if end_ops is None else [end_ops[0], None, end_ops[1]]
+    names = ("T_LR", "R_R", "R_L", "T_RL")
+    blocks = {name: np.zeros((basis.n, basis.n), dtype=np.complex128) for name in names}
+    for zk, wk, ops_k in zip(sample_z, weights, known):
+        if abs(zk - basis.z_ref) <= 1e-12 * max(span, 1.0):
+            ops_k = ref_ops
+        elif ops_k is None:
+            ops_k = assemble_operators(slice_at(spec, zk), spec)
+        dp = basis.W_inv @ (ops_k.P - ref_ops.P) @ basis.V
+        dq = basis.V_inv @ (ops_k.Q - ref_ops.Q) @ basis.W
+        d_a, d_b = dp + dq, dp - dq
+        to_right = propagation_factor(basis, z_r - zk)
+        from_left = propagation_factor(basis, zk - z_l)
+        blocks["T_LR"] += wk * (to_right[:, None] * d_a * from_left[None, :])
+        blocks["R_R"] -= wk * (to_right[:, None] * d_b * to_right[None, :])
+        blocks["R_L"] -= wk * (from_left[:, None] * d_b * from_left[None, :])
+        blocks["T_RL"] += wk * (from_left[:, None] * d_a * to_right[None, :])
+    blocks = {name: 0.5j * basis.k0 * block for name, block in blocks.items()}
+    base = zeroth_order_smatrix(basis, z_l, z_r)
+    smat = {name: getattr(base, name) + block for name, block in blocks.items()}
+    return smat, max(max_abs(block) for block in blocks.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    polarization=st.sampled_from(["TE", "TM"]),
+    order=st.integers(0, 8),
+    widths=st.tuples(st.floats(0.1, 0.6), st.floats(0.1, 0.6)),
+    core=st.builds(complex, st.floats(2.0, 13.0), st.floats(0.0, 0.5)),
+    z_l=st.floats(0.0, 0.9),
+    fraction=st.floats(1e-3, 1.0),
+    endpoint=st.booleans(),
+    ends_given=st.booleans(),
+)
+def test_first_order_matches_three_sample_loop_bit_for_bit(
+    polarization, order, widths, core, z_l, fraction, endpoint, ends_given
+):
+    doc = (
+        TAPER_DOC.replace("polarization: TE", f"polarization: {polarization}")
+        .replace("truncation_order: 3", f"truncation_order: {order}")
+        .replace("eps: [12.25, 0.0]", f"eps: [{core.real:.6f}, {core.imag:.6f}]")
+        .replace("start: 0.26, end: 0.37", f"start: {widths[0]:.6f}, end: {widths[1]:.6f}")
+    )
+    spec = parse_structure(doc)
+    z_r = z_l + fraction * (1.0 - z_l)
+    z_ref = z_r if endpoint else 0.5 * (z_l + z_r)
+    ref_ops = assemble_operators(slice_at(spec, z_ref), spec)
+    basis = eigen_basis(ref_ops)
+    ends = tuple(assemble_operators(slice_at(spec, z), spec) for z in (z_l, z_r)) if ends_given else None
+    first = first_order_smatrix(spec, z_l, z_r, basis, ref_ops, end_ops=ends)
+    smat, est_error = loop_first_order(spec, z_l, z_r, basis, ref_ops, ends)
+    for name, block in smat.items():
+        assert np.array_equal(getattr(first.smat, name), block)
+    assert first.est_error == est_error
 
 
 def test_estimator_equals_order_gap(taper):
