@@ -326,6 +326,11 @@ def _parse_profile(node, z_min: float, z_max: float, what: str) -> Profile:
     return PiecewiseLinearProfile(tuple(points))
 
 
+def _check_tm_eps(eps: complex, polarization: Polarization, what: str) -> None:
+    if polarization is Polarization.TM and eps == 0:
+        raise _semantic(f"{what} must be nonzero for TM: the TM operators use 1/eps")
+
+
 def parse_structure(text: str) -> StructureSpec:
     """Parse and validate a structure document.
 
@@ -381,6 +386,7 @@ def parse_structure(text: str) -> StructureSpec:
     background = _as_complex(doc["background_eps"], "background_eps")
     if background.imag < 0.0:
         raise _semantic("background_eps must be passive: Im(eps) >= 0")
+    _check_tm_eps(background, polarization, "background_eps")
 
     raw_regions = doc["regions"]
     if not isinstance(raw_regions, (list, tuple)):
@@ -399,6 +405,7 @@ def parse_structure(text: str) -> StructureSpec:
         eps = _as_complex(node["eps"], f"{what}.eps")
         if eps.imag < 0.0:
             raise _semantic(f"{what}.eps must be passive: Im(eps) >= 0")
+        _check_tm_eps(eps, polarization, f"{what}.eps")
         center = _parse_profile(node["center_x"], z_min, z_max, f"{what}.center_x")
         width = _parse_profile(node["profile"], z_min, z_max, f"{what}.profile")
         regions.append(MaterialRegion(eps, center, width))

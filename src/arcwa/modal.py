@@ -10,6 +10,17 @@ forward/backward coefficients through
 The square-root branch is fixed to Im(lam) >= 0, with Re(lam) > 0 on the
 real axis. That choice makes every propagation factor exp(j*lam*k0*dz)
 have magnitude <= 1 for dz >= 0, so cascaded sections can never amplify.
+
+Lossless dielectric cross-sections are diagonalized by a Hermitian LAPACK
+solver. In TE, P is the identity and Q is Hermitian: ``heevd`` gives a
+unitary Y, so W^-1 and V^-1 follow from Y^H. In TM, P and Q are Hermitian
+and B = -Q is positive definite: ``hegvd`` solves the pencil
+(-Q P Q, B) with Y^H B Y = I, so W^-1 = D^-1 Y^H B for W = Y D. Either way
+lam^2 is real and no inverse needs a factorization. Every other pair
+(lossy, indefinite or non-finite) goes through the general ``geev``
+eigensolver and LU-factored inverses. Both routes normalize columns alike
+(unit 2-norm, largest entry real) and share the branch, the ordering, the
+cutoff check and the conditioning limit.
 """
 
 from __future__ import annotations
@@ -17,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     CutoffModeError,
     EigendecompositionError,
     NearDefectiveBasisError,
 )
-from .numerics import COND_LIMIT, guarded_solve
+from .numerics import COND_LIMIT, guard_inverse, guarded_solve
 from .operators import OperatorPair
 
 # Effective indices below this magnitude count as cutoff modes.
@@ -67,6 +79,10 @@ class WaveState:
     basis_id: int
 
 
+# Relative asymmetry max|A - A^H| / max|A| up to which an operator counts
+# as Hermitian.
+_HERMITIAN_RTOL = 1e-12
+
 # Relative threshold below which a root's real or imaginary part is
 # floating-point dust from a mathematically real-or-imaginary eigenvalue.
 _AXIS_SNAP_RTOL = 1e-14
@@ -75,11 +91,12 @@ _AXIS_SNAP_RTOL = 1e-14
 def _principal_branch(lam: np.ndarray) -> np.ndarray:
     """Square roots on the Im >= 0 (then Re > 0) branch.
 
-    Eigenvalues of lossless structures are mathematically real, but the
-    eigensolver returns them with tiny imaginary dust whose sign is
-    arbitrary. Flipping on that sign would mislabel propagating modes as
-    backward ones, so roots are first snapped onto the real or imaginary
-    axis when the off-axis part is negligible relative to the magnitude.
+    Mathematically real eigenvalues come out of ``geev`` with tiny
+    imaginary dust whose sign is arbitrary. Flipping on that sign would
+    mislabel propagating modes as backward ones, so roots are first snapped
+    onto the real or imaginary axis when the off-axis part is negligible
+    relative to the magnitude. The Hermitian route's eigenvalues are real,
+    so its roots already sit on an axis.
     """
     lam = lam.copy()
     mag = np.abs(lam)
@@ -99,29 +116,86 @@ def _near_defective(name: str, z: float):
     )
 
 
+def _is_hermitian(a: np.ndarray) -> bool:
+    scale = lapack.zlange("M", a)
+    return bool(np.isfinite(scale)) and lapack.zlange("M", a - a.conj().T) <= _HERMITIAN_RTOL * scale
+
+
+def _hermitian_eig(ops: OperatorPair) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """Eigenvalues lam^2 and eigenvectors Y of P Q from a Hermitian solver, plus B.
+
+    B is -Q for the TM pencil and None for TE, where Y is unitary. Returns
+    None when the operators are not Hermitian, B is not positive definite
+    (its Cholesky factorization fails) or the solver does not converge.
+    """
+    p, q = ops.P, ops.Q
+    if not _is_hermitian(q):
+        return None
+    if np.count_nonzero(p) == p.shape[0] and np.all(p.diagonal() == 1.0):  # P is exactly I
+        b = None
+        mu, y, info = lapack.zheevd(q)
+    elif _is_hermitian(p):
+        b = -q
+        mu, y, info = lapack.zhegvd((b @ p) @ q, b, overwrite_a=1)
+    else:
+        return None
+    return (mu, y, b) if info == 0 else None
+
+
+def _hermitian_basis(
+    y: np.ndarray, lam: np.ndarray, b: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """W, W^-1, V and V^-1 from the ordered eigenvectors Y of ``_hermitian_eig``.
+
+    W = Y D scales each column to unit 2-norm with its largest entry real,
+    as ``geev`` normalizes. With B = I in TE, W^-1 = D^-1 Y^H B = G (B W)^H
+    and D^-1 Y^H = G W^H, where G = |D|^-2 holds the squared column norms
+    of Y. V = Q W Lam^-1 is then W Lam (TE) or -B W Lam^-1 (TM), and V^-1
+    is Lam^-1 W^-1 (TE) or -Lam G W^H (TM).
+    """
+    cols = np.arange(lam.size)
+    mag2 = (y * y.conj()).real
+    peak = np.argmax(mag2, axis=0)
+    g = mag2.sum(axis=0)
+    w = y * (y[peak, cols].conj() / np.sqrt(mag2[peak, cols] * g))
+    w[peak, cols] = w[peak, cols].real
+    if b is None:
+        w_inv = w.conj().T * g[:, None]
+        return w, w_inv, w * lam, w_inv / lam[:, None]
+    bw = b @ w
+    return w, bw.conj().T * g[:, None], bw / -lam, w.conj().T * (-lam * g)[:, None]
+
+
 def eigen_basis(ops: OperatorPair) -> ModalBasis:
     """Diagonalize P Q and build the modal basis at ops.z.
 
-    Eigenvalues are ordered by descending Re(lam), ties broken by ascending
-    Im(lam), so identical operator pairs always produce the same basis (up
-    to the eigensolver's own determinism). Raises CutoffModeError when an
-    effective index sits below LAMBDA_CUTOFF and NearDefectiveBasisError
-    when cond(W) or cond(V) exceeds the shared conditioning limit. Both
-    are checked once here, and W_inv and V_inv come from the guarded
-    factorizations.
+    Hermitian operator pairs (lossless dielectrics, see the module
+    docstring) take the Hermitian solver and get their inverses from the
+    eigenvectors; every other pair takes ``geev`` and two guarded LU
+    inverses. Eigenvalues are ordered by descending Re(lam), ties broken
+    by ascending Im(lam), so identical operator pairs always produce the
+    same basis (up to the eigensolver's own determinism). Raises
+    CutoffModeError when an effective index sits below LAMBDA_CUTOFF and
+    NearDefectiveBasisError when cond(W) or cond(V) exceeds the shared
+    conditioning limit; both are checked once here, on either route.
     """
-    pq = ops.P @ ops.Q
-    if not np.all(np.isfinite(pq)):
-        raise ValueError("operator product contains non-finite entries")
-    try:
-        eigvals, eigvecs = np.linalg.eig(pq)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(f"eigensolver failed on a {pq.shape[0]}x{pq.shape[0]} operator: {exc}") from exc
+    hermitian = _hermitian_eig(ops)
+    if hermitian is None:
+        pq = ops.P @ ops.Q
+        if not np.all(np.isfinite(pq)):
+            raise ValueError("operator product contains non-finite entries")
+        try:
+            eigvals, eigvecs = np.linalg.eig(pq)
+        except np.linalg.LinAlgError as exc:
+            n = pq.shape[0]
+            raise EigendecompositionError(f"eigensolver failed on a {n}x{n} operator: {exc}") from exc
+    else:
+        eigvals, eigvecs, b = hermitian
 
     lam = _principal_branch(np.sqrt(eigvals.astype(np.complex128)))
     order = np.lexsort((lam.imag, -lam.real))
     lam = lam[order]
-    w = eigvecs[:, order]
+    eigvecs = eigvecs[:, order]
 
     small = np.abs(lam) < LAMBDA_CUTOFF
     if np.any(small):
@@ -131,10 +205,16 @@ def eigen_basis(ops: OperatorPair) -> ModalBasis:
             "add a small material loss (e.g. Im(eps) ~ 1e-6) to move the mode off cutoff"
         )
 
-    eye = np.eye(lam.size)
-    w_inv = guarded_solve(w, eye, _near_defective("W", ops.z))
-    v = ops.Q @ (w / lam[None, :])
-    v_inv = guarded_solve(v, eye, _near_defective("V", ops.z))
+    if hermitian is None:
+        w = eigvecs
+        eye = np.eye(lam.size)
+        w_inv = guarded_solve(w, eye, _near_defective("W", ops.z))
+        v = ops.Q @ (w / lam[None, :])
+        v_inv = guarded_solve(v, eye, _near_defective("V", ops.z))
+    else:
+        w, w_inv, v, v_inv = _hermitian_basis(eigvecs, lam, b)
+        guard_inverse(w, w_inv, _near_defective("W", ops.z))
+        guard_inverse(v, v_inv, _near_defective("V", ops.z))
 
     return ModalBasis(
         W=w,

@@ -17,6 +17,11 @@ non-finite) gets the exact SVD-based ``condition_number``, which gives the
 verdict and the value reported in the error. Accept/reject decisions and
 messages are therefore those of the exact 2-norm test, at the cost of one
 factorization that the solve then reuses.
+
+An inverse that is already known (the Hermitian eigenbases of ``modal``
+come with theirs) needs no factorization: ``guard_inverse`` screens it
+with the exact 1-norm condition number ||A||_1 ||A^-1||_1 and the same
+margin, and hands every other matrix to the same exact 2-norm test.
 """
 
 from __future__ import annotations
@@ -60,6 +65,21 @@ def guarded_solve(
         if info != 0 or not np.isfinite(cond) or cond > COND_LIMIT:
             raise reject(cond)
     return getrs(lu, piv, b)[0]
+
+
+def guard_inverse(a: np.ndarray, a_inv: np.ndarray, reject: Callable[[float], NumericalError]) -> None:
+    """Raise ``reject(cond)`` unless ``a``, whose inverse ``a_inv`` is known, passes COND_LIMIT.
+
+    A matrix with ``10 n ||a||_1 ||a_inv||_1 <= COND_LIMIT`` passes on the
+    screen; any other one (inside that band, singular or non-finite, where
+    ``a_inv`` carries non-finite entries) gets the exact 2-norm
+    ``condition_number``, which ``reject`` receives when it is refused.
+    """
+    lange = lapack.get_lapack_funcs("lange", (a, a_inv))
+    if not _ESTIMATE_MARGIN * a.shape[0] * lange("1", a) * lange("1", a_inv) <= COND_LIMIT:
+        cond = condition_number(a)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise reject(cond)
 
 
 def checked_solve(

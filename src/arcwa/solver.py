@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import cascade, geometry, modal, operators, sections
 from .errors import MaxDepthExceededError
@@ -105,6 +105,9 @@ class _Composite:
 # Operators at a section's two ends; None where nothing reads them.
 _Ends = tuple[OperatorPair | None, OperatorPair | None]
 
+# What the report keeps of an accepted section: (z_L, z_R, est_error).
+_Leaf = tuple[float, float, float]
+
 
 def _reference_z(z_l: float, z_r: float, rule: ReferenceRule) -> float:
     return 0.5 * (z_l + z_r) if rule is ReferenceRule.MIDPOINT else z_r
@@ -175,7 +178,7 @@ def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveRepor
         ends: _Ends,
         depth: int,
         inherited: tuple[OperatorPair, ModalBasis] | None,
-    ) -> tuple[_Composite, list[SectionResult]]:
+    ) -> tuple[_Composite, list[_Leaf]]:
         if inherited is None:
             ops, basis = _build_basis(spec, _reference_z(z_l, z_r, rule), ends)
             local_eigs = 1
@@ -193,9 +196,8 @@ def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveRepor
             result = SectionResult(smat=smat, est_error=0.0, eig_count=local_eigs, z_L=z_l, z_R=z_r, order=0)
 
         if result.est_error < config.alpha:
-            if result.order != config.order:
-                result = replace(result, smat=sections.zeroth_order_smatrix(basis, z_l, z_r), order=0)
-            return _Composite(result.smat, basis, basis), [result]
+            smat = result.smat if result.order == config.order else sections.zeroth_order_smatrix(basis, z_l, z_r)
+            return _Composite(smat, basis, basis), [(z_l, z_r, result.est_error)]
 
         if depth >= config.max_depth:
             raise MaxDepthExceededError(
@@ -212,9 +214,9 @@ def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveRepor
         m: int,
         depth: int,
         parent: tuple[OperatorPair, ModalBasis] | None,
-    ) -> tuple[_Composite, list[SectionResult]]:
+    ) -> tuple[_Composite, list[_Leaf]]:
         comp: _Composite | None = None
-        leaves: list[SectionResult] = []
+        leaves: list[_Leaf] = []
         z_a, left_ops = z_l, ends[0]
         for i in range(m):
             last = i == m - 1
@@ -232,7 +234,7 @@ def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveRepor
     smat = _normalize_to_ports(comp, root)
     return SolveReport(
         smat=smat,
-        sections=tuple((r.z_L, r.z_R, r.est_error) for r in leaves),
+        sections=tuple(leaves),
         total_eig_count=counters["eig"],
         total_wall_time=time.perf_counter() - started,
         sections_solved=counters["solved"],

@@ -89,6 +89,18 @@ def test_invalid_document_exit2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_tm_zero_eps_exit2(tmp_path, capsys):
+    """TM operators divide by eps: an eps = 0 interval is an input error, not a traceback."""
+    doc = TAPER_DOC.replace("polarization: TE", "polarization: TM").replace(
+        "background_eps: [1.0, 0.0]", "background_eps: [0.0, 0.0]"
+    )
+    path = tmp_path / "tm_zero.spec"
+    path.write_text(doc)
+    code = cli.main(["solve", "--structure", str(path), "--alpha", "1e-2"])
+    assert code == 2
+    assert "background_eps must be nonzero for TM" in capsys.readouterr().err
+
+
 def test_nan_alpha_exit2(taper_file, capsys):
     code = cli.main(["solve", "--structure", str(taper_file), "--alpha", "nan"])
     assert code == 2

@@ -85,6 +85,15 @@ def test_gain_medium_rejected():
         parse_structure(doc)
 
 
+def test_zero_eps_rejected_for_tm_only():
+    with pytest.raises(SpecSemanticError, match=r"regions\[0\]\.eps must be nonzero for TM"):
+        parse_structure(MINIMAL_DOC.replace("eps: [2.25, 0.0]", "eps: [0.0, 0.0]"))
+    with pytest.raises(SpecSemanticError, match="background_eps must be nonzero for TM"):
+        parse_structure(MINIMAL_DOC.replace("background_eps: [1.0, 0.0]", "background_eps: [0.0, 0.0]"))
+    te = MINIMAL_DOC.replace("polarization: TM", "polarization: TE")
+    assert parse_structure(te.replace("eps: [2.25, 0.0]", "eps: [0.0, 0.0]")).regions[0].eps == 0
+
+
 def test_piecewise_breakpoints_must_increase():
     doc = MINIMAL_DOC.replace(
         "{kind: constant, value: 0.5}",

@@ -1,19 +1,25 @@
-"""Modal bases: branch rule, ordering, round trips, propagation factors."""
+"""Modal bases: branch rule, ordering, round trips, propagation factors, both eigensolver routes."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from arcwa.errors import CutoffModeError, NearDefectiveBasisError
-from arcwa.geometry import Polarization
+from arcwa import modal
+from arcwa.errors import CutoffModeError, EigendecompositionError, NearDefectiveBasisError
+from arcwa.geometry import PermittivitySlice, Polarization
 from arcwa.modal import (
+    LAMBDA_CUTOFF,
+    ModalBasis,
     eigen_basis,
     mode_coefficients,
     propagation_factor,
     reconstruct_fields,
 )
+from arcwa.numerics import guarded_solve
 from arcwa.operators import OperatorPair, assemble_operators
 
 from conftest import uniform_slice, uniform_spec
@@ -169,3 +175,139 @@ def test_dimension_mismatch_rejected():
     basis = eigen_basis(ops_from(np.eye(2), np.eye(2)))
     with pytest.raises(ValueError, match="shape"):
         mode_coefficients(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex), basis)
+
+
+def geev_eigen_basis(ops):
+    """Reference for the general route: geev and two guarded LU inverses, no Hermitian shortcut."""
+    pq = ops.P @ ops.Q
+    if not np.all(np.isfinite(pq)):
+        raise ValueError("operator product contains non-finite entries")
+    try:
+        eigvals, eigvecs = np.linalg.eig(pq)
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionError(f"eigensolver failed on a {pq.shape[0]}x{pq.shape[0]} operator: {exc}") from exc
+
+    lam = modal._principal_branch(np.sqrt(eigvals.astype(np.complex128)))
+    order = np.lexsort((lam.imag, -lam.real))
+    lam = lam[order]
+    w = eigvecs[:, order]
+
+    small = np.abs(lam) < LAMBDA_CUTOFF
+    if np.any(small):
+        worst = lam[small][np.argmin(np.abs(lam[small]))]
+        raise CutoffModeError(
+            f"mode at cutoff: |lambda| = {abs(worst):.3e} < {LAMBDA_CUTOFF:.0e} at z = {ops.z:g}; "
+            "add a small material loss (e.g. Im(eps) ~ 1e-6) to move the mode off cutoff"
+        )
+
+    eye = np.eye(lam.size)
+    w_inv = guarded_solve(w, eye, modal._near_defective("W", ops.z))
+    v = ops.Q @ (w / lam[None, :])
+    v_inv = guarded_solve(v, eye, modal._near_defective("V", ops.z))
+    return ModalBasis(W=w, V=v, lam=lam, z_ref=ops.z, k0=ops.k0, W_inv=w_inv, V_inv=v_inv)
+
+
+@st.composite
+def slices(draw, lossy):
+    """Slices of 1-6 intervals with eps in [1, 13]; lossy ones get Im(eps) in (0, 1]."""
+    period = draw(st.floats(0.5, 2.0))
+    k = draw(st.integers(1, 6))
+    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=k - 1, max_size=k - 1, unique=True))
+    bounds = [0.0, *(period * cut for cut in sorted(cuts)), period]
+    loss = st.floats(1e-6, 1.0) if lossy else st.just(0.0)
+    values = draw(st.lists(st.builds(complex, st.floats(1.0, 13.0), loss), min_size=k, max_size=k))
+    return PermittivitySlice(z=0.0, period_x=period, intervals=tuple(zip(bounds, bounds[1:], values)))
+
+
+def residuals(ops, basis):
+    """max|PQW - W Lam^2| / max|PQ|, max|W W^-1 - I| and max|V V^-1 - I|."""
+    pq = ops.P @ ops.Q
+    eye = np.eye(basis.n)
+    return np.array(
+        [
+            np.max(np.abs(pq @ basis.W - basis.W * basis.lam**2)) / np.max(np.abs(pq)),
+            np.max(np.abs(basis.W @ basis.W_inv - eye)),
+            np.max(np.abs(basis.V @ basis.V_inv - eye)),
+        ]
+    )
+
+
+def sorted_squares(lam):
+    """lam^2 sorted by real part.
+
+    geev leaves off-axis dust in lam^2 that can move a mode in the lexsort
+    or, above the snap tolerance, onto the wrong branch, so the routes are
+    compared on the eigenvalues of P Q themselves.
+    """
+    lam2 = lam**2
+    return lam2[np.argsort(lam2.real, kind="stable")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(slc=slices(lossy=False), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
+def test_hermitian_route_matches_geev_on_lossless_slices(slc, order, polarization):
+    ops = assemble_operators(slc, uniform_spec(1.0, 1.0, polarization=polarization, order=order))
+    assert modal._hermitian_eig(ops) is not None
+    try:
+        reference = geev_eigen_basis(ops)
+    except CutoffModeError:
+        with pytest.raises(CutoffModeError):
+            eigen_basis(ops)
+        return
+    basis = eigen_basis(ops)
+    lam2, ref_lam2 = sorted_squares(basis.lam), sorted_squares(reference.lam)
+    assert np.max(np.abs(lam2 - ref_lam2)) <= 1e-12 * np.max(np.abs(ref_lam2))
+    # lam^2 is real on this route: every lam sits exactly on the positive real or imaginary axis.
+    lam = basis.lam
+    assert np.all(((lam.imag == 0.0) & (lam.real > 0.0)) | ((lam.real == 0.0) & (lam.imag > 0.0)))
+    # Both routes sit at rounding level; the explicit inverses may exceed an LU solve's there.
+    floor = 8 * basis.n * np.finfo(float).eps
+    assert np.all(residuals(ops, basis) <= np.maximum(residuals(ops, reference), floor))
+    assert_allclose(np.linalg.norm(basis.W, axis=0), 1.0, rtol=0, atol=1e-14)
+    # Rounding picks among tied largest entries (m and -m of a symmetric mode).
+    mag2 = np.abs(basis.W) ** 2
+    largest = mag2 >= (1.0 - 1e-10) * mag2.max(axis=0)
+    assert np.all(np.any(largest & (basis.W.imag == 0.0), axis=0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(slc=slices(lossy=True), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
+def test_lossy_slices_keep_the_geev_route_bit_for_bit(slc, order, polarization):
+    ops = assemble_operators(slc, uniform_spec(1.0, 1.0, polarization=polarization, order=order))
+    basis, reference = eigen_basis(ops), geev_eigen_basis(ops)
+    for name in ("W", "V", "lam", "W_inv", "V_inv"):
+        assert np.array_equal(getattr(basis, name), getattr(reference, name))
+    assert basis.basis_id == reference.basis_id
+
+
+@pytest.mark.parametrize(
+    "p, q, error",
+    [
+        (np.eye(2), np.diag([1.0, 1e-20]), CutoffModeError),
+        (np.diag([1.0, 1e-20]), -np.eye(2), CutoffModeError),
+        (np.eye(2), np.diag([1e12, 1e-14]), NearDefectiveBasisError),
+    ],
+    ids=["cutoff-identity-P", "cutoff-pencil", "near-defective-V"],
+)
+def test_errors_are_the_same_on_both_routes(p, q, error):
+    ops = ops_from(p, q)
+    assert modal._hermitian_eig(ops) is not None
+    with pytest.raises(error) as geev_err:
+        geev_eigen_basis(ops)
+    with pytest.raises(error) as err:
+        eigen_basis(ops)
+    assert str(err.value) == str(geev_err.value)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])),
+        (np.diag([2.0, 3.0]), np.eye(2)),
+        (np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])),
+    ],
+    ids=["non-hermitian-Q", "indefinite-B", "non-finite"],
+)
+def test_other_operator_pairs_take_the_geev_route(p, q):
+    ops = ops_from(p, q)
+    assert modal._hermitian_eig(ops) is None

@@ -1,10 +1,10 @@
-"""Conditioning guard: LU screen plus exact 2-norm verdict."""
+"""Conditioning guards: LU and explicit-inverse screens plus exact 2-norm verdict."""
 
 import numpy as np
 import pytest
 
 from arcwa.errors import ResonanceError, SingularOperatorError
-from arcwa.numerics import COND_LIMIT, checked_inv, checked_solve
+from arcwa.numerics import COND_LIMIT, checked_inv, checked_solve, guard_inverse
 
 SIZES = (2, 7, 21, 51)
 # 2-norm condition numbers from 1 to 1e14, dense around COND_LIMIT.
@@ -71,6 +71,41 @@ def test_verdicts_and_messages_follow_the_exact_2norm_condition_number():
             assert np.linalg.norm(a @ inv - np.eye(n)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(inv)
     # Both verdicts occur.
     assert 0 < rejected < len(SIZES) * CONDITIONS.size * len(KINDS)
+
+
+def reject_as(what):
+    return lambda cond: SingularOperatorError(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
+
+
+def test_explicit_inverse_screen_follows_the_exact_2norm_condition_number():
+    rejected = 0
+    for a in guard_cases():
+        a_inv = np.linalg.inv(a)
+        cond = np.linalg.cond(a)
+        if cond > COND_LIMIT:
+            rejected += 1
+            with pytest.raises(SingularOperatorError) as err:
+                guard_inverse(a, a_inv, reject_as("cond(V)"))
+            assert str(err.value) == f"cond(V): condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
+        else:
+            guard_inverse(a, a_inv, reject_as("cond(V)"))
+    assert 0 < rejected < len(SIZES) * CONDITIONS.size * len(KINDS)
+
+
+@pytest.mark.parametrize(
+    "a, a_inv",
+    [
+        (np.zeros((3, 3)), np.full((3, 3), np.inf)),
+        # Adjugate over the zero determinant.
+        (np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[np.inf, -np.inf], [-np.inf, np.inf]])),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2)),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2)),
+    ],
+    ids=["zero", "rank-deficient", "nan", "inf"],
+)
+def test_explicit_inverse_screen_rejects_singular_and_non_finite_inputs(a, a_inv):
+    with pytest.raises(SingularOperatorError, match="condition number .* exceeds"):
+        guard_inverse(a, a_inv, reject_as("inverse"))
 
 
 @pytest.mark.parametrize(

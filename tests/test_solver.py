@@ -50,7 +50,18 @@ ORDER0_CASES = {
         65,
     ),
 }
-COUNTER_CASES = {**REUSE_CASES, **ORDER0_CASES}
+# Im(eps) = 1e-3 in the core: non-Hermitian operators, so every basis takes the geev route.
+LOSSY_TAPER_DOC = TAPER_DOC.replace("eps: [12.25, 0.0]", "eps: [12.25, 0.001]")
+LOSSY_CASES = {
+    "lossy-midpoint-M3": (
+        lambda spec: solve_adaptive(parse_structure(LOSSY_TAPER_DOC), SolverConfig(alpha=1e-4)),
+        163,
+        121,
+        81,
+        83,
+    ),
+}
+COUNTER_CASES = {**REUSE_CASES, **ORDER0_CASES, **LOSSY_CASES}
 
 
 def leaf_edges(report):
@@ -326,3 +337,46 @@ def test_handed_down_operators_match_fresh_assembly(taper_spec, monkeypatch, cas
         assert fresh.est_error == used.est_error == est_error
         for block in ("T_LR", "R_R", "R_L", "T_RL"):
             assert np.array_equal(getattr(fresh.smat, block), getattr(used.smat, block))
+
+
+def full_smatrix(smat):
+    """The 2n x 2n scattering matrix, left port modes first."""
+    return np.block([[smat.R_L, smat.T_RL], [smat.T_LR, smat.R_R]])
+
+
+def geev_route(monkeypatch):
+    monkeypatch.setattr(modal, "_hermitian_eig", lambda ops: None)
+
+
+ROUTE_CASES = {
+    "n7-adaptive": (3, lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4))),
+    "n21-uniform-N64-order1": (10, lambda spec: solve_uniform(spec, 64, order=1)),
+}
+
+
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+@pytest.mark.parametrize("case", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
+def test_lossless_smatrix_matches_the_geev_route(monkeypatch, case, polarization):
+    """Port bases agree column by column up to a unit phase, and S agrees in those bases."""
+    truncation, solve = case
+    doc = TAPER_DOC.replace("truncation_order: 3", f"truncation_order: {truncation}")
+    spec = parse_structure(doc.replace("polarization: TE", f"polarization: {polarization}"))
+    ports, report = port_bases(spec), solve(spec)
+    with monkeypatch.context() as patch:
+        geev_route(patch)
+        geev_ports, geev_report = port_bases(spec), solve(spec)
+    phase = np.concatenate([np.sum(g.W.conj() * h.W, axis=0) for g, h in zip(geev_ports, ports)])
+    assert_allclose(np.abs(phase), 1.0, rtol=0, atol=1e-10)
+    expected = phase.conj()[:, None] * full_smatrix(geev_report.smat) * phase[None, :]
+    assert max_abs(full_smatrix(report.smat) - expected) <= 5e-12
+    assert leaf_edges(report) == leaf_edges(geev_report)
+    assert report.total_eig_count == geev_report.total_eig_count
+
+
+def test_lossy_smatrix_is_the_geev_route_bit_for_bit(monkeypatch):
+    spec = parse_structure(LOSSY_TAPER_DOC)
+    report = solve_adaptive(spec, SolverConfig(alpha=1e-3))
+    geev_route(monkeypatch)
+    geev_report = solve_adaptive(spec, SolverConfig(alpha=1e-3))
+    assert np.array_equal(full_smatrix(report.smat), full_smatrix(geev_report.smat))
+    assert report.smat.left_basis_id == geev_report.smat.left_basis_id
