@@ -1,18 +1,41 @@
 """Scattering-matrix algebra: basis reprojection and Redheffer composition.
 
-Neighbouring sections carry their own modal bases, so before two section
-matrices can be composed, the right one is re-expressed in the left one's
-basis. Tangential-field continuity at the shared plane gives the coupling
-matrices
+Neighbouring sections carry their own modal bases. Tangential-field
+continuity at the shared plane gives the coupling matrices
 
     X = (W_i^-1 W_{i-1} + V_i^-1 V_{i-1}) / 2,
     Y = (W_i^-1 W_{i-1} - V_i^-1 V_{i-1}) / 2,
 
 which map old-basis coefficients (a', b') to new ones via a = X a' + Y b',
-b = Y a' + X b'. Substituting into the scattering relations yields the
-reprojection recipe implemented by ``project_left``. Composition itself is
-the standard Redheffer star product; it refuses to combine matrices whose
-shared-plane basis ids disagree, as that is always a caller bug.
+b = Y a' + X b'.
+
+``join`` composes a left matrix S' (ending in basis i-1) with a right
+one S (starting in basis i) straight from those equations. The left
+matrix sends a' = T_LR' a_L + R_R' b' into the plane, so in basis i the
+right matrix sees
+
+    a = K a_L + G b',    b = Y T_LR' a_L + H b',
+    K = X T_LR',    G = Y + X R_R',    H = X + Y R_R',
+
+and its reflection b = R_L a + T_RL b_R fixes the wave b' that crosses
+back, for incidence from either side at once:
+
+    L [B_a | B_b] = [R_L K - Y T_LR' | T_RL],    L = H - R_L G.
+
+That is one guarded LU factorization with 2n right-hand sides; then
+T_LR = T_LR (K + G B_a), R_R = R_R + T_LR G B_b, R_L = R_L' + T_RL' B_a
+and T_RL = T_RL' B_b. Where the reprojection exists,
+L = (X - R_L Y)(I - R_L^p R_R'), with R_L^p the reprojected reflection,
+so a near-singular reprojection or resonance shows up in L. When the
+guard refuses L, ``join`` reruns the two-step recipe (``project_left``,
+then the Redheffer ``star`` product): it raises its own error class and
+message, or returns its result when both of its matrices pass. L can be
+regular where X - R_L Y is not (the pair is well posed although the right
+matrix alone has no S-matrix in the left basis); ``join`` then returns
+the composite where the two-step recipe would raise.
+
+``star`` refuses to combine matrices whose shared-plane basis ids
+disagree, as that is always a caller bug; ``join`` keeps that check.
 """
 
 from __future__ import annotations
@@ -21,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError, ProjectionBreakdownError, ResonanceError
+from .errors import BasisMismatchError, NumericalError, ProjectionBreakdownError, ResonanceError
 from .modal import ModalBasis
-from .numerics import checked_solve
+from .numerics import checked_solve, guarded_solve
 from .sections import ScatteringMatrix
 
 
@@ -77,17 +100,21 @@ def project_left(
     )
 
 
+def _check_shared_plane(left_ends_in: int, right_starts_in: int) -> None:
+    if left_ends_in != right_starts_in:
+        raise BasisMismatchError(
+            f"cannot compose: left matrix ends in basis {left_ends_in}, "
+            f"right matrix starts in basis {right_starts_in}"
+        )
+
+
 def star(s_left: ScatteringMatrix, s_right: ScatteringMatrix) -> ScatteringMatrix:
     """Redheffer star product of two scattering matrices sharing a plane.
 
     Requires s_left.right_basis_id == s_right.left_basis_id; project first
     if the sections were solved in different bases.
     """
-    if s_left.right_basis_id != s_right.left_basis_id:
-        raise BasisMismatchError(
-            f"cannot compose: left matrix ends in basis {s_left.right_basis_id}, "
-            f"right matrix starts in basis {s_right.left_basis_id}"
-        )
+    _check_shared_plane(s_left.right_basis_id, s_right.left_basis_id)
     if s_left.n != s_right.n:
         raise ValueError(f"block sizes differ: {s_left.n} vs {s_right.n}")
     eye = np.eye(s_left.n, dtype=np.complex128)
@@ -100,4 +127,48 @@ def star(s_left: ScatteringMatrix, s_right: ScatteringMatrix) -> ScatteringMatri
         T_RL=s_left.T_RL @ h @ s_right.T_RL,
         left_basis_id=s_left.left_basis_id,
         right_basis_id=s_right.right_basis_id,
+    )
+
+
+class _Refused(NumericalError):
+    """The fused interface system failed the conditioning guard."""
+
+
+def join(
+    left: ScatteringMatrix, left_basis: ModalBasis, right: ScatteringMatrix, right_basis: ModalBasis
+) -> ScatteringMatrix:
+    """Compose ``left``, ending in ``left_basis``, with ``right``, starting in ``right_basis``.
+
+    Wherever ``star(left, project_left(right, projection_pair(left_basis,
+    right_basis), left_basis.basis_id))`` succeeds, the result equals it up
+    to rounding, from one guarded factorization instead of three (see the
+    module docstring). When the guard refuses the fused system, that
+    two-step recipe runs and raises its own error (or returns its result).
+    """
+    _check_shared_plane(left.right_basis_id, left_basis.basis_id)
+    pp = projection_pair(left_basis, right_basis)
+    x, y = pp.X, pp.Y
+    g = y + x @ left.R_R
+    k = x @ left.T_LR
+    lead = x + y @ left.R_R - right.R_L @ g
+    rhs = np.hstack((right.R_L @ k - y @ left.T_LR, right.T_RL))
+    try:
+        b = guarded_solve(lead, rhs, _Refused)
+    except _Refused:
+        return star(left, project_left(right, pp, left_basis.basis_id))
+    n = left.n
+    # Waves entering the right matrix, K + G B, for incidence from either side.
+    fwd = g @ b
+    fwd[:, :n] += k
+    fwd = right.T_LR @ fwd
+    fwd[:, n:] += right.R_R
+    back = left.T_RL @ b
+    back[:, :n] += left.R_L
+    return ScatteringMatrix(
+        T_LR=fwd[:, :n],
+        R_R=fwd[:, n:],
+        R_L=back[:, :n],
+        T_RL=back[:, n:],
+        left_basis_id=left.left_basis_id,
+        right_basis_id=right.right_basis_id,
     )

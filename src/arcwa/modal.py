@@ -83,30 +83,29 @@ class WaveState:
 # as Hermitian.
 _HERMITIAN_RTOL = 1e-12
 
-# Relative threshold below which a root's real or imaginary part is
-# floating-point dust from a mathematically real-or-imaginary eigenvalue.
+# Threshold, relative to the spectrum scale max|lam^2|, below which the
+# off-axis part |Im(lam^2)| / 2 of an eigenvalue lam^2 is floating-point
+# dust from a mathematically real one.
 _AXIS_SNAP_RTOL = 1e-14
 
 
 def _principal_branch(lam: np.ndarray) -> np.ndarray:
     """Square roots on the Im >= 0 (then Re > 0) branch.
 
-    Mathematically real eigenvalues come out of ``geev`` with tiny
-    imaginary dust whose sign is arbitrary. Flipping on that sign would
-    mislabel propagating modes as backward ones, so roots are first snapped
-    onto the real or imaginary axis when the off-axis part is negligible
-    relative to the magnitude. The Hermitian route's eigenvalues are real,
-    so its roots already sit on an axis.
+    Mathematically real eigenvalues lam^2 come out of ``geev`` with
+    imaginary dust whose sign is arbitrary and whose size follows the
+    whole spectrum, not the eigenvalue itself. Flipping on that sign would
+    put propagating modes on the backward branch and misorder evanescent
+    ones, so a root whose |Re lam| |Im lam| = |Im(lam^2)| / 2 is negligible
+    against max|lam^2| is first snapped onto the nearer of the real and
+    imaginary axes (for the largest roots, a test against their own
+    magnitude). The Hermitian route's eigenvalues are real, so its roots
+    already sit on an axis and pass through unchanged.
     """
-    lam = lam.copy()
-    mag = np.abs(lam)
-    real_like = np.abs(lam.imag) <= _AXIS_SNAP_RTOL * mag
-    lam[real_like] = np.abs(lam.real[real_like])
-    imag_like = np.abs(lam.real) <= _AXIS_SNAP_RTOL * mag
-    lam[imag_like] = 1j * np.abs(lam.imag[imag_like])
-    flip = (lam.imag < 0.0) | ((lam.imag == 0.0) & (lam.real < 0.0))
-    lam[flip] = -lam[flip]
-    return lam
+    re, im = np.abs(lam.real), np.abs(lam.imag)
+    on_axis = re * im <= _AXIS_SNAP_RTOL * np.max(np.abs(lam)) ** 2
+    # Off the axes Im(lam) != 0, so its sign alone picks the branch.
+    return np.where(on_axis, np.where(re >= im, re, 1j * im), np.where(lam.imag < 0.0, -lam, lam))
 
 
 def _near_defective(name: str, z: float):

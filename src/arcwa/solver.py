@@ -3,8 +3,9 @@
 The engine cuts [z_min, z_max] into equal pieces, solves each section in
 the eigenbasis of its reference position and subdivides it evenly into M
 subsections whenever its estimated error reaches the user bound alpha.
-Accepted sections are reprojected onto their left neighbour's basis and
-folded left to right with the Redheffer star product.
+Accepted sections are folded left to right: each section boundary is one
+``cascade.join``, which writes field continuity between the two bases and
+composes the scattering matrices with a single guarded factorization.
 
 ``solve_adaptive`` starts from the whole structure as a single piece. With
 the midpoint reference rule and M = 3, the middle subsection's reference
@@ -15,7 +16,9 @@ M = 2). ``solve_uniform`` is the same engine with N pieces and alpha = inf:
 a fixed partition that is never refined.
 
 The final scattering matrix is re-expressed in the eigenbases of the end
-cross-sections (the slices at z_min and z_max). Those "port" bases depend
+cross-sections (the slices at z_min and z_max) by two more joins, with an
+identity matrix in each port basis, so a solve with L leaves performs
+(L - 1) + 2 interface factorizations. Those "port" bases depend
 only on the structure and basis ids hash basis content, so results of
 different methods, resolutions and solves compare entry by entry. Each
 solve decomposes its own end operators (nothing is cached); under the
@@ -129,26 +132,25 @@ def port_bases(spec: StructureSpec) -> tuple[ModalBasis, ModalBasis]:
 
 
 def _attach_right(acc: _Composite, piece: _Composite) -> _Composite:
-    """Project a piece onto the accumulated right basis and star it on."""
-    pp = cascade.projection_pair(acc.right_basis, piece.left_basis)
-    projected = cascade.project_left(piece.smat, pp, acc.right_basis.basis_id)
+    """Join a piece onto the accumulated composite at their shared plane."""
     return _Composite(
-        smat=cascade.star(acc.smat, projected),
+        smat=cascade.join(acc.smat, acc.right_basis, piece.smat, piece.left_basis),
         left_basis=acc.left_basis,
         right_basis=piece.right_basis,
     )
 
 
+def _identity(basis: ModalBasis) -> ScatteringMatrix:
+    return sections.zeroth_order_smatrix(basis, basis.z_ref, basis.z_ref)
+
+
 def _normalize_to_ports(comp: _Composite, root: tuple[OperatorPair, OperatorPair]) -> ScatteringMatrix:
+    """Join identities in the port bases onto both ends of the composite."""
     left_port = modal.eigen_basis(root[0])
     # A last basis at z_max was decomposed from root[1] itself, so it is the right port.
     right_port = comp.right_basis if comp.right_basis.z_ref == root[1].z else modal.eigen_basis(root[1])
-    pp_left = cascade.projection_pair(left_port, comp.left_basis)
-    smat = cascade.project_left(comp.smat, pp_left, left_port.basis_id)
-    ident = sections.zeroth_order_smatrix(right_port, right_port.z_ref, right_port.z_ref)
-    pp_right = cascade.projection_pair(comp.right_basis, right_port)
-    iface = cascade.project_left(ident, pp_right, comp.right_basis.basis_id)
-    return cascade.star(smat, iface)
+    smat = cascade.join(_identity(left_port), left_port, comp.smat, comp.left_basis)
+    return cascade.join(smat, comp.right_basis, _identity(right_port), right_port)
 
 
 def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveReport:

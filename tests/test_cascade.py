@@ -1,14 +1,18 @@
 """Interface reprojection and Redheffer composition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from arcwa.cascade import ProjectionPair, project_left, projection_pair, star
+from arcwa.cascade import ProjectionPair, join, project_left, projection_pair, star
 from arcwa.checks import airy_slab_coefficients, slab_sandwich_smatrix
-from arcwa.errors import BasisMismatchError
+from arcwa.errors import BasisMismatchError, ProjectionBreakdownError, ResonanceError
 from arcwa.geometry import Polarization
-from arcwa.modal import eigen_basis
+from arcwa.modal import ModalBasis, eigen_basis
 from arcwa.numerics import max_abs
 from arcwa.operators import assemble_operators
 from arcwa.sections import ScatteringMatrix, zeroth_order_smatrix
@@ -18,6 +22,7 @@ from conftest import (
     identity_smatrix,
     random_basis,
     random_passive_smatrix,
+    smat_scale,
     uniform_slice,
     uniform_spec,
 )
@@ -155,6 +160,110 @@ def test_star_rejects_mismatched_bases(rng):
     s2 = random_passive_smatrix(rng, 3, 3, 4)
     with pytest.raises(BasisMismatchError, match="basis"):
         star(s1, s2)
+
+
+def two_step(left, left_basis, right, right_basis):
+    """Reproject ``right`` onto ``left_basis``, then star: the recipe ``join`` fuses."""
+    return star(left, project_left(right, projection_pair(left_basis, right_basis), left_basis.basis_id))
+
+
+def unit_basis(n):
+    """W = V = I exactly, so a pair of these projects with X = I and Y = 0 exactly."""
+    eye = np.eye(n, dtype=np.complex128)
+    return ModalBasis(W=eye, V=eye.copy(), lam=np.ones(n, dtype=np.complex128), z_ref=0.0, k0=1.0,
+                      W_inv=eye.copy(), V_inv=eye.copy())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+def test_join_matches_projection_then_star(seed, n):
+    rng = np.random.default_rng(seed)
+    left_basis, right_basis = random_basis(rng, n), random_basis(rng, n)
+    left = random_passive_smatrix(rng, n, 1, left_basis.basis_id)
+    right = random_passive_smatrix(rng, n, right_basis.basis_id, 2)
+    expected = two_step(left, left_basis, right, right_basis)
+    joined = join(left, left_basis, right, right_basis)
+    # The reprojected blocks grow with the interface's conditioning; compare relative to them.
+    assert blocks_diff(joined, expected) <= 1e-12 * max(1.0, smat_scale(expected))
+    assert (joined.left_basis_id, joined.right_basis_id) == (1, 2)
+
+
+def with_singular_projection(rng, left_basis, right, right_basis):
+    """``right`` with R_L chosen so that X - R_L Y = u v^T, of rank 1 < n."""
+    pp = projection_pair(left_basis, right_basis)
+    u, v = rng.standard_normal((2, right.n, 1)) + 1j * rng.standard_normal((2, right.n, 1))
+    r_l = (pp.X - u @ v.T) @ np.linalg.inv(pp.Y)
+    return replace(right, R_L=r_l)
+
+
+def test_join_refuses_a_singular_projection_like_the_two_step_recipe(rng):
+    """No left reflection: the fused matrix is X - R_L Y itself."""
+    n = 4
+    left_basis, right_basis = random_basis(rng, n), random_basis(rng, n)
+    left = random_passive_smatrix(rng, n, 1, left_basis.basis_id)
+    left = replace(left, R_R=np.zeros((n, n), dtype=np.complex128))
+    right = random_passive_smatrix(rng, n, right_basis.basis_id, 2)
+    right = with_singular_projection(rng, left_basis, right, right_basis)
+    with pytest.raises(ProjectionBreakdownError) as expected:
+        two_step(left, left_basis, right, right_basis)
+    with pytest.raises(ProjectionBreakdownError) as refused:
+        join(left, left_basis, right, right_basis)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_join_composes_where_the_reprojection_alone_breaks_down(rng):
+    """A singular X - R_L Y, but the left matrix reflects: the pair is well posed."""
+    n = 4
+    left_basis, right_basis = random_basis(rng, n), random_basis(rng, n)
+    left = random_passive_smatrix(rng, n, 1, left_basis.basis_id)
+    right = random_passive_smatrix(rng, n, right_basis.basis_id, 2)
+    right = with_singular_projection(rng, left_basis, right, right_basis)
+    with pytest.raises(ProjectionBreakdownError):
+        two_step(left, left_basis, right, right_basis)
+    joined = join(left, left_basis, right, right_basis)
+
+    # Direct solve for the waves at the plane: a', b' in basis i-1 and a, b in basis i.
+    a_l = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b_r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    pp = projection_pair(left_basis, right_basis)
+    eye = np.eye(n, dtype=np.complex128)
+    zero = np.zeros((n, n), dtype=np.complex128)
+    system = np.block(
+        [
+            [eye, -left.R_R, zero, zero],
+            [pp.X, pp.Y, -eye, zero],
+            [pp.Y, pp.X, zero, -eye],
+            [zero, zero, right.R_L, -eye],
+        ]
+    )
+    rhs = np.concatenate([left.T_LR @ a_l, np.zeros(2 * n), -right.T_RL @ b_r])
+    _, b_old, a_new, _ = np.split(np.linalg.solve(system, rhs), 4)
+    assert max_abs(joined.T_LR @ a_l + joined.R_R @ b_r - (right.T_LR @ a_new + right.R_R @ b_r)) <= 1e-9
+    assert max_abs(joined.R_L @ a_l + joined.T_RL @ b_r - (left.R_L @ a_l + left.T_RL @ b_old)) <= 1e-9
+
+
+def test_join_refuses_a_resonance_like_the_two_step_recipe(rng):
+    """Reflections that bounce one mode back unattenuated: I - R_R R_L is singular."""
+    n = 3
+    basis = unit_basis(n)
+    left = replace(random_passive_smatrix(rng, n, 1, basis.basis_id), R_R=np.diag([1.0, 0.3, 0.2]).astype(complex))
+    right = replace(random_passive_smatrix(rng, n, basis.basis_id, 2), R_L=np.diag([1.0, -0.1, 0.4]).astype(complex))
+    with pytest.raises(ResonanceError) as expected:
+        two_step(left, basis, right, basis)
+    with pytest.raises(ResonanceError) as refused:
+        join(left, basis, right, basis)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_join_rejects_mismatched_bases(rng):
+    left_basis, right_basis = random_basis(rng, 3), random_basis(rng, 3)
+    left = random_passive_smatrix(rng, 3, 1, right_basis.basis_id)
+    right = random_passive_smatrix(rng, 3, right_basis.basis_id, 2)
+    with pytest.raises(BasisMismatchError, match="basis") as expected:
+        two_step(left, left_basis, right, right_basis)
+    with pytest.raises(BasisMismatchError) as refused:
+        join(left, left_basis, right, right_basis)
+    assert str(refused.value) == str(expected.value)
 
 
 def test_single_interface_fresnel():

@@ -311,3 +311,44 @@ def test_errors_are_the_same_on_both_routes(p, q, error):
 def test_other_operator_pairs_take_the_geev_route(p, q):
     ops = ops_from(p, q)
     assert modal._hermitian_eig(ops) is None
+
+
+# geev returns these mathematically real lam^2 with dust of ~1e-17 max|lam^2| off the real axis:
+# enough to put a propagating root on the backward branch (TE) or to order an evanescent root
+# after all others (TM) while the snap tolerance was relative to |lam| itself.
+GEEV_DUST_SLICES = {
+    "TE-order10-backward-propagating": (Polarization.TE, 10, 1.5, ((0.0, 1.3125, 1.875), (1.3125, 1.5, 5.0))),
+    "TM-order8-misordered-evanescent": (Polarization.TM, 8, 0.75, ((0.0, 0.65625, 9.75), (0.65625, 0.75, 5.875))),
+}
+
+
+@pytest.mark.parametrize("case", GEEV_DUST_SLICES.values(), ids=GEEV_DUST_SLICES.keys())
+def test_geev_dust_leaves_roots_on_their_axes(monkeypatch, case):
+    polarization, order, period, intervals = case
+    slc = PermittivitySlice(z=0.0, period_x=period, intervals=tuple((a, b, complex(e)) for a, b, e in intervals))
+    ops = assemble_operators(slc, uniform_spec(1.0, 1.0, polarization=polarization, order=order))
+    hermitian = eigen_basis(ops)
+    monkeypatch.setattr(modal, "_hermitian_eig", lambda ops: None)
+    lam = eigen_basis(ops).lam
+    assert np.all(((lam.imag == 0.0) & (lam.real > 0.0)) | ((lam.real == 0.0) & (lam.imag > 0.0)))
+    # Same modes in the same order as the Hermitian route, up to the eigensolvers' rounding.
+    scale = np.max(np.abs(hermitian.lam) ** 2)
+    assert np.max(np.abs(lam**2 - hermitian.lam**2)) <= 1e-12 * scale
+
+
+def test_axis_snap_is_relative_to_the_spectrum():
+    """The dust of the TE repro above, on a spectrum of scale 238."""
+    lam2 = np.array([238.0, 0.1433 - 5.3e-15j, -0.0232 + 3.7e-15j, -50.0 + 1e-9j])
+    lam = modal._principal_branch(np.sqrt(lam2))
+    assert_allclose(lam[:3], [np.sqrt(238.0), np.sqrt(0.1433), 1j * np.sqrt(0.0232)], rtol=1e-15)
+    assert lam[1].imag == 0.0 and lam[2].real == 0.0
+    # An off-axis part above the tolerance is physics (loss), not dust.
+    assert lam[3].real > 0.0 and lam[3].imag > 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(lam2=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=60))
+def test_roots_of_real_eigenvalues_pass_the_branch_bit_for_bit(lam2):
+    """What the Hermitian route hands to the branch rule comes back unchanged."""
+    lam = np.sqrt(np.asarray(lam2, dtype=np.float64).astype(np.complex128))
+    assert modal._principal_branch(lam).tobytes() == lam.tobytes()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arcwa import modal, numerics, operators, sections
+from arcwa import cascade, modal, numerics, operators, sections
 from arcwa.errors import MaxDepthExceededError
 from arcwa.geometry import parse_structure
 from arcwa.harness import max_norm_difference
@@ -23,10 +23,11 @@ from conftest import TAPER_DOC
 
 
 # README taper at n = 7: (solve, operator assemblies, sections solved, eigendecompositions,
-# eigen_basis calls). The calls add the ports: two, or one when the endpoint rule's last
-# basis sits at z_max and serves as the right port.
+# eigen_basis calls, guarded factorizations). The calls add the ports: two, or one when the
+# endpoint rule's last basis sits at z_max and serves as the right port. Each interface is one
+# factorization: (leaves - 1) between sections plus one per port.
 REUSE_CASES = {
-    "midpoint-M3": (lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4)), 163, 121, 81, 83),
+    "midpoint-M3": (lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4)), 163, 121, 81, 83, 82),
     "endpoint-M2": (
         lambda spec: solve_adaptive(
             spec, SolverConfig(alpha=1e-4, subdivision_m=2, reference_rule=ReferenceRule.ENDPOINT)
@@ -35,33 +36,47 @@ REUSE_CASES = {
         511,
         256,
         257,
+        257,
     ),
-    "uniform-N64-order1": (lambda spec: solve_uniform(spec, 64, order=1), 129, 64, 64, 66),
+    "uniform-N64-order1": (lambda spec: solve_uniform(spec, 64, order=1), 129, 64, 64, 66, 65),
 }
 
 # Fixed partitions at order 0 read no estimate: only the ends and the references are assembled.
 ORDER0_CASES = {
-    "uniform-N64-order0-midpoint": (lambda spec: solve_uniform(spec, 64), 66, 64, 64, 66),
+    "uniform-N64-order0-midpoint": (lambda spec: solve_uniform(spec, 64), 66, 64, 64, 66, 65),
     "uniform-N64-order0-endpoint": (
         lambda spec: solve_uniform(spec, 64, reference_rule=ReferenceRule.ENDPOINT),
         65,
         64,
         64,
         65,
+        65,
     ),
 }
-# Im(eps) = 1e-3 in the core: non-Hermitian operators, so every basis takes the geev route.
+# Im(eps) = 1e-3 in the core: non-Hermitian operators, so every basis takes the geev route,
+# whose W and V inverses add two factorizations per eigen_basis call.
 LOSSY_TAPER_DOC = TAPER_DOC.replace("eps: [12.25, 0.0]", "eps: [12.25, 0.001]")
-LOSSY_CASES = {
+TM_TAPER_DOC = TAPER_DOC.replace("polarization: TE", "polarization: TM")
+OTHER_CASES = {
     "lossy-midpoint-M3": (
         lambda spec: solve_adaptive(parse_structure(LOSSY_TAPER_DOC), SolverConfig(alpha=1e-4)),
         163,
         121,
         81,
         83,
+        82 + 2 * 83,
+    ),
+    # TM operators invert two Toeplitz matrices per assembly.
+    "TM-midpoint-M3": (
+        lambda spec: solve_adaptive(parse_structure(TM_TAPER_DOC), SolverConfig(alpha=1e-4)),
+        163,
+        121,
+        81,
+        83,
+        82 + 2 * 163,
     ),
 }
-COUNTER_CASES = {**REUSE_CASES, **ORDER0_CASES, **LOSSY_CASES}
+COUNTER_CASES = {**REUSE_CASES, **ORDER0_CASES, **OTHER_CASES}
 
 
 def leaf_edges(report):
@@ -302,13 +317,19 @@ def counted(monkeypatch, module, name):
 
 @pytest.mark.parametrize("case", COUNTER_CASES.values(), ids=COUNTER_CASES.keys())
 def test_operator_and_guard_counters(taper_spec, monkeypatch, case):
-    """Boundaries are assembled once, the ports add no assembly, and no guard needs the SVD fallback."""
-    solve, assemblies, solved, eigs, eigen_basis_calls = case
+    """Boundaries are assembled once, the ports add no assembly, each interface is one
+    factorization, and no guard needs the SVD fallback."""
+    solve, assemblies, solved, eigs, eigen_basis_calls, factorizations = case
     assembled = counted(monkeypatch, operators, "assemble_operators")
     decomposed = counted(monkeypatch, modal, "eigen_basis")
     exact_conds = counted(monkeypatch, numerics, "condition_number")
+    factored = counted(monkeypatch, numerics, "guarded_solve")
+    # Modules that imported the guard by name share the same count.
+    for module in (modal, cascade):
+        monkeypatch.setattr(module, "guarded_solve", numerics.guarded_solve)
     report = solve(taper_spec)
     assert len(assembled) == assemblies
+    assert len(factored) == factorizations
     assert report.sections_solved == solved
     assert report.total_eig_count == eigs
     assert len(decomposed) == eigen_basis_calls
@@ -380,3 +401,32 @@ def test_lossy_smatrix_is_the_geev_route_bit_for_bit(monkeypatch):
     geev_report = solve_adaptive(spec, SolverConfig(alpha=1e-3))
     assert np.array_equal(full_smatrix(report.smat), full_smatrix(geev_report.smat))
     assert report.smat.left_basis_id == geev_report.smat.left_basis_id
+
+
+def two_step_join(left, left_basis, right, right_basis):
+    """Reproject the right matrix onto the left basis, then star the two: what ``cascade.join`` fuses."""
+    pp = cascade.projection_pair(left_basis, right_basis)
+    return cascade.star(left, cascade.project_left(right, pp, left_basis.basis_id))
+
+
+JOIN_CASES = {
+    "adaptive-alpha1e-4": lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4)),
+    "uniform-N64-order1": lambda spec: solve_uniform(spec, 64, order=1),
+}
+
+
+@pytest.mark.parametrize("truncation", [3, 10], ids=["n7", "n21"])
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+@pytest.mark.parametrize("solve", JOIN_CASES.values(), ids=JOIN_CASES.keys())
+def test_join_fold_matches_the_two_step_fold(monkeypatch, solve, polarization, truncation):
+    doc = TAPER_DOC.replace("truncation_order: 3", f"truncation_order: {truncation}")
+    spec = parse_structure(doc.replace("polarization: TE", f"polarization: {polarization}"))
+    report = solve(spec)
+    monkeypatch.setattr(cascade, "join", two_step_join)
+    expected = solve(spec)
+    assert max_abs(full_smatrix(report.smat) - full_smatrix(expected.smat)) <= 1e-12
+    assert report.sections == expected.sections
+    assert (report.smat.left_basis_id, report.smat.right_basis_id) == (
+        expected.smat.left_basis_id,
+        expected.smat.right_basis_id,
+    )
