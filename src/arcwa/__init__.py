@@ -8,7 +8,7 @@ order in the cross-sectional variation and adaptively subdivides the
 structure until a per-section error estimate meets a user bound.
 """
 
-from .cascade import ProjectionPair, project_left, projection_pair, star
+from .cascade import project_left, projection_pair, star
 from .checks import airy_slab_coefficients, run_checks
 from .errors import (
     ArcwaError,
@@ -42,13 +42,11 @@ from .modal import (
     propagation_factor,
     reconstruct_fields,
 )
-from .operators import FourierEps, OperatorPair, assemble_operators, fourier_eps
+from .operators import OperatorPair, assemble_operators
 from .sections import (
-    DeltaPair,
     ScatteringMatrix,
     SectionResult,
     delta_ab,
-    estimate_error,
     first_order_smatrix,
     zeroth_order_smatrix,
 )
@@ -67,9 +65,7 @@ __all__ = [
     "ArcwaError",
     "BasisMismatchError",
     "CutoffModeError",
-    "DeltaPair",
     "EigendecompositionError",
-    "FourierEps",
     "MaterialRegion",
     "MaxDepthExceededError",
     "ModalBasis",
@@ -79,7 +75,6 @@ __all__ = [
     "PermittivitySlice",
     "Polarization",
     "ProjectionBreakdownError",
-    "ProjectionPair",
     "ReferenceRule",
     "ResonanceError",
     "ScatteringMatrix",
@@ -97,9 +92,7 @@ __all__ = [
     "assemble_operators",
     "delta_ab",
     "eigen_basis",
-    "estimate_error",
     "first_order_smatrix",
-    "fourier_eps",
     "max_norm_difference",
     "mode_coefficients",
     "parse_structure",

@@ -40,8 +40,6 @@ disagree, as that is always a caller bug; ``join`` keeps that check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BasisMismatchError, NumericalError, ProjectionBreakdownError, ResonanceError
@@ -50,16 +48,8 @@ from .numerics import checked_solve, guarded_solve
 from .sections import ScatteringMatrix
 
 
-@dataclass(frozen=True)
-class ProjectionPair:
-    """Coupling blocks X, Y of one interface change of basis."""
-
-    X: np.ndarray
-    Y: np.ndarray
-
-
-def projection_pair(from_basis: ModalBasis, to_basis: ModalBasis) -> ProjectionPair:
-    """Coupling matrices taking ``from_basis`` coefficients to ``to_basis``.
+def projection_pair(from_basis: ModalBasis, to_basis: ModalBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling matrices (X, Y) taking ``from_basis`` coefficients to ``to_basis``.
 
     ``to_basis`` plays the role of the section being reprojected (basis i),
     ``from_basis`` its left neighbour (basis i-1). Both bases passed the
@@ -69,19 +59,19 @@ def projection_pair(from_basis: ModalBasis, to_basis: ModalBasis) -> ProjectionP
         raise ValueError(f"basis dimensions differ: {from_basis.n} vs {to_basis.n}")
     ww = to_basis.W_inv @ from_basis.W
     vv = to_basis.V_inv @ from_basis.V
-    return ProjectionPair(X=(ww + vv) / 2.0, Y=(ww - vv) / 2.0)
+    return (ww + vv) / 2.0, (ww - vv) / 2.0
 
 
 def project_left(
-    smat: ScatteringMatrix, pp: ProjectionPair, new_left_basis_id: int
+    smat: ScatteringMatrix, pp: tuple[np.ndarray, np.ndarray], new_left_basis_id: int
 ) -> ScatteringMatrix:
     """Re-express the left side of a scattering matrix in a neighbour basis.
 
-    The caller guarantees that ``smat.left_basis_id`` corresponds to the
-    projection pair's target (section i) basis. The right side is
-    untouched.
+    ``pp`` is the ``projection_pair`` (X, Y). The caller guarantees that
+    ``smat.left_basis_id`` corresponds to the pair's target (section i)
+    basis. The right side is untouched.
     """
-    x, y = pp.X, pp.Y
+    x, y = pp
     lead = x - smat.R_L @ y
     # One guarded factorization of lead serves both right-hand sides.
     rhs = np.hstack((-(y - smat.R_L @ x), smat.T_RL))
@@ -147,7 +137,7 @@ def join(
     """
     _check_shared_plane(left.right_basis_id, left_basis.basis_id)
     pp = projection_pair(left_basis, right_basis)
-    x, y = pp.X, pp.Y
+    x, y = pp
     g = y + x @ left.R_R
     k = x @ left.T_LR
     lead = x + y @ left.R_R - right.R_L @ g

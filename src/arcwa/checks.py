@@ -102,26 +102,21 @@ def slab_sandwich_smatrix(
 ) -> ScatteringMatrixPorts:
     """Scattering matrix of a uniform slab between semi-infinite vacuum ports.
 
-    Built from the primitive pipeline: eigenbases of vacuum and slab, the
-    slab's diagonal propagation matrix, and an interface reprojection at
-    each face. Returns the matrix together with the two port bases so
-    callers can identify modes.
+    Built the way a solve normalizes to its ports: an identity in the
+    vacuum basis, joined with the slab's diagonal propagation matrix and
+    then with a second vacuum identity (two ``cascade.join`` calls).
+    Returns the matrix together with the two port bases so callers can
+    identify modes.
     """
     spec = uniform_spec(eps_slab, thickness_um, wavelength_um, polarization, order)
-    vac_ops = operators.assemble_operators(uniform_slice(1.0), spec)
-    slab_ops = operators.assemble_operators(uniform_slice(eps_slab), spec)
-    vac_basis = modal.eigen_basis(vac_ops)
-    slab_basis = modal.eigen_basis(slab_ops)
+    vac_basis = modal.eigen_basis(operators.assemble_operators(uniform_slice(1.0), spec))
+    slab_basis = modal.eigen_basis(operators.assemble_operators(uniform_slice(eps_slab), spec))
 
+    vacuum = sections.zeroth_order_smatrix(vac_basis, 0.0, 0.0)
     s_slab = sections.zeroth_order_smatrix(slab_basis, 0.0, thickness_um)
-    into_slab = cascade.projection_pair(vac_basis, slab_basis)
-    s_left = cascade.project_left(s_slab, into_slab, vac_basis.basis_id)
-
-    ident = sections.zeroth_order_smatrix(vac_basis, 0.0, 0.0)
-    out_of_slab = cascade.projection_pair(slab_basis, vac_basis)
-    s_exit = cascade.project_left(ident, out_of_slab, slab_basis.basis_id)
-
-    return ScatteringMatrixPorts(cascade.star(s_left, s_exit), vac_basis, vac_basis)
+    entered = cascade.join(vacuum, vac_basis, s_slab, slab_basis)
+    smat = cascade.join(entered, slab_basis, vacuum, vac_basis)
+    return ScatteringMatrixPorts(smat, vac_basis, vac_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +193,11 @@ def _check_projection_identity() -> tuple[bool, str]:
     spec = uniform_spec(2.25, 1.0, order=2)
     ops = operators.assemble_operators(uniform_slice(2.25), spec)
     basis = modal.eigen_basis(ops)
-    pp = cascade.projection_pair(basis, basis)
-    eye = np.eye(basis.n)
-    err = max(max_abs(pp.X - eye), max_abs(pp.Y))
+    x, y = cascade.projection_pair(basis, basis)
+    err = max(max_abs(x - np.eye(basis.n)), max_abs(y))
     rng = np.random.default_rng(11)
     s = random_passive_smatrix(rng, basis.n, basis.basis_id, basis.basis_id)
-    projected = cascade.project_left(s, pp, basis.basis_id)
+    projected = cascade.project_left(s, (x, y), basis.basis_id)
     err = max(
         err,
         max_abs(projected.T_LR - s.T_LR), max_abs(projected.R_L - s.R_L),

@@ -69,13 +69,7 @@ def _emit_solution(args, report: SolveReport, method: str) -> None:
 def _cmd_solve(args) -> int:
     spec = _load_structure(args.structure)
     rule = ReferenceRule(args.reference)
-    config = SolverConfig(
-        alpha=args.alpha,
-        subdivision_m=3 if rule is ReferenceRule.MIDPOINT else 2,
-        reference_rule=rule,
-        order=args.order,
-    )
-    report = solve_adaptive(spec, config)
+    report = solve_adaptive(spec, SolverConfig(alpha=args.alpha, reference_rule=rule, order=args.order))
     _emit_solution(args, report, f"adaptive(alpha={args.alpha:g}, reference={rule.value}, order={args.order})")
     return EXIT_OK
 

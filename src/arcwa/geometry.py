@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -250,12 +251,15 @@ def _semantic(msg: str) -> SpecSemanticError:
 def _as_float(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _semantic(f"{what} must be a real number, got {value!r}")
+    # NaN fails the comparison; so do infinities and ints too large for a float.
+    if not abs(value) <= sys.float_info.max:
+        raise _semantic(f"{what} must be finite, got {value!r}")
     return float(value)
 
 
 def _as_complex(value, what: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_float(value, what))
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_as_float(value[0], what), _as_float(value[1], what))
     raise _semantic(f"{what} must be a number or a [re, im] pair, got {value!r}")
@@ -263,7 +267,7 @@ def _as_complex(value, what: str) -> complex:
 
 def _parse_profile(node, z_min: float, z_max: float, what: str) -> Profile:
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return ConstantProfile(float(node))
+        return ConstantProfile(_as_float(node, what))
     if not isinstance(node, dict):
         raise _semantic(f"{what} must be a number or a profile mapping, got {node!r}")
     kind = node.get("kind")

@@ -67,12 +67,7 @@ def _run_method(
     if method == "uniform1":
         return solve_uniform(spec, _section_count(method, knob), order=1, reference_rule=reference_rule)
     if method == "adaptive":
-        config = SolverConfig(
-            alpha=float(knob),
-            subdivision_m=3 if reference_rule is ReferenceRule.MIDPOINT else 2,
-            reference_rule=reference_rule,
-        )
-        return solve_adaptive(spec, config)
+        return solve_adaptive(spec, SolverConfig(alpha=float(knob), reference_rule=reference_rule))
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

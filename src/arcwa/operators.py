@@ -35,20 +35,6 @@ from .numerics import checked_inv
 
 
 @dataclass(frozen=True)
-class FourierEps:
-    """Fourier coefficients of eps(x) and 1/eps(x) over one period.
-
-    ``coeffs[i]`` is c_m with m = i - (len-1)//2; the index range covers
-    m in [-2*order, 2*order], enough to fill a (2*order+1)-square Toeplitz
-    matrix. For real eps the sequence satisfies c_{-m} = conj(c_m) and c_0
-    is the spatial average.
-    """
-
-    coeffs: np.ndarray
-    coeffs_inv: np.ndarray
-
-
-@dataclass(frozen=True)
 class OperatorPair:
     """Dense cross-section operators at one z."""
 
@@ -98,18 +84,6 @@ def _piecewise_coefficients(
         c0 += value * (x1 - x0) / slc.period_x
     half = rate.size // 2
     return np.concatenate((nonzero[:half], [c0], nonzero[half:]))
-
-
-def fourier_eps(slc: PermittivitySlice, order: int) -> FourierEps:
-    """Exact Fourier coefficients of a slice's eps(x) and 1/eps(x)."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    table = _phase_table(slc, order)
-    values = [eps for _, _, eps in slc.intervals]
-    return FourierEps(
-        coeffs=_piecewise_coefficients(slc, values, table),
-        coeffs_inv=_piecewise_coefficients(slc, [1.0 / eps for eps in values], table),
-    )
 
 
 def _toeplitz_from(coeffs: np.ndarray, order: int) -> np.ndarray:

@@ -23,7 +23,6 @@ against the user's error bound during adaptive subdivision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -66,27 +65,19 @@ class ScatteringMatrix:
 
 
 @dataclass(frozen=True)
-class DeltaPair:
-    """Deviation matrices dA, dB of one sampled z against the reference."""
-
-    dA: np.ndarray
-    dB: np.ndarray
-
-
-@dataclass(frozen=True)
 class SectionResult:
-    """A solved section: scattering matrix, error estimate and cost."""
+    """A first-order section: scattering matrix and error estimate."""
 
     smat: ScatteringMatrix
     est_error: float
-    eig_count: int
-    z_L: float
-    z_R: float
-    order: int
 
 
-def delta_ab(slice_ops: OperatorPair, ref_ops: OperatorPair, basis: ModalBasis) -> DeltaPair:
-    """Deviation of sampled operators from the reference, in the reference basis.
+# Deviation matrices (dA, dB) of one sampled z against the reference.
+_Deltas = tuple[np.ndarray, np.ndarray]
+
+
+def delta_ab(slice_ops: OperatorPair, ref_ops: OperatorPair, basis: ModalBasis) -> _Deltas:
+    """Deviations (dA, dB) of sampled operators from the reference, in the reference basis.
 
     When P equals the reference P (TE has P = I at every z) its term is
     exactly zero and is skipped.
@@ -97,9 +88,9 @@ def delta_ab(slice_ops: OperatorPair, ref_ops: OperatorPair, basis: ModalBasis) 
         )
     dq = basis.V_inv @ (slice_ops.Q - ref_ops.Q) @ basis.W
     if np.array_equal(slice_ops.P, ref_ops.P):
-        return DeltaPair(dA=dq, dB=-dq)
+        return dq, -dq
     dp = basis.W_inv @ (slice_ops.P - ref_ops.P) @ basis.V
-    return DeltaPair(dA=dp + dq, dB=dp - dq)
+    return dp + dq, dp - dq
 
 
 def zeroth_order_smatrix(basis: ModalBasis, z_L: float, z_R: float) -> ScatteringMatrix:
@@ -121,7 +112,7 @@ def zeroth_order_smatrix(basis: ModalBasis, z_L: float, z_R: float) -> Scatterin
 
 def _first_order_terms(
     basis: ModalBasis,
-    deltas: list[DeltaPair],
+    deltas: list[_Deltas],
     sample_z: list[float],
     weights: list[float],
     z_L: float,
@@ -147,35 +138,17 @@ def _first_order_terms(
     # n = 51, while two n x n matrices are reused from the heap.
     terms = np.zeros((2, 2, n, n), dtype=np.complex128)
     transmit, reflect = terms
-    for pair_phases, wk, pair in zip(phases, weights, deltas):
-        term = pair_phases[:, :, None] * pair.dA
+    for pair_phases, wk, (d_a, d_b) in zip(phases, weights, deltas):
+        term = pair_phases[:, :, None] * d_a
         term *= pair_phases[::-1, None, :]
         term *= wk
         transmit += term
-        term = pair_phases[:, :, None] * pair.dB
+        term = pair_phases[:, :, None] * d_b
         term *= pair_phases[:, None, :]
         term *= wk
         reflect -= term
     terms *= 0.5j * basis.k0
     return terms
-
-
-def _integral_blocks(
-    basis: ModalBasis,
-    deltas: list[DeltaPair],
-    sample_z: list[float],
-    weights: list[float],
-    z_L: float,
-    z_R: float,
-) -> dict[str, np.ndarray]:
-    """The first-order integral terms of ``_first_order_terms`` by block name."""
-    (t_lr, t_rl), (r_r, r_l) = _first_order_terms(basis, deltas, sample_z, weights, z_L, z_R)
-    return {"T_LR": t_lr, "R_R": r_r, "R_L": r_l, "T_RL": t_rl}
-
-
-def estimate_error(first_order_terms: Iterable[np.ndarray]) -> float:
-    """Largest absolute entry across the four first-order integral terms."""
-    return max((max_abs(term) for term in first_order_terms), default=0.0)
 
 
 def first_order_smatrix(
@@ -184,14 +157,11 @@ def first_order_smatrix(
     z_R: float,
     basis: ModalBasis,
     ref_ops: OperatorPair,
-    eig_count: int = 1,
     end_ops: tuple[OperatorPair, OperatorPair] | None = None,
 ) -> SectionResult:
     """Solve one section to first perturbation order in the given basis.
 
-    The reference position must lie inside [z_L, z_R]. ``eig_count``
-    records how many eigendecompositions the caller spent on this section
-    (0 when the basis was inherited from a parent section). ``end_ops``
+    The reference position must lie inside [z_L, z_R]. ``end_ops``
     optionally supplies the operators at z_L and z_R, which neighbouring
     sections share; without it they are assembled here.
     """
@@ -231,11 +201,4 @@ def first_order_smatrix(
         left_basis_id=basis.basis_id,
         right_basis_id=basis.basis_id,
     )
-    return SectionResult(
-        smat=smat,
-        est_error=est_error,
-        eig_count=eig_count,
-        z_L=z_L,
-        z_R=z_R,
-        order=1,
-    )
+    return SectionResult(smat=smat, est_error=est_error)

@@ -7,13 +7,13 @@ Accepted sections are folded left to right: each section boundary is one
 ``cascade.join``, which writes field continuity between the two bases and
 composes the scattering matrices with a single guarded factorization.
 
-``solve_adaptive`` starts from the whole structure as a single piece. With
-the midpoint reference rule and M = 3, the middle subsection's reference
-coincides with its parent's, so the parent's eigendecomposition is reused
-there; ``total_eig_count`` reflects that reuse. With the endpoint rule the
-last subsection reuses the parent's decomposition (the natural pairing is
-M = 2). ``solve_uniform`` is the same engine with N pieces and alpha = inf:
-a fixed partition that is never refined.
+``solve_adaptive`` starts from the whole structure as a single piece. M
+follows the reference rule: 3 under the midpoint rule, 2 under the
+endpoint rule. Either way the child at index 1 has its reference where
+its parent's is (the middle third's midpoint, the right half's right
+end), so it reuses the parent's eigendecomposition; ``total_eig_count``
+reflects that reuse. ``solve_uniform`` is the same engine with N pieces
+and alpha = inf: a fixed partition that is never refined.
 
 The final scattering matrix is re-expressed in the eigenbases of the end
 cross-sections (the slices at z_min and z_max) by two more joins, with an
@@ -39,7 +39,7 @@ from .errors import MaxDepthExceededError
 from .geometry import StructureSpec
 from .modal import ModalBasis
 from .operators import OperatorPair
-from .sections import ScatteringMatrix, SectionResult
+from .sections import ScatteringMatrix
 
 
 class ReferenceRule(enum.Enum):
@@ -49,6 +49,13 @@ class ReferenceRule(enum.Enum):
     ENDPOINT = "endpoint"
 
 
+# Subsections per refined section: each rule's natural split, the one in
+# which a child's reference coincides with its parent's.
+_SUBDIVISIONS = {ReferenceRule.MIDPOINT: 3, ReferenceRule.ENDPOINT: 2}
+# Refinement depth at which a section still over alpha raises.
+_MAX_DEPTH = 20
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs.
@@ -56,24 +63,17 @@ class SolverConfig:
     ``alpha`` is the per-section error bound the estimate is compared
     against; alpha = inf never refines. At order 0 with alpha = inf
     nothing reads the estimate, so it is not computed and every section
-    reports ``est_error`` 0.0. The natural pairings are midpoint with
-    M = 3 and endpoint with M = 2 (only those reuse the parent
-    decomposition), but any combination is accepted.
+    reports ``est_error`` 0.0. ``reference_rule`` also fixes how many
+    subsections a refined section splits into (3 midpoint, 2 endpoint).
     """
 
     alpha: float
-    subdivision_m: int = 3
     reference_rule: ReferenceRule = ReferenceRule.MIDPOINT
-    max_depth: int = 20
     order: int = 1
 
     def __post_init__(self) -> None:
         if not self.alpha >= 0.0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
-        if self.subdivision_m not in (2, 3):
-            raise ValueError(f"subdivision_m must be 2 or 3, got {self.subdivision_m!r}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth!r}")
         if self.order not in (0, 1):
             raise ValueError(f"order must be 0 or 1, got {self.order!r}")
 
@@ -167,12 +167,6 @@ def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveRepor
     counters = {"eig": 0, "solved": 0}
     rule = config.reference_rule
     estimate = config.order == 1 or config.alpha < math.inf
-    if rule is ReferenceRule.MIDPOINT and config.subdivision_m % 2 == 1:
-        reuse_index = config.subdivision_m // 2
-    elif rule is ReferenceRule.ENDPOINT:
-        reuse_index = config.subdivision_m - 1
-    else:
-        reuse_index = None
 
     def solve_node(
         z_l: float,
@@ -189,25 +183,21 @@ def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveRepor
             local_eigs = 0
         counters["eig"] += local_eigs
         counters["solved"] += 1
-        if estimate:
-            result = sections.first_order_smatrix(
-                spec, z_l, z_r, basis, ops, eig_count=local_eigs, end_ops=ends
-            )
-        else:
-            smat = sections.zeroth_order_smatrix(basis, z_l, z_r)
-            result = SectionResult(smat=smat, est_error=0.0, eig_count=local_eigs, z_L=z_l, z_R=z_r, order=0)
+        if not estimate:
+            return _Composite(sections.zeroth_order_smatrix(basis, z_l, z_r), basis, basis), [(z_l, z_r, 0.0)]
+        result = sections.first_order_smatrix(spec, z_l, z_r, basis, ops, end_ops=ends)
 
         if result.est_error < config.alpha:
-            smat = result.smat if result.order == config.order else sections.zeroth_order_smatrix(basis, z_l, z_r)
+            smat = result.smat if config.order == 1 else sections.zeroth_order_smatrix(basis, z_l, z_r)
             return _Composite(smat, basis, basis), [(z_l, z_r, result.est_error)]
 
-        if depth >= config.max_depth:
+        if depth >= _MAX_DEPTH:
             raise MaxDepthExceededError(
                 f"section [{z_l:g}, {z_r:g}] still has estimated error "
                 f"{result.est_error:.3e} >= alpha = {config.alpha:.3e} at depth {depth}; "
                 "the structure is too singular for this accuracy"
             )
-        return solve_children(z_l, z_r, ends, config.subdivision_m, depth + 1, (ops, basis))
+        return solve_children(z_l, z_r, ends, _SUBDIVISIONS[rule], depth + 1, (ops, basis))
 
     def solve_children(
         z_l: float,
@@ -224,7 +214,8 @@ def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveRepor
             last = i == m - 1
             z_b = z_r if last else z_l + (z_r - z_l) * (i + 1) / m
             right_ops = ends[1] if last else (_assemble(spec, z_b) if estimate else None)
-            inherited = parent if i == reuse_index else None
+            # Under both rules child 1 has its parent's reference position.
+            inherited = parent if i == 1 else None
             child_comp, child_leaves = solve_node(z_a, z_b, (left_ops, right_ops), depth, inherited)
             leaves.extend(child_leaves)
             comp = child_comp if comp is None else _attach_right(comp, child_comp)
@@ -268,12 +259,12 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
 
     The solve engine with the whole structure as one piece. A section
     whose estimated error stays below alpha is accepted as a leaf;
-    otherwise it is split evenly into ``subdivision_m`` subsections that
-    are solved recursively, reprojected left-to-right and composed. The
+    otherwise it is split evenly into 3 subsections (midpoint rule) or 2
+    (endpoint rule) that are solved recursively and joined. The
     estimate is always the first-order one; ``config.order`` selects
     which scattering matrix a leaf contributes. Raises
-    MaxDepthExceededError when the recursion limit is hit, which signals a
-    structure too singular for the requested alpha.
+    MaxDepthExceededError when a section still reaches alpha at depth 20,
+    which signals a structure too singular for the requested alpha.
 
     Caveat: each section inspects the cross-section only at its endpoints,
     midpoint and reference position. A modulation that vanishes at all of

@@ -172,9 +172,7 @@ def test_criterion_6_projection_correctness():
 
     # Identity projection is exact.
     s = random_passive_smatrix(rng, n, 1, 1)
-    from arcwa.cascade import ProjectionPair
-
-    pp = ProjectionPair(X=np.eye(n, dtype=np.complex128), Y=np.zeros((n, n), dtype=np.complex128))
+    pp = (np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128))
     identity_gap = blocks_diff(project_left(s, pp, 1), s)
     assert identity_gap <= 1e-12
     report_pass(6, f"50 random projections vs direct solve, worst residual {worst:.2e} <= 1e-9")

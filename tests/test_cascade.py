@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from arcwa.cascade import ProjectionPair, join, project_left, projection_pair, star
+from arcwa.cascade import join, project_left, projection_pair, star
 from arcwa.checks import airy_slab_coefficients, slab_sandwich_smatrix
 from arcwa.errors import BasisMismatchError, ProjectionBreakdownError, ResonanceError
 from arcwa.geometry import Polarization
@@ -38,8 +38,9 @@ def continuity_residual(b_from, b_to, pp, rng):
     n = b_from.n
     a_old = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b_old = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    a_new = pp.X @ a_old + pp.Y @ b_old
-    b_new = pp.Y @ a_old + pp.X @ b_old
+    x, y = pp
+    a_new = x @ a_old + y @ b_old
+    b_new = y @ a_old + x @ b_old
     r1 = b_to.W @ (a_new + b_new) - b_from.W @ (a_old + b_old)
     r2 = b_to.V @ (a_new - b_new) - b_from.V @ (a_old - b_old)
     return max(max_abs(r1), max_abs(r2))
@@ -47,9 +48,9 @@ def continuity_residual(b_from, b_to, pp, rng):
 
 def test_projection_identical_bases():
     basis = medium_basis(2.25, order=2)
-    pp = projection_pair(basis, basis)
-    assert_allclose(pp.X, np.eye(basis.n), atol=1e-12)
-    assert_allclose(pp.Y, np.zeros((basis.n, basis.n)), atol=1e-12)
+    x, y = projection_pair(basis, basis)
+    assert_allclose(x, np.eye(basis.n), atol=1e-12)
+    assert_allclose(y, np.zeros((basis.n, basis.n)), atol=1e-12)
 
 
 def test_projection_scaled_w():
@@ -62,9 +63,9 @@ def test_projection_scaled_w():
         W_inv=base.W_inv / 2.0,
     )
     # V_{i-1} = V_i, W_{i-1} = 2 W_i: X = 3/2 I, Y = 1/2 I.
-    pp = projection_pair(doubled, base)
-    assert_allclose(pp.X, 1.5 * np.eye(base.n), atol=1e-12)
-    assert_allclose(pp.Y, 0.5 * np.eye(base.n), atol=1e-12)
+    x, y = projection_pair(doubled, base)
+    assert_allclose(x, 1.5 * np.eye(base.n), atol=1e-12)
+    assert_allclose(y, 0.5 * np.eye(base.n), atol=1e-12)
 
 
 def test_projection_continuity_oracle(rng):
@@ -78,7 +79,7 @@ def test_projection_continuity_oracle(rng):
 def test_project_left_identity_pair(rng):
     n = 4
     s = random_passive_smatrix(rng, n, 1, 1)
-    pp = ProjectionPair(X=np.eye(n, dtype=np.complex128), Y=np.zeros((n, n), dtype=np.complex128))
+    pp = (np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128))
     projected = project_left(s, pp, 1)
     assert blocks_diff(projected, s) <= 1e-14
 
@@ -92,8 +93,9 @@ def test_project_left_zero_reflection_case(rng):
     zero = np.zeros((n, n), dtype=np.complex128)
     s = ScatteringMatrix(t.copy(), zero, zero.copy(), t.copy(), b_to.basis_id, b_to.basis_id)
     projected = project_left(s, pp, b_from.basis_id)
-    x_inv = np.linalg.inv(pp.X)
-    assert_allclose(projected.R_L, -x_inv @ pp.Y, atol=1e-11)
+    x, y = pp
+    x_inv = np.linalg.inv(x)
+    assert_allclose(projected.R_L, -x_inv @ y, atol=1e-11)
     assert_allclose(projected.T_RL, x_inv @ t, atol=1e-11)
 
 
@@ -190,9 +192,9 @@ def test_join_matches_projection_then_star(seed, n):
 
 def with_singular_projection(rng, left_basis, right, right_basis):
     """``right`` with R_L chosen so that X - R_L Y = u v^T, of rank 1 < n."""
-    pp = projection_pair(left_basis, right_basis)
+    x, y = projection_pair(left_basis, right_basis)
     u, v = rng.standard_normal((2, right.n, 1)) + 1j * rng.standard_normal((2, right.n, 1))
-    r_l = (pp.X - u @ v.T) @ np.linalg.inv(pp.Y)
+    r_l = (x - u @ v.T) @ np.linalg.inv(y)
     return replace(right, R_L=r_l)
 
 
@@ -225,14 +227,14 @@ def test_join_composes_where_the_reprojection_alone_breaks_down(rng):
     # Direct solve for the waves at the plane: a', b' in basis i-1 and a, b in basis i.
     a_l = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b_r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    pp = projection_pair(left_basis, right_basis)
+    x, y = projection_pair(left_basis, right_basis)
     eye = np.eye(n, dtype=np.complex128)
     zero = np.zeros((n, n), dtype=np.complex128)
     system = np.block(
         [
             [eye, -left.R_R, zero, zero],
-            [pp.X, pp.Y, -eye, zero],
-            [pp.Y, pp.X, zero, -eye],
+            [x, y, -eye, zero],
+            [y, x, zero, -eye],
             [zero, zero, right.R_L, -eye],
         ]
     )

@@ -277,3 +277,40 @@ def test_module_entry_point(taper_file, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+NON_FINITE_CASES = {
+    "center-nan": ("center_x: 0.5", "center_x: .nan", "regions[0].center_x"),
+    "rate-inf": (
+        "{kind: linear, start: 0.26, end: 0.37}",
+        "{kind: exponential, start: 0.26, end: 0.37, rate: .inf}",
+        "regions[0].profile.rate",
+    ),
+    "period-z-inf": (
+        "{kind: linear, start: 0.26, end: 0.37}",
+        "{kind: sinusoidal, mean: 0.3, amplitude: 0.05, period_z: .inf}",
+        "regions[0].profile.period_z",
+    ),
+    "z-max-inf": ("z_range_um: [0.0, 1.0]", "z_range_um: [0.0, .inf]", "z_range_um[1]"),
+    "wavelength-nan": ("wavelength_um: 1.55", "wavelength_um: .nan", "wavelength_um"),
+    "wavelength-inf": ("wavelength_um: 1.55", "wavelength_um: .inf", "wavelength_um"),
+    "wavelength-int-beyond-float": ("wavelength_um: 1.55", "wavelength_um: 1" + "0" * 400, "wavelength_um"),
+    "period-x-nan": ("period_x_um: 1.0", "period_x_um: .nan", "period_x_um"),
+    "period-x-inf": ("period_x_um: 1.0", "period_x_um: .inf", "period_x_um"),
+    "background-eps-nan": ("background_eps: [1.0, 0.0]", "background_eps: [.nan, 0.0]", "background_eps"),
+    "background-eps-scalar-inf": ("background_eps: [1.0, 0.0]", "background_eps: .inf", "background_eps"),
+    "region-eps-nan": ("eps: [12.25, 0.0]", "eps: [.nan, 0.0]", "regions[0].eps"),
+    "region-eps-inf": ("eps: [12.25, 0.0]", "eps: [12.25, .inf]", "regions[0].eps"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_CASES.values(), ids=NON_FINITE_CASES.keys())
+def test_non_finite_numbers_exit2_naming_the_key(tmp_path, capsys, case):
+    """A NaN or infinite number is an input error, not a different structure or a numeric failure."""
+    old, new, key = case
+    assert old in TAPER_DOC
+    path = tmp_path / "non_finite.spec"
+    path.write_text(TAPER_DOC.replace(old, new))
+    code = cli.main(["solve", "--structure", str(path), "--alpha", "1e-2"])
+    assert code == 2
+    assert f"{key} must be finite" in capsys.readouterr().err

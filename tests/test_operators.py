@@ -11,9 +11,17 @@ from scipy.linalg import toeplitz
 from arcwa.errors import SingularOperatorError
 from arcwa.geometry import PermittivitySlice, Polarization
 from arcwa.numerics import checked_inv
-from arcwa.operators import _toeplitz_from, assemble_operators, fourier_eps
+from arcwa.operators import _phase_table, _piecewise_coefficients, _toeplitz_from, assemble_operators
 
 from conftest import uniform_slice, uniform_spec
+
+
+def eps_coefficients(slc, order):
+    """Fourier coefficients of eps(x) and 1/eps(x), m in [-2*order, 2*order], as assembly computes them."""
+    table = _phase_table(slc, order)
+    values = [eps for _, _, eps in slc.intervals]
+    inverse = [1.0 / eps for eps in values]
+    return _piecewise_coefficients(slc, values, table), _piecewise_coefficients(slc, inverse, table)
 
 
 def step_slice(period=1.0, x0=0.0, x1=0.5, eps_in=4.0, eps_out=1.0):
@@ -73,34 +81,34 @@ def quad_oracle(slc, order, inverse=False):
 
 
 def test_uniform_coefficients():
-    fe = fourier_eps(uniform_slice(1.0), order=3)
+    coeffs, coeffs_inv = eps_coefficients(uniform_slice(1.0), order=3)
     expected = np.zeros(13, dtype=complex)
     expected[6] = 1.0
-    assert_allclose(fe.coeffs, expected, atol=1e-15)
-    assert_allclose(fe.coeffs_inv, expected, atol=1e-15)
+    assert_allclose(coeffs, expected, atol=1e-15)
+    assert_allclose(coeffs_inv, expected, atol=1e-15)
 
 
 def test_half_period_step_closed_form():
     order = 4
-    fe = fourier_eps(step_slice(), order=order)
+    coeffs, coeffs_inv = eps_coefficients(step_slice(), order=order)
     m = np.arange(-2 * order, 2 * order + 1)
     center = 2 * order
-    assert fe.coeffs[center] == pytest.approx(2.5, abs=1e-14)
+    assert coeffs[center] == pytest.approx(2.5, abs=1e-14)
     with np.errstate(invalid="ignore"):
         magnitude = np.abs(3.0 * np.sin(np.pi * m / 2) / (np.pi * m))
     magnitude[center] = 2.5
-    assert_allclose(np.abs(fe.coeffs), magnitude, atol=1e-13)
+    assert_allclose(np.abs(coeffs), magnitude, atol=1e-13)
     # Phase of the step at [0, period/2]: exp(-j*pi*m/2).
     expected = 3.0 * np.sin(np.pi * m[m != 0] / 2) / (np.pi * m[m != 0]) * np.exp(-1j * np.pi * m[m != 0] / 2)
-    assert_allclose(fe.coeffs[m != 0], expected, atol=1e-13)
+    assert_allclose(coeffs[m != 0], expected, atol=1e-13)
 
 
 def test_step_against_fft_oracle():
     order = 4
     slc = step_slice()
-    fe = fourier_eps(slc, order=order)
-    assert_allclose(fe.coeffs, fft_oracle(slc, order), atol=1e-10)
-    assert_allclose(fe.coeffs_inv, fft_oracle(slc, order, inverse=True), atol=1e-10)
+    coeffs, coeffs_inv = eps_coefficients(slc, order=order)
+    assert_allclose(coeffs, fft_oracle(slc, order), atol=1e-10)
+    assert_allclose(coeffs_inv, fft_oracle(slc, order, inverse=True), atol=1e-10)
 
 
 def test_random_slice_against_quad_oracle(rng):
@@ -111,9 +119,9 @@ def test_random_slice_against_quad_oracle(rng):
         (bounds[i], bounds[i + 1], complex(eps_values[i])) for i in range(4)
     )
     slc = PermittivitySlice(z=0.0, period_x=1.0, intervals=intervals)
-    fe = fourier_eps(slc, order=2)
-    assert_allclose(fe.coeffs, quad_oracle(slc, 2), atol=1e-9)
-    assert_allclose(fe.coeffs_inv, quad_oracle(slc, 2, inverse=True), atol=1e-9)
+    coeffs, coeffs_inv = eps_coefficients(slc, order=2)
+    assert_allclose(coeffs, quad_oracle(slc, 2), atol=1e-9)
+    assert_allclose(coeffs_inv, quad_oracle(slc, 2, inverse=True), atol=1e-9)
 
 
 def test_mirror_slice_conjugate_coefficients():
@@ -126,28 +134,28 @@ def test_mirror_slice_conjugate_coefficients():
             sorted(((1.0 - x1, 1.0 - x0, eps) for x0, x1, eps in slc.intervals))
         ),
     )
-    c = fourier_eps(slc, order).coeffs
-    c_mirror = fourier_eps(mirrored, order).coeffs
+    c, _ = eps_coefficients(slc, order)
+    c_mirror, _ = eps_coefficients(mirrored, order)
     # Mirroring negates the index; for real eps that equals conjugation.
     assert_allclose(c_mirror, c[::-1], atol=1e-14)
     assert_allclose(c_mirror, np.conj(c), atol=1e-14)
 
 
 def test_hermitian_coefficients_and_average():
-    fe = fourier_eps(step_slice(x0=0.13, x1=0.62), order=3)
+    coeffs, coeffs_inv = eps_coefficients(step_slice(x0=0.13, x1=0.62), order=3)
     center = 6
-    assert_allclose(fe.coeffs[center - 6 : center], np.conj(fe.coeffs[center + 6 : center : -1]), atol=1e-15)
+    assert_allclose(coeffs[center - 6 : center], np.conj(coeffs[center + 6 : center : -1]), atol=1e-15)
     avg = 4.0 * (0.62 - 0.13) + 1.0 * (1.0 - (0.62 - 0.13))
-    assert fe.coeffs[center] == pytest.approx(avg, abs=1e-14)
+    assert coeffs[center] == pytest.approx(avg, abs=1e-14)
 
 
 def test_truncation_nesting():
     slc = step_slice(x0=0.21, x1=0.67)
-    small = fourier_eps(slc, order=2)
-    large = fourier_eps(slc, order=4)
-    assert np.array_equal(small.coeffs, large.coeffs[4:-4])
-    e_small = _toeplitz_from(small.coeffs, 2)
-    e_large = _toeplitz_from(large.coeffs, 4)
+    small, _ = eps_coefficients(slc, order=2)
+    large, _ = eps_coefficients(slc, order=4)
+    assert np.array_equal(small, large[4:-4])
+    e_small = _toeplitz_from(small, 2)
+    e_large = _toeplitz_from(large, 4)
     assert np.array_equal(e_small, e_large[2:-2, 2:-2])
 
 
@@ -193,12 +201,12 @@ def test_lossless_real_spectrum(polarization):
 def test_tm_uses_inverse_rule():
     spec = uniform_spec(1.0, 1.0, polarization=Polarization.TM, order=3)
     slc = step_slice(x0=0.25, x1=0.75, eps_in=12.25)
-    fe = fourier_eps(slc, 3)
-    laurent = _toeplitz_from(fe.coeffs, 3)
+    coeffs, coeffs_inv = eps_coefficients(slc, 3)
+    laurent = _toeplitz_from(coeffs, 3)
     ops = assemble_operators(slc, spec)
     # -Q must be the inverse-rule matrix, materially different from Toeplitz(eps).
     assert np.max(np.abs(-ops.Q - laurent)) > 0.1
-    assert_allclose(-ops.Q @ _toeplitz_from(fe.coeffs_inv, 3), np.eye(7), atol=1e-10)
+    assert_allclose(-ops.Q @ _toeplitz_from(coeffs_inv, 3), np.eye(7), atol=1e-10)
 
 
 def test_singular_toeplitz_reported():
@@ -281,7 +289,7 @@ def test_assembly_matches_interval_loop_bit_for_bit(slc, order, polarization):
     p, q = loop_operators(slc, spec)
     assert np.array_equal(ops.P, p)
     assert np.array_equal(ops.Q, q)
-    fe = fourier_eps(slc, order)
+    coeffs, coeffs_inv = eps_coefficients(slc, order)
     inverted = tuple((x0, x1, 1.0 / eps) for x0, x1, eps in slc.intervals)
-    assert np.array_equal(fe.coeffs, loop_coefficients(slc.intervals, slc.period_x, order))
-    assert np.array_equal(fe.coeffs_inv, loop_coefficients(inverted, slc.period_x, order))
+    assert np.array_equal(coeffs, loop_coefficients(slc.intervals, slc.period_x, order))
+    assert np.array_equal(coeffs_inv, loop_coefficients(inverted, slc.period_x, order))

@@ -29,9 +29,7 @@ from conftest import TAPER_DOC
 REUSE_CASES = {
     "midpoint-M3": (lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4)), 163, 121, 81, 83, 82),
     "endpoint-M2": (
-        lambda spec: solve_adaptive(
-            spec, SolverConfig(alpha=1e-4, subdivision_m=2, reference_rule=ReferenceRule.ENDPOINT)
-        ),
+        lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4, reference_rule=ReferenceRule.ENDPOINT)),
         768,
         511,
         256,
@@ -174,7 +172,7 @@ def test_adaptive_midpoint_reuse_accounting(taper_spec):
 
 
 def test_adaptive_endpoint_binary_reuse(taper_spec, taper_oracle):
-    config = SolverConfig(alpha=1e-3, subdivision_m=2, reference_rule=ReferenceRule.ENDPOINT)
+    config = SolverConfig(alpha=1e-3, reference_rule=ReferenceRule.ENDPOINT)
     report = solve_adaptive(taper_spec, config)
     leaves = len(report.sections)
     subdivisions = leaves - 1
@@ -211,8 +209,9 @@ def test_adaptive_determinism(taper_spec):
 
 
 def test_adaptive_max_depth(taper_spec):
-    with pytest.raises(MaxDepthExceededError, match="depth"):
-        solve_adaptive(taper_spec, SolverConfig(alpha=1e-9, max_depth=2))
+    # No estimate is below alpha = 0, so the recursion reaches the depth limit.
+    with pytest.raises(MaxDepthExceededError, match="at depth 20"):
+        solve_adaptive(taper_spec, SolverConfig(alpha=0.0))
 
 
 def test_adaptive_order0_uses_zeroth_order_leaves(taper_spec, taper_oracle):
@@ -293,10 +292,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError, match="alpha must be >= 0, got nan"):
         SolverConfig(alpha=math.nan)
     with pytest.raises(ValueError):
-        SolverConfig(alpha=1.0, subdivision_m=4)
-    with pytest.raises(ValueError):
-        SolverConfig(alpha=1.0, max_depth=0)
-    with pytest.raises(ValueError):
         SolverConfig(alpha=1.0, order=2)
     with pytest.raises(ValueError):
         solve_uniform(parse_structure(TAPER_DOC), 0)
@@ -345,7 +340,7 @@ def test_handed_down_operators_match_fresh_assembly(taper_spec, monkeypatch, cas
 
     def recording(*args, **kwargs):
         result = original(*args, **kwargs)
-        solved[(result.z_L, result.z_R)] = (args, kwargs, result)
+        solved[args[1:3]] = (args, kwargs, result)
         return result
 
     monkeypatch.setattr(sections, "first_order_smatrix", recording)
