@@ -386,6 +386,13 @@ def parse_structure(text: str) -> StructureSpec:
     order = doc["truncation_order"]
     if isinstance(order, bool) or not isinstance(order, int) or order < 0:
         raise _semantic(f"truncation_order must be an integer >= 0, got {order!r}")
+    # The operators square the transverse wavevector m * wavelength / period up to m = order.
+    kt_max = order * wavelength / period
+    if not math.isfinite(kt_max * kt_max):
+        raise _semantic(
+            f"wavelength_um = {wavelength:g} and period_x_um = {period:g} are too far apart for "
+            f"truncation_order {order}: (truncation_order * wavelength_um / period_x_um)^2 is not finite"
+        )
 
     background = _as_complex(doc["background_eps"], "background_eps")
     if background.imag < 0.0:

@@ -21,11 +21,15 @@ lam^2 is real and no inverse needs a factorization. Every other pair
 eigensolver and LU-factored inverses. Both routes normalize columns alike
 (unit 2-norm, largest entry real) and share the branch, the ordering, the
 cutoff check and the conditioning limit.
+
+``eigen_basis_stack`` builds the bases of a stack of operator pairs at
+once; ``eigen_basis`` is a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -35,7 +39,7 @@ from .errors import (
     EigendecompositionError,
     NearDefectiveBasisError,
 )
-from .numerics import COND_LIMIT, guard_inverse, guarded_solve
+from .numerics import COND_LIMIT, as_stack, guard_inverses, guarded_solve
 from .operators import OperatorPair
 
 # Effective indices below this magnitude count as cutoff modes.
@@ -90,7 +94,7 @@ _AXIS_SNAP_RTOL = 1e-14
 
 
 def _principal_branch(lam: np.ndarray) -> np.ndarray:
-    """Square roots on the Im >= 0 (then Re > 0) branch.
+    """Square roots on the Im >= 0 (then Re > 0) branch, per row of the last axis.
 
     Mathematically real eigenvalues lam^2 come out of ``geev`` with
     imaginary dust whose sign is arbitrary and whose size follows the
@@ -103,7 +107,7 @@ def _principal_branch(lam: np.ndarray) -> np.ndarray:
     already sit on an axis and pass through unchanged.
     """
     re, im = np.abs(lam.real), np.abs(lam.imag)
-    on_axis = re * im <= _AXIS_SNAP_RTOL * np.max(np.abs(lam)) ** 2
+    on_axis = re * im <= _AXIS_SNAP_RTOL * np.abs(lam).max(axis=-1, keepdims=True) ** 2
     # Off the axes Im(lam) != 0, so its sign alone picks the branch.
     return np.where(on_axis, np.where(re >= im, re, 1j * im), np.where(lam.imag < 0.0, -lam, lam))
 
@@ -144,25 +148,30 @@ def _hermitian_eig(ops: OperatorPair) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _hermitian_basis(
     y: np.ndarray, lam: np.ndarray, b: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """W, W^-1, V and V^-1 from the ordered eigenvectors Y of ``_hermitian_eig``.
+    """W, W^-1, V and V^-1 from ordered eigenvectors Y of ``_hermitian_eig``, stacked.
 
-    W = Y D scales each column to unit 2-norm with its largest entry real,
-    as ``geev`` normalizes. With B = I in TE, W^-1 = D^-1 Y^H B = G (B W)^H
-    and D^-1 Y^H = G W^H, where G = |D|^-2 holds the squared column norms
-    of Y. V = Q W Lam^-1 is then W Lam (TE) or -B W Lam^-1 (TM), and V^-1
-    is Lam^-1 W^-1 (TE) or -Lam G W^H (TM).
+    ``y`` is shaped (slices, n, n) with every slice in the column-major
+    order LAPACK returns, so each column norm is summed over contiguous
+    memory exactly as for a single matrix; ``lam`` is (slices, n) and ``b``
+    (slices, n, n) or None. W = Y D scales each column to unit 2-norm with
+    its largest entry real, as ``geev`` normalizes. With B = I in TE,
+    W^-1 = D^-1 Y^H B = G (B W)^H and D^-1 Y^H = G W^H, where G = |D|^-2
+    holds the squared column norms of Y. V = Q W Lam^-1 is then W Lam (TE)
+    or -B W Lam^-1 (TM), and V^-1 is Lam^-1 W^-1 (TE) or -Lam G W^H (TM).
     """
-    cols = np.arange(lam.size)
+    stack, n = lam.shape
+    rows, cols = np.arange(stack)[:, None], np.arange(n)
     mag2 = (y * y.conj()).real
-    peak = np.argmax(mag2, axis=0)
-    g = mag2.sum(axis=0)
-    w = y * (y[peak, cols].conj() / np.sqrt(mag2[peak, cols] * g))
-    w[peak, cols] = w[peak, cols].real
+    peak = np.argmax(mag2, axis=1)
+    g = mag2.sum(axis=1)
+    w = y * (y[rows, peak, cols].conj() / np.sqrt(mag2.max(axis=1) * g))[:, None, :]
+    w[rows, peak, cols] = w[rows, peak, cols].real
+    w_h = w.conj().transpose(0, 2, 1)
     if b is None:
-        w_inv = w.conj().T * g[:, None]
-        return w, w_inv, w * lam, w_inv / lam[:, None]
+        w_inv = w_h * g[:, :, None]
+        return w, w_inv, w * lam[:, None, :], w_inv / lam[:, :, None]
     bw = b @ w
-    return w, bw.conj().T * g[:, None], bw / -lam, w.conj().T * (-lam * g)[:, None]
+    return w, bw.conj().transpose(0, 2, 1) * g[:, :, None], bw / -lam[:, None, :], w_h * (-lam * g)[:, :, None]
 
 
 def eigen_basis(ops: OperatorPair) -> ModalBasis:
@@ -176,54 +185,85 @@ def eigen_basis(ops: OperatorPair) -> ModalBasis:
     same basis (up to the eigensolver's own determinism). Raises
     CutoffModeError when an effective index sits below LAMBDA_CUTOFF and
     NearDefectiveBasisError when cond(W) or cond(V) exceeds the shared
-    conditioning limit; both are checked once here, on either route.
+    conditioning limit; both are checked once here, on either route. A
+    stack of one ``eigen_basis_stack``.
     """
-    hermitian = _hermitian_eig(ops)
-    if hermitian is None:
-        pq = ops.P @ ops.Q
-        if not np.all(np.isfinite(pq)):
-            raise ValueError("operator product contains non-finite entries")
-        try:
-            eigvals, eigvecs = np.linalg.eig(pq)
-        except np.linalg.LinAlgError as exc:
-            n = pq.shape[0]
-            raise EigendecompositionError(f"eigensolver failed on a {n}x{n} operator: {exc}") from exc
-    else:
-        eigvals, eigvecs, b = hermitian
+    return eigen_basis_stack([ops])[0]
 
-    lam = _principal_branch(np.sqrt(eigvals.astype(np.complex128)))
-    order = np.lexsort((lam.imag, -lam.real))
-    lam = lam[order]
-    eigvecs = eigvecs[:, order]
+
+def eigen_basis_stack(stack: Sequence[OperatorPair]) -> list[ModalBasis]:
+    """``eigen_basis`` for several operator pairs of one size, as one stack.
+
+    Each basis equals the one built alone, bit for bit. The eigensolver
+    runs once per pair; the branch, the ordering and the Hermitian route's
+    basis matrices are computed for the whole stack, and the ``geev``
+    route's inverses stay one guarded factorization per pair. Errors are
+    raised stage by stage: eigensolvers and cutoff checks in stack order,
+    then the Hermitian route's guards (every W of a stack, then every V),
+    then the ``geev`` route's factorizations. For a single pair that is
+    the order ``eigen_basis`` describes.
+    """
+    solved = []
+    # Indices of the Hermitian-route pairs: TE (no B) and TM.
+    routes: dict[bool, list[int]] = {False: [], True: []}
+    for i, ops in enumerate(stack):
+        hermitian = _hermitian_eig(ops)
+        if hermitian is None:
+            pq = ops.P @ ops.Q
+            if not np.all(np.isfinite(pq)):
+                raise ValueError("operator product contains non-finite entries")
+            try:
+                eigvals, eigvecs = np.linalg.eig(pq)
+            except np.linalg.LinAlgError as exc:
+                n = pq.shape[0]
+                raise EigendecompositionError(f"eigensolver failed on a {n}x{n} operator: {exc}") from exc
+            solved.append((eigvals, eigvecs, None))
+        else:
+            solved.append(hermitian)
+            routes[hermitian[2] is not None].append(i)
+
+    lam = _principal_branch(np.sqrt(np.array([eigvals for eigvals, _, _ in solved], dtype=np.complex128)))
+    order = np.lexsort((lam.imag, -lam.real), axis=-1)
+    lam = lam[np.arange(len(stack))[:, None], order]
 
     small = np.abs(lam) < LAMBDA_CUTOFF
-    if np.any(small):
-        worst = lam[small][np.argmin(np.abs(lam[small]))]
-        raise CutoffModeError(
-            f"mode at cutoff: |lambda| = {abs(worst):.3e} < {LAMBDA_CUTOFF:.0e} at z = {ops.z:g}; "
-            "add a small material loss (e.g. Im(eps) ~ 1e-6) to move the mode off cutoff"
-        )
+    for ops, lam_i, small_i in zip(stack, lam, small) if small.any() else ():
+        if small_i.any():
+            worst = lam_i[small_i][np.argmin(np.abs(lam_i[small_i]))]
+            raise CutoffModeError(
+                f"mode at cutoff: |lambda| = {abs(worst):.3e} < {LAMBDA_CUTOFF:.0e} at z = {ops.z:g}; "
+                "add a small material loss (e.g. Im(eps) ~ 1e-6) to move the mode off cutoff"
+            )
 
-    if hermitian is None:
-        w = eigvecs
-        eye = np.eye(lam.size)
+    bases: list[ModalBasis] = [None] * len(stack)  # type: ignore[list-item]
+    # Hermitian-route bases, one stack for TE and one for TM; the guards
+    # screen every W of a stack, then every V.
+    for with_b, group in routes.items():
+        if not group:
+            continue
+        # Each slice stays column-major: rows of Y^T are the columns of Y.
+        y = as_stack([solved[i][1].T[order[i]] for i in group]).transpose(0, 2, 1)
+        b = as_stack([solved[i][2] for i in group]) if with_b else None
+        lam_group = lam if len(group) == len(stack) else lam[group]
+        w, w_inv, v, v_inv = _hermitian_basis(y, lam_group, b)
+        guard_inverses(w, w_inv, [_near_defective("W", stack[i].z) for i in group])
+        guard_inverses(v, v_inv, [_near_defective("V", stack[i].z) for i in group])
+        for k, i in enumerate(group):
+            ops = stack[i]
+            bases[i] = ModalBasis(
+                W=w[k], V=v[k], lam=lam_group[k], z_ref=ops.z, k0=ops.k0, W_inv=w_inv[k], V_inv=v_inv[k]
+            )
+
+    for i, (ops, lam_i, (_, eigvecs, _)) in enumerate(zip(stack, lam, solved)):
+        if bases[i] is not None:
+            continue
+        w = eigvecs[:, order[i]]
+        eye = np.eye(lam.shape[-1])
         w_inv = guarded_solve(w, eye, _near_defective("W", ops.z))
-        v = ops.Q @ (w / lam[None, :])
+        v = ops.Q @ (w / lam_i[None, :])
         v_inv = guarded_solve(v, eye, _near_defective("V", ops.z))
-    else:
-        w, w_inv, v, v_inv = _hermitian_basis(eigvecs, lam, b)
-        guard_inverse(w, w_inv, _near_defective("W", ops.z))
-        guard_inverse(v, v_inv, _near_defective("V", ops.z))
-
-    return ModalBasis(
-        W=w,
-        V=v,
-        lam=lam,
-        z_ref=ops.z,
-        k0=ops.k0,
-        W_inv=w_inv,
-        V_inv=v_inv,
-    )
+        bases[i] = ModalBasis(W=w, V=v, lam=lam_i, z_ref=ops.z, k0=ops.k0, W_inv=w_inv, V_inv=v_inv)
+    return bases
 
 
 def mode_coefficients(e: np.ndarray, h: np.ndarray, basis: ModalBasis) -> WaveState:

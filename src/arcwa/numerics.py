@@ -21,12 +21,13 @@ factorization that the solve then reuses.
 An inverse that is already known (the Hermitian eigenbases of ``modal``
 come with theirs) needs no factorization: ``guard_inverse`` screens it
 with the exact 1-norm condition number ||A||_1 ||A^-1||_1 and the same
-margin, and hands every other matrix to the same exact 2-norm test.
+margin, and hands every other matrix to the same exact 2-norm test;
+``guard_inverses`` does so for a stack of them.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -73,13 +74,27 @@ def guard_inverse(a: np.ndarray, a_inv: np.ndarray, reject: Callable[[float], Nu
     A matrix with ``10 n ||a||_1 ||a_inv||_1 <= COND_LIMIT`` passes on the
     screen; any other one (inside that band, singular or non-finite, where
     ``a_inv`` carries non-finite entries) gets the exact 2-norm
-    ``condition_number``, which ``reject`` receives when it is refused.
+    ``condition_number``, which ``reject`` receives when it is refused. A
+    stack of one ``guard_inverses``.
+    """
+    guard_inverses(a[None], a_inv[None], [reject])
+
+
+def guard_inverses(
+    a: np.ndarray, a_inv: np.ndarray, rejects: Sequence[Callable[[float], NumericalError]]
+) -> None:
+    """``guard_inverse`` for a stack of matrices, shaped (matrices, n, n), with one ``reject`` each.
+
+    The matrices are screened in stack order, so the first refused one
+    raises.
     """
     lange = lapack.get_lapack_funcs("lange", (a, a_inv))
-    if not _ESTIMATE_MARGIN * a.shape[0] * lange("1", a) * lange("1", a_inv) <= COND_LIMIT:
-        cond = condition_number(a)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise reject(cond)
+    n = a.shape[-1]
+    for a_k, inv_k, reject in zip(a, a_inv, rejects):
+        if not _ESTIMATE_MARGIN * n * lange("1", a_k) * lange("1", inv_k) <= COND_LIMIT:
+            cond = condition_number(a_k)
+            if not np.isfinite(cond) or cond > COND_LIMIT:
+                raise reject(cond)
 
 
 def checked_solve(
@@ -94,6 +109,11 @@ def checked_solve(
 def checked_inv(a: np.ndarray, error_cls: type[NumericalError], what: str) -> np.ndarray:
     """Invert ``a`` after verifying it is well-conditioned."""
     return checked_solve(a, np.eye(a.shape[0]), error_cls, what)
+
+
+def as_stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Equal-shaped arrays stacked along a new first axis; a stack of one is a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def max_abs(a: np.ndarray) -> float:

@@ -16,22 +16,28 @@ Concrete fillings, normal incidence, nonmagnetic media:
 
 where E = Toeplitz(eps coefficients), K = diag(m * wavelength / period).
 The coefficients are exact for the piecewise-constant slice; eps and 1/eps
-share one table of interval phases, computed with a single exp.
+share one table of interval phases, computed with a single exp for a whole
+stack of slices that share an interval count and a period.
 The TM sign fold makes vacuum satisfy P*Q = I, matching TE; the inverse
 rule for Q keeps TM convergence correct across material steps. Both
 fillings are pinned by the vacuum spectrum check and the analytic slab
 oracle in the validation suite.
+
+``assemble_stack`` assembles a stack of slices at once;
+``assemble_operators`` is a stack of one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import SingularOperatorError
 from .geometry import PermittivitySlice, Polarization, StructureSpec
-from .numerics import checked_inv
+from .numerics import as_stack, checked_solve
 
 
 @dataclass(frozen=True)
@@ -49,50 +55,65 @@ class OperatorPair:
         return int(self.P.shape[0])
 
 
-def _phase_table(slc: PermittivitySlice, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _phase_table(bounds: np.ndarray, period: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-interval phase differences and their denominators, for m != 0.
 
-    exp(-2j*pi*m*x/period) is evaluated at both bounds of every interval in
-    one call, shaped (intervals, 2, m) with m over [-2*order, 2*order]
-    without 0. Returns the upper-minus-lower differences, shaped
-    (intervals, m), and -2j*pi*m. eps and 1/eps share the table.
+    ``bounds`` holds the (lower, upper) ends of each slice's intervals,
+    shaped (slices, intervals, 2), on a common ``period``.
+    exp(-2j*pi*m*x/period) is evaluated at every bound in one call, with m
+    over [-2*order, 2*order] without 0. Returns the upper-minus-lower
+    differences, shaped (slices, intervals, m), and -2j*pi*m. eps and
+    1/eps share the table.
     """
     m = np.arange(-2 * order, 2 * order + 1)
     rate = -2j * np.pi * m[m != 0]
-    bounds = np.array([(x0, x1) for x0, x1, _ in slc.intervals])
-    phases = np.exp(rate * bounds[:, :, None] / slc.period_x)
-    return phases[:, 1] - phases[:, 0], rate
+    phases = np.exp(rate * bounds[..., None] / period)
+    return phases[:, :, 1] - phases[:, :, 0], rate
 
 
 def _piecewise_coefficients(
-    slc: PermittivitySlice, values: list[complex], table: tuple[np.ndarray, np.ndarray]
+    slices: Sequence[PermittivitySlice], values: np.ndarray, table: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Closed-form Fourier coefficients of a piecewise-constant function.
+    """Closed-form Fourier coefficients of piecewise-constant functions, one row per slice.
 
-    The function takes ``values[i]`` on the slice's interval i;
+    Slice i's function takes ``values[i, k]`` on its interval k;
     c_m = (1/period) * integral f(x) exp(-2j*pi*m*x/period) dx, evaluated
-    exactly per interval from the slice's ``_phase_table``; m runs over
-    [-2*order, 2*order]. The intervals are summed in order, one at a time.
+    exactly per interval from the slices' ``_phase_table``; m runs over
+    [-2*order, 2*order]. Each slice's intervals are summed in order, one
+    at a time.
     """
     diff, rate = table
-    terms = np.array(values)[:, None] * diff / rate
-    nonzero = np.zeros(rate.size, dtype=np.complex128)
-    for term in terms:
+    values = np.asarray(values)
+    terms = values[:, :, None] * diff / rate
+    nonzero = np.zeros((len(slices), rate.size), dtype=np.complex128)
+    for term in terms.swapaxes(0, 1):
         nonzero += term
-    c0 = 0j
-    for (x0, x1, _), value in zip(slc.intervals, values):
-        c0 += value * (x1 - x0) / slc.period_x
+    # The m = 0 coefficient is summed in Python complex arithmetic.
+    c0 = []
+    for slc, vals in zip(slices, values.tolist()):
+        total = 0j
+        for (x0, x1, _), value in zip(slc.intervals, vals):
+            total += value * (x1 - x0) / slc.period_x
+        c0.append([total])
     half = rate.size // 2
-    return np.concatenate((nonzero[:half], [c0], nonzero[half:]))
+    return np.concatenate((nonzero[:, :half], c0, nonzero[:, half:]), axis=1)
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity that every TE operator pair holds as P."""
+    eye = np.eye(n, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
 
 
 def _toeplitz_from(coeffs: np.ndarray, order: int) -> np.ndarray:
-    """Toeplitz matrix T[p, q] = c_{p-q} for p, q in [-order, order]."""
-    center = coeffs.size // 2
+    """Toeplitz matrices T[..., p, q] = c_{p-q} for p, q in [-order, order]."""
+    center = coeffs.shape[-1] // 2
     if center < 2 * order:
         raise ValueError(f"need coefficients up to |m| = {2 * order}, got {center}")
     index = np.arange(2 * order + 1)
-    return coeffs[center + index[:, None] - index]
+    return coeffs.take(center + index[:, None] - index, axis=-1)
 
 
 def assemble_operators(slc: PermittivitySlice, spec: StructureSpec) -> OperatorPair:
@@ -100,25 +121,58 @@ def assemble_operators(slc: PermittivitySlice, spec: StructureSpec) -> OperatorP
 
     Pure function; raises SingularOperatorError (with a condition estimate)
     if a permittivity Toeplitz matrix cannot be inverted, which requires a
-    pathological eps distribution. The 1/eps coefficients are computed
-    only for TM, the one filling that uses them.
+    pathological eps distribution. A stack of one ``assemble_stack``.
+    """
+    return assemble_stack([slc], spec)[0]
+
+
+def assemble_stack(slices: Sequence[PermittivitySlice], spec: StructureSpec) -> list[OperatorPair]:
+    """``assemble_operators`` for several slices of one spec, computed as stacks.
+
+    Each pair equals the one assembled alone, bit for bit. Slices that
+    share an interval count and a period form one stack; slices with
+    different interval counts never share a coefficient sum. The returned
+    matrices are views of their stack, except that every TE pair holds the
+    same read-only identity as P.
+    """
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, slc in enumerate(slices):
+        groups.setdefault((len(slc.intervals), slc.period_x), []).append(i)
+    pairs: list[OperatorPair] = [None] * len(slices)  # type: ignore[list-item]
+    for group in groups.values():
+        for i, pair in zip(group, _assemble_group([slices[i] for i in group], spec)):
+            pairs[i] = pair
+    return pairs
+
+
+def _assemble_group(slices: list[PermittivitySlice], spec: StructureSpec) -> list[OperatorPair]:
+    """One stack of slices that share an interval count and a period.
+
+    The 1/eps coefficients are computed only for TM, the one filling that
+    uses them; its two Toeplitz inverses stay one guarded factorization per
+    slice, all Toeplitz(eps) ones first.
     """
     order = spec.truncation_order
-    table = _phase_table(slc, order)
-    values = [eps for _, _, eps in slc.intervals]
-    eps_toeplitz = _toeplitz_from(_piecewise_coefficients(slc, values, table), order)
+    # (x0, x1, eps) of every interval, shaped (slices, intervals, 3).
+    intervals = np.array([slc.intervals for slc in slices])
+    table = _phase_table(intervals[..., :2].real, slices[0].period_x, order)
+    eps_toeplitz = _toeplitz_from(_piecewise_coefficients(slices, intervals[..., 2], table), order)
     m = np.arange(-order, order + 1, dtype=np.float64)
     kt = m * spec.wavelength_um / spec.period_x_um  # transverse wavevector / k0
     n = 2 * order + 1
 
     if spec.polarization is Polarization.TE:
-        p = np.eye(n, dtype=np.complex128)
+        p = [_identity(n)] * len(slices)
         q = eps_toeplitz - np.diag(kt**2).astype(np.complex128)
     else:
-        eps_inv = checked_inv(eps_toeplitz, SingularOperatorError, "Toeplitz(eps)")
+        eye = np.eye(n)
+        eps_inv = as_stack([checked_solve(t, eye, SingularOperatorError, "Toeplitz(eps)") for t in eps_toeplitz])
         p = kt[:, None] * eps_inv * kt[None, :] - np.eye(n, dtype=np.complex128)
-        inv_coeffs = _piecewise_coefficients(slc, [1.0 / eps for eps in values], table)
-        inv_toeplitz = _toeplitz_from(inv_coeffs, order)
-        q = -checked_inv(inv_toeplitz, SingularOperatorError, "Toeplitz(1/eps)")
+        inverse_values = [[1.0 / eps for _, _, eps in slc.intervals] for slc in slices]
+        inv_toeplitz = _toeplitz_from(_piecewise_coefficients(slices, inverse_values, table), order)
+        q = [-checked_solve(t, eye, SingularOperatorError, "Toeplitz(1/eps)") for t in inv_toeplitz]
 
-    return OperatorPair(P=p, Q=q, z=slc.z, polarization=spec.polarization, k0=spec.k0)
+    return [
+        OperatorPair(P=p_i, Q=q_i, z=slc.z, polarization=spec.polarization, k0=spec.k0)
+        for slc, p_i, q_i in zip(slices, p, q)
+    ]

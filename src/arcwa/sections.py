@@ -18,18 +18,23 @@ The four integral terms double as the section's error estimate: they are
 exactly the difference between the first- and zeroth-order matrices, and
 the largest absolute entry across the four is the estimate compared
 against the user's error bound during adaptive subdivision.
+
+The solver evaluates sections in stacks (``first_order_stack``, with the
+deviations of ``delta_stack``); ``first_order_smatrix`` and ``delta_ab``
+are stacks of one, and every entry of a stack equals its single call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import geometry, operators
 from .geometry import StructureSpec
 from .modal import ModalBasis, propagation_factor
-from .numerics import max_abs
+from .numerics import as_stack
 from .operators import OperatorPair
 
 # Sample positions matching the section reference are skipped.
@@ -75,22 +80,46 @@ class SectionResult:
 # Deviation matrices (dA, dB) of one sampled z against the reference.
 _Deltas = tuple[np.ndarray, np.ndarray]
 
+# A section to solve at first order: (z_L, z_R, basis, ref_ops, end_ops),
+# where end_ops optionally holds the operators at z_L and z_R.
+_Section = tuple[float, float, ModalBasis, OperatorPair, tuple[OperatorPair, OperatorPair] | None]
+
 
 def delta_ab(slice_ops: OperatorPair, ref_ops: OperatorPair, basis: ModalBasis) -> _Deltas:
     """Deviations (dA, dB) of sampled operators from the reference, in the reference basis.
 
     When P equals the reference P (TE has P = I at every z) its term is
-    exactly zero and is skipped.
+    exactly zero and is skipped. A stack of one ``delta_stack``.
     """
-    if slice_ops.P.shape != ref_ops.P.shape or ref_ops.P.shape != basis.W.shape:
-        raise ValueError(
-            f"dimension mismatch: slice {slice_ops.P.shape}, reference {ref_ops.P.shape}, basis {basis.W.shape}"
-        )
-    dq = basis.V_inv @ (slice_ops.Q - ref_ops.Q) @ basis.W
-    if np.array_equal(slice_ops.P, ref_ops.P):
+    d_a, d_b = delta_stack([slice_ops], [ref_ops], [basis])
+    return d_a[0], d_b[0]
+
+
+def delta_stack(
+    slice_ops: Sequence[OperatorPair], ref_ops: Sequence[OperatorPair], bases: Sequence[ModalBasis]
+) -> _Deltas:
+    """``delta_ab`` for G (sample, reference, basis) triples, stacked as (G, n, n).
+
+    Each deviation equals the one computed alone, bit for bit.
+    """
+    for s, r, b in zip(slice_ops, ref_ops, bases):
+        if s.P.shape != r.P.shape or r.P.shape != b.W.shape:
+            raise ValueError(f"dimension mismatch: slice {s.P.shape}, reference {r.P.shape}, basis {b.W.shape}")
+    q = as_stack([s.Q for s in slice_ops]) - as_stack([r.Q for r in ref_ops])
+    dq = as_stack([b.V_inv for b in bases]) @ q @ as_stack([b.W for b in bases])
+    # TE operators share one read-only identity P, so their P terms vanish by identity.
+    if all(s.P is r.P for s, r in zip(slice_ops, ref_ops)):
         return dq, -dq
-    dp = basis.W_inv @ (slice_ops.P - ref_ops.P) @ basis.V
-    return dp + dq, dp - dq
+    p = as_stack([s.P for s in slice_ops]) - as_stack([r.P for r in ref_ops])
+    moved = p.any(axis=(1, 2))
+    if moved.all():
+        dp = as_stack([b.W_inv for b in bases]) @ p @ as_stack([b.V for b in bases])
+        return dp + dq, dp - dq
+    if not moved.any():
+        return dq, -dq
+    dp = as_stack([b.W_inv for b in bases]) @ p @ as_stack([b.V for b in bases])
+    moved = moved[:, None, None]
+    return np.where(moved, dp + dq, dq), np.where(moved, dp - dq, -dq)
 
 
 def zeroth_order_smatrix(basis: ModalBasis, z_L: float, z_R: float) -> ScatteringMatrix:
@@ -111,43 +140,43 @@ def zeroth_order_smatrix(basis: ModalBasis, z_L: float, z_R: float) -> Scatterin
 
 
 def _first_order_terms(
-    basis: ModalBasis,
-    deltas: list[_Deltas],
-    sample_z: list[float],
-    weights: list[float],
-    z_L: float,
-    z_R: float,
+    lam_k0: np.ndarray, k0: list[float], deltas: list[_Deltas], dz: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Simpson sums of the four first-order integral terms, stacked.
+    """Simpson sums of the four first-order integral terms of G sections with S samples each.
 
-    Returns [[T_LR, T_RL], [R_R, R_L]], shaped (2, 2, n, n). Each term
-    carries its prefactor (+- j k0 / 2), so the blocks are exactly the
-    first-order corrections (and the error-estimator difference
-    matrices). One exp gives every sample's propagation factors; the
-    weighted terms are summed in sample order.
+    ``lam_k0`` holds j * lam * k0 per section, shaped (G, n), and ``k0``
+    the G wavenumbers; ``deltas`` holds S deviation pairs, each stacked as
+    (G, n, n); ``dz`` holds each sample's distances to z_R and from z_L,
+    shaped (S, G, 2, 1), and ``weights`` is (S, G). Returns [[T_LR, T_RL],
+    [R_R, R_L]] per section, shaped (G, 2, 2, n, n). Each term carries its
+    prefactor (+- j k0 / 2), so the blocks are exactly the first-order
+    corrections (and the error-estimator difference matrices). One exp
+    gives every sample's propagation factors; each section's weighted
+    terms are summed in sample order.
     """
-    n = basis.n
-    # exp(j * lam * k0 * dz) towards z_R and from z_L, shaped (samples, 2, n).
-    dz = np.array([(z_R - zk, zk - z_L) for zk in sample_z]).reshape(-1, 2, 1)
-    phases = np.exp(1j * basis.lam * basis.k0 * dz)
+    sections, n = lam_k0.shape
+    # exp(j * lam * k0 * dz) towards z_R and from z_L, shaped (S, G, 2, n).
+    phases = np.exp(lam_k0[:, None, :] * dz)
     # Each deviation enters two blocks, so it is weighted by a stacked pair
     # of phase vectors: dA with (to_right, from_left) on the left and
     # (from_left, to_right) on the right gives T_LR and T_RL, dB with the
     # same pair on both sides gives R_R and R_L. Samples stay a Python loop:
     # (samples, 4, n, n) temporaries cost ~190 page faults per section at
-    # n = 51, while two n x n matrices are reused from the heap.
-    terms = np.zeros((2, 2, n, n), dtype=np.complex128)
-    transmit, reflect = terms
-    for pair_phases, wk, (d_a, d_b) in zip(phases, weights, deltas):
-        term = pair_phases[:, :, None] * d_a
-        term *= pair_phases[::-1, None, :]
+    # n = 51, while stacks of two n x n matrices are reused from the heap.
+    terms = np.zeros((sections, 2, 2, n, n), dtype=np.complex128)
+    transmit, reflect = terms[:, 0], terms[:, 1]
+    columns, rows = phases[..., None], phases[:, :, :, None, :]
+    swapped = phases[:, :, ::-1, None, :]
+    for column, row, row_swapped, wk, (d_a, d_b) in zip(columns, rows, swapped, weights[..., None, None, None], deltas):
+        term = column * d_a[:, None]
+        term *= row_swapped
         term *= wk
         transmit += term
-        term = pair_phases[:, :, None] * d_b
-        term *= pair_phases[:, None, :]
+        term = column * d_b[:, None]
+        term *= row
         term *= wk
         reflect -= term
-    terms *= 0.5j * basis.k0
+    terms *= np.array([0.5j * k for k in k0])[:, None, None, None, None]
     return terms
 
 
@@ -163,42 +192,79 @@ def first_order_smatrix(
 
     The reference position must lie inside [z_L, z_R]. ``end_ops``
     optionally supplies the operators at z_L and z_R, which neighbouring
-    sections share; without it they are assembled here.
+    sections share; without it they are assembled here. A stack of one
+    ``first_order_stack``.
     """
-    if not z_R > z_L:
-        raise ValueError(f"z_R = {z_R:g} must be > z_L = {z_L:g}")
-    span = z_R - z_L
-    if not (z_L - _SAMPLE_RTOL * span <= basis.z_ref <= z_R + _SAMPLE_RTOL * span):
-        raise ValueError(f"basis reference z = {basis.z_ref:g} lies outside section [{z_L:g}, {z_R:g}]")
-    if end_ops is not None and (end_ops[0].z != z_L or end_ops[1].z != z_R):
-        raise ValueError(
-            f"end operators at z = {end_ops[0].z:g}, {end_ops[1].z:g} do not match section [{z_L:g}, {z_R:g}]"
+    return first_order_stack(spec, [(z_L, z_R, basis, ref_ops, end_ops)])[0]
+
+
+def first_order_stack(spec: StructureSpec, sections: Sequence[_Section]) -> list[SectionResult]:
+    """``first_order_smatrix`` for several sections of one spec, as one stack.
+
+    Each result equals the one solved alone, bit for bit. Missing sample
+    operators are assembled as one stack, and sections with equal sample
+    counts share one evaluation of the deviations and the terms. Each
+    S-matrix's four blocks are views of one buffer of its stack.
+    """
+    # Per section: the samples' z and operators (None until assembled), their
+    # distances to z_R and from z_L, and their Simpson weights.
+    samples: list[list[tuple[float, OperatorPair | None]]] = []
+    offsets: list[list[tuple[float, float]]] = []
+    weights: list[list[float]] = []
+    for z_L, z_R, basis, _, end_ops in sections:
+        if not z_R > z_L:
+            raise ValueError(f"z_R = {z_R:g} must be > z_L = {z_L:g}")
+        span = z_R - z_L
+        if not (z_L - _SAMPLE_RTOL * span <= basis.z_ref <= z_R + _SAMPLE_RTOL * span):
+            raise ValueError(f"basis reference z = {basis.z_ref:g} lies outside section [{z_L:g}, {z_R:g}]")
+        if end_ops is not None and (end_ops[0].z != z_L or end_ops[1].z != z_R):
+            raise ValueError(
+                f"end operators at z = {end_ops[0].z:g}, {end_ops[1].z:g} do not match section [{z_L:g}, {z_R:g}]"
+            )
+        nodes = [(z_L, span / 6.0), (0.5 * (z_L + z_R), 4.0 * span / 6.0), (z_R, span / 6.0)]
+        known = [None, None, None] if end_ops is None else [end_ops[0], None, end_ops[1]]
+        # The reference sample is skipped: its deviation is exactly zero.
+        taken = [k for k, (zk, _) in enumerate(nodes) if not abs(zk - basis.z_ref) <= _SAMPLE_RTOL * max(span, 1.0)]
+        samples.append([(nodes[k][0], known[k]) for k in taken])
+        offsets.append([(z_R - nodes[k][0], nodes[k][0] - z_L) for k in taken])
+        weights.append([nodes[k][1] for k in taken])
+
+    missing = [(i, k) for i, chosen in enumerate(samples) for k, (_, ops_k) in enumerate(chosen) if ops_k is None]
+    if missing:
+        slices = [geometry.slice_at(spec, samples[i][k][0]) for i, k in missing]
+        for (i, k), ops_k in zip(missing, operators.assemble_stack(slices, spec)):
+            samples[i][k] = (samples[i][k][0], ops_k)
+
+    by_count: dict[int, list[int]] = {}
+    for i, chosen in enumerate(samples):
+        by_count.setdefault(len(chosen), []).append(i)
+    results: list[SectionResult] = [None] * len(sections)  # type: ignore[list-item]
+    for count, group in by_count.items():
+        bases = [sections[i][2] for i in group]
+        k0 = [b.k0 for b in bases]
+        lam_k0 = 1j * as_stack([b.lam for b in bases]) * np.array(k0)[:, None]
+        refs = [sections[i][3] for i in group]
+        deltas = [delta_stack([samples[i][k][1] for i in group], refs, bases) for k in range(count)]
+        # (S, G) views of the (G, S) per-section lists.
+        dz = np.array([offsets[i] for i in group]).reshape(len(group), count, 2).transpose(1, 0, 2)
+        terms = _first_order_terms(
+            lam_k0, k0, deltas, dz[..., None], np.array([weights[i] for i in group]).reshape(len(group), count).T
         )
-
-    samples = [(z_L, span / 6.0), (0.5 * (z_L + z_R), 4.0 * span / 6.0), (z_R, span / 6.0)]
-    known = [None, None, None] if end_ops is None else [end_ops[0], None, end_ops[1]]
-    sample_z, weights, deltas = [], [], []
-    for (zk, wk), ops_k in zip(samples, known):
-        if abs(zk - basis.z_ref) <= _SAMPLE_RTOL * max(span, 1.0):
-            continue  # the reference sample: its deviation is exactly zero
-        if ops_k is None:
-            ops_k = operators.assemble_operators(geometry.slice_at(spec, zk), spec)
-        sample_z.append(zk)
-        weights.append(wk)
-        deltas.append(delta_ab(ops_k, ref_ops, basis))
-
-    terms = _first_order_terms(basis, deltas, sample_z, weights, z_L, z_R)
-    est_error = max_abs(terms)
-    # The zeroth-order matrix adds only the diagonal transmission; the four
-    # blocks share the terms' buffer.
-    terms[0] += np.diag(propagation_factor(basis, span))
-    (t_lr, t_rl), (r_r, r_l) = terms
-    smat = ScatteringMatrix(
-        T_LR=t_lr,
-        R_R=r_r,
-        R_L=r_l,
-        T_RL=t_rl,
-        left_basis_id=basis.basis_id,
-        right_basis_id=basis.basis_id,
-    )
-    return SectionResult(smat=smat, est_error=est_error)
+        est_error = np.abs(terms).max(axis=(1, 2, 3, 4)).tolist()
+        # The zeroth-order matrix adds only the diagonal transmission; the
+        # four blocks of a section share its slot of the terms' buffer.
+        n = lam_k0.shape[1]
+        diagonal = np.zeros((len(group), 1, n * n), dtype=np.complex128)
+        diagonal[:, 0, :: n + 1] = np.exp(lam_k0 * np.array([[sections[i][1] - sections[i][0]] for i in group]))
+        terms[:, 0] += diagonal.reshape(len(group), 1, n, n)
+        for i, basis, ((t_lr, t_rl), (r_r, r_l)), est in zip(group, bases, terms, est_error):
+            smat = ScatteringMatrix(
+                T_LR=t_lr,
+                R_R=r_r,
+                R_L=r_l,
+                T_RL=t_rl,
+                left_basis_id=basis.basis_id,
+                right_basis_id=basis.basis_id,
+            )
+            results[i] = SectionResult(smat=smat, est_error=est)
+    return results

@@ -15,6 +15,24 @@ end), so it reuses the parent's eigendecomposition; ``total_eig_count``
 reflects that reuse. ``solve_uniform`` is the same engine with N pieces
 and alpha = inf: a fixed partition that is never refined.
 
+The engine works on a frontier: a stack of the open sections in z order,
+leftmost on top. Each round takes the B leftmost of them as one batch,
+B = max(1, 512 // n^2) for n modes (10 at n = 7, 1 from n = 17 up): their
+missing boundary and reference operators are assembled as one stack,
+their fresh bases are decomposed as one stack (one eigensolver call per
+section) and their first-order matrices are evaluated as one stack. Then,
+in z order, each section is accepted or refined, and the children of a
+refined section go back on top. Small n gains the most, because there a
+section's cost is per-call overhead rather than arithmetic. Equal pieces
+enter the frontier only as the batches reach them. The fold nesting is
+that of a depth-first recursion: each refined section keeps a running
+left fold of its children's composites, and the result fills its slot in
+its parent, so every join sees the operands it would see depth first and
+the output does not depend on B, bit for bit. Batching changes only the
+order in which sections are evaluated; an error inside a batched solve
+therefore reruns the solve one section at a time, which is the
+depth-first order and raises the error that order meets first.
+
 The final scattering matrix is re-expressed in the eigenbases of the end
 cross-sections (the slices at z_min and z_max) by two more joins, with an
 identity matrix in each port basis, so a solve with L leaves performs
@@ -30,9 +48,11 @@ right port. The port eigendecompositions are not charged to
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 from . import cascade, geometry, modal, operators, sections
 from .errors import MaxDepthExceededError
@@ -105,11 +125,56 @@ class _Composite:
     right_basis: ModalBasis
 
 
-# Operators at a section's two ends; None where nothing reads them.
-_Ends = tuple[OperatorPair | None, OperatorPair | None]
+# Matrix entries (sections x n^2) that one frontier batch evaluates
+# together: B = max(1, _BATCH_ENTRIES // n^2) sections, 10 at n = 7 and
+# 1 from n = 17 up. Larger stacks grew peak memory at n = 7 and were
+# slower than one section at a time at n >= 21.
+_BATCH_ENTRIES = 512
 
 # What the report keeps of an accepted section: (z_L, z_R, est_error).
 _Leaf = tuple[float, float, float]
+
+
+class _Boundary:
+    """A section boundary and its operators, shared by the two sections that meet there.
+
+    ``ops`` stays None until the section to its left is evaluated (and for
+    good when nothing reads the estimate), so each boundary is assembled once.
+    """
+
+    __slots__ = ("z", "ops")
+
+    def __init__(self, z: float, ops: OperatorPair | None = None) -> None:
+        self.z = z
+        self.ops = ops
+
+
+@dataclass(eq=False, slots=True)
+class _Fold:
+    """A refined section, or the whole structure: the running left fold of its children.
+
+    ``waiting[i]`` holds child i's composite and leaves from when it is
+    done until every child to its left has been folded in.
+    """
+
+    parent: _Fold | None
+    slot: int
+    waiting: list[tuple[_Composite, list[_Leaf]] | None]
+    acc: _Composite | None = None
+    leaves: list[_Leaf] = field(default_factory=list)
+    folded: int = 0
+
+
+@dataclass(eq=False, slots=True)
+class _Open:
+    """A section waiting to be evaluated, and the slot of its parent fold it fills."""
+
+    left: _Boundary
+    right: _Boundary
+    depth: int
+    reference: tuple[OperatorPair, ModalBasis] | None
+    parent: _Fold
+    slot: int
 
 
 def _reference_z(z_l: float, z_r: float, rule: ReferenceRule) -> float:
@@ -120,10 +185,8 @@ def _assemble(spec: StructureSpec, z: float) -> OperatorPair:
     return operators.assemble_operators(geometry.slice_at(spec, z), spec)
 
 
-def _build_basis(spec: StructureSpec, z: float, ends: _Ends) -> tuple[OperatorPair, ModalBasis]:
-    """Operators and eigenbasis at z; the endpoint rule's z reuses the section's right end."""
-    ops = ends[1] if ends[1] is not None and ends[1].z == z else _assemble(spec, z)
-    return ops, modal.eigen_basis(ops)
+def _assemble_stack(spec: StructureSpec, zs: list[float]) -> list[OperatorPair]:
+    return operators.assemble_stack([geometry.slice_at(spec, z) for z in zs], spec) if zs else []
 
 
 def port_bases(spec: StructureSpec) -> tuple[ModalBasis, ModalBasis]:
@@ -153,81 +216,172 @@ def _normalize_to_ports(comp: _Composite, root: tuple[OperatorPair, OperatorPair
     return cascade.join(smat, comp.right_basis, _identity(right_port), right_port)
 
 
+def _deliver(fold: _Fold, slot: int, comp: _Composite, leaves: list[_Leaf]) -> None:
+    """Fill a slot of a fold and fold in every child now contiguous from the left.
+
+    A fold that has all its children fills its own slot in its parent.
+    """
+    while True:
+        fold.waiting[slot] = (comp, leaves)
+        while fold.folded < len(fold.waiting) and fold.waiting[fold.folded] is not None:
+            child, child_leaves = fold.waiting[fold.folded]
+            fold.waiting[fold.folded] = None
+            fold.acc = child if fold.acc is None else _attach_right(fold.acc, child)
+            fold.leaves.extend(child_leaves)
+            fold.folded += 1
+        if fold.folded < len(fold.waiting) or fold.parent is None:
+            return
+        fold, slot, comp, leaves = fold.parent, fold.slot, fold.acc, fold.leaves
+
+
+def _split(section: _Open, m: int) -> list[_Open]:
+    """The m children of a refined section, in z order; child 1 keeps its reference."""
+    fold = _Fold(parent=section.parent, slot=section.slot, waiting=[None] * m)
+    z_l, z_r = section.left.z, section.right.z
+    bounds = [section.left, *(_Boundary(z_l + (z_r - z_l) * (i + 1) / m) for i in range(m - 1)), section.right]
+    return [
+        _Open(bounds[i], bounds[i + 1], section.depth + 1, section.reference if i == 1 else None, fold, i)
+        for i in range(m)
+    ]
+
+
+def _pieces(spec: StructureSpec, root: tuple[OperatorPair, OperatorPair], pieces: int, fold: _Fold) -> Iterator[_Open]:
+    """The equal root pieces in z order, made one at a time; each shares its left boundary."""
+    z_min, z_max = spec.z_min, spec.z_max
+    left = _Boundary(z_min, root[0])
+    for i in range(pieces):
+        right = _Boundary(z_max, root[1]) if i == pieces - 1 else _Boundary(z_min + (z_max - z_min) * (i + 1) / pieces)
+        yield _Open(left, right, 0, None, fold, i)
+        left = right
+
+
+def _own_blocks(smat: ScatteringMatrix) -> ScatteringMatrix:
+    """A copy of a scattering matrix whose blocks hold no view of a batch buffer."""
+    return ScatteringMatrix(
+        T_LR=smat.T_LR.copy(),
+        R_R=smat.R_R.copy(),
+        R_L=smat.R_L.copy(),
+        T_RL=smat.T_RL.copy(),
+        left_basis_id=smat.left_basis_id,
+        right_basis_id=smat.right_basis_id,
+    )
+
+
+def _refine(
+    spec: StructureSpec,
+    config: SolverConfig,
+    root: tuple[OperatorPair, OperatorPair],
+    pieces: int,
+    batch: int,
+) -> tuple[_Fold, dict[str, int]]:
+    """Evaluate the frontier ``batch`` sections at a time; returns the completed root fold.
+
+    The open sections sit on a stack in z order, leftmost on top. Each
+    round takes the ``batch`` leftmost of them, topping up from the root
+    pieces, which are made only when needed, and pushes back the children
+    of the sections it refines. With ``batch`` = 1 this is the depth-first
+    order, operation by operation.
+    """
+    counters = {"eig": 0, "solved": 0}
+    whole = _Fold(parent=None, slot=0, waiting=[None] * pieces)
+    unmade = _pieces(spec, root, pieces, whole)
+    stack: list[_Open] = []
+    while True:
+        taken = [stack.pop() for _ in range(min(batch, len(stack)))]
+        taken.extend(itertools.islice(unmade, batch - len(taken)))
+        if not taken:
+            return whole, counters
+        stack.extend(reversed(_evaluate(spec, config, taken, counters)))
+
+
+def _evaluate(spec: StructureSpec, config: SolverConfig, taken: list[_Open], counters: dict[str, int]) -> list[_Open]:
+    """One round: evaluate the sections ``taken`` (in z order) and return the children to push.
+
+    Missing right boundaries are assembled as one stack and fresh
+    references as one stack, decomposed as one stack, and every section is
+    solved at first order as one stack; then, in z order, each section is
+    accepted into its slot of the parent fold or split. The round's
+    temporaries are released on return, before the next round allocates.
+    """
+    rule = config.reference_rule
+    estimate = config.order == 1 or config.alpha < math.inf
+    if estimate:
+        bounds = [s.right for s in taken if s.right.ops is None]
+        for bound, ops in zip(bounds, _assemble_stack(spec, [b.z for b in bounds])):
+            bound.ops = ops
+    fresh: list[_Open] = []
+    ref_ops: list[OperatorPair | None] = []
+    missing: list[tuple[int, float]] = []
+    for s in taken:
+        if s.reference is None:
+            z = _reference_z(s.left.z, s.right.z, rule)
+            # The endpoint rule's reference reuses the section's right end.
+            ops = s.right.ops if s.right.ops is not None and s.right.ops.z == z else None
+            if ops is None:
+                missing.append((len(fresh), z))
+            fresh.append(s)
+            ref_ops.append(ops)
+    for (i, _), ops in zip(missing, _assemble_stack(spec, [z for _, z in missing])):
+        ref_ops[i] = ops
+    for s, ops, basis in zip(fresh, ref_ops, modal.eigen_basis_stack(ref_ops) if fresh else []):
+        s.reference = (ops, basis)
+    counters["eig"] += len(fresh)
+    counters["solved"] += len(taken)
+
+    if not estimate:
+        for s in taken:
+            basis = s.reference[1]
+            smat = sections.zeroth_order_smatrix(basis, s.left.z, s.right.z)
+            _deliver(s.parent, s.slot, _Composite(smat, basis, basis), [(s.left.z, s.right.z, 0.0)])
+        return []
+    results = sections.first_order_stack(
+        spec, [(s.left.z, s.right.z, s.reference[1], s.reference[0], (s.left.ops, s.right.ops)) for s in taken]
+    )
+    children: list[_Open] = []
+    for s, result in zip(taken, results):
+        z_l, z_r, basis = s.left.z, s.right.z, s.reference[1]
+        if result.est_error < config.alpha:
+            if config.order == 0:
+                smat = sections.zeroth_order_smatrix(basis, z_l, z_r)
+            else:
+                smat = _own_blocks(result.smat) if len(taken) > 1 else result.smat
+            _deliver(s.parent, s.slot, _Composite(smat, basis, basis), [(z_l, z_r, result.est_error)])
+        elif s.depth >= _MAX_DEPTH:
+            raise MaxDepthExceededError(
+                f"section [{z_l:g}, {z_r:g}] still has estimated error "
+                f"{result.est_error:.3e} >= alpha = {config.alpha:.3e} at depth {s.depth}; "
+                "the structure is too singular for this accuracy"
+            )
+        else:
+            children.extend(_split(s, _SUBDIVISIONS[rule]))
+    return children
+
+
 def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveReport:
     """Cut [z_min, z_max] into ``pieces`` equal sections and refine each down to alpha.
 
-    Every node receives the operators at its own ends from its parent and
-    assembles its inner child boundaries once, handing each to the two
-    children that share it. The recursion is depth first, so only
-    O(depth) operator pairs are alive at a time. At order 0 with
-    alpha = inf nothing reads the estimate: sections are solved at zeroth
-    order directly and no inner boundary is assembled.
+    Every section receives the operators at its own ends; a refined
+    section's inner child boundaries are each assembled once, for the two
+    children that share them. At order 0 with alpha = inf nothing reads the
+    estimate: sections are solved at zeroth order directly and no inner
+    boundary is assembled. A batch evaluates sections out of depth-first
+    order, so after any error the solve is rerun one section at a time,
+    which raises the error the depth-first order meets first.
     """
     started = time.perf_counter()
-    counters = {"eig": 0, "solved": 0}
-    rule = config.reference_rule
-    estimate = config.order == 1 or config.alpha < math.inf
-
-    def solve_node(
-        z_l: float,
-        z_r: float,
-        ends: _Ends,
-        depth: int,
-        inherited: tuple[OperatorPair, ModalBasis] | None,
-    ) -> tuple[_Composite, list[_Leaf]]:
-        if inherited is None:
-            ops, basis = _build_basis(spec, _reference_z(z_l, z_r, rule), ends)
-            local_eigs = 1
-        else:
-            ops, basis = inherited
-            local_eigs = 0
-        counters["eig"] += local_eigs
-        counters["solved"] += 1
-        if not estimate:
-            return _Composite(sections.zeroth_order_smatrix(basis, z_l, z_r), basis, basis), [(z_l, z_r, 0.0)]
-        result = sections.first_order_smatrix(spec, z_l, z_r, basis, ops, end_ops=ends)
-
-        if result.est_error < config.alpha:
-            smat = result.smat if config.order == 1 else sections.zeroth_order_smatrix(basis, z_l, z_r)
-            return _Composite(smat, basis, basis), [(z_l, z_r, result.est_error)]
-
-        if depth >= _MAX_DEPTH:
-            raise MaxDepthExceededError(
-                f"section [{z_l:g}, {z_r:g}] still has estimated error "
-                f"{result.est_error:.3e} >= alpha = {config.alpha:.3e} at depth {depth}; "
-                "the structure is too singular for this accuracy"
-            )
-        return solve_children(z_l, z_r, ends, _SUBDIVISIONS[rule], depth + 1, (ops, basis))
-
-    def solve_children(
-        z_l: float,
-        z_r: float,
-        ends: _Ends,
-        m: int,
-        depth: int,
-        parent: tuple[OperatorPair, ModalBasis] | None,
-    ) -> tuple[_Composite, list[_Leaf]]:
-        comp: _Composite | None = None
-        leaves: list[_Leaf] = []
-        z_a, left_ops = z_l, ends[0]
-        for i in range(m):
-            last = i == m - 1
-            z_b = z_r if last else z_l + (z_r - z_l) * (i + 1) / m
-            right_ops = ends[1] if last else (_assemble(spec, z_b) if estimate else None)
-            # Under both rules child 1 has its parent's reference position.
-            inherited = parent if i == 1 else None
-            child_comp, child_leaves = solve_node(z_a, z_b, (left_ops, right_ops), depth, inherited)
-            leaves.extend(child_leaves)
-            comp = child_comp if comp is None else _attach_right(comp, child_comp)
-            z_a, left_ops = z_b, right_ops
-        return comp, leaves
-
+    batch = max(1, _BATCH_ENTRIES // (2 * spec.truncation_order + 1) ** 2)
     root = (_assemble(spec, spec.z_min), _assemble(spec, spec.z_max))
-    comp, leaves = solve_children(spec.z_min, spec.z_max, root, pieces, 0, None)
-    smat = _normalize_to_ports(comp, root)
+    try:
+        whole, counters = _refine(spec, config, root, pieces, batch)
+    except Exception:
+        if batch == 1:
+            raise
+        # One section at a time is the depth-first order: the rerun raises the error it meets first.
+        whole, counters = _refine(spec, config, root, pieces, 1)
+    smat = _normalize_to_ports(whole.acc, root)
     return SolveReport(
         smat=smat,
-        sections=tuple(leaves),
+        sections=tuple(whole.leaves),
         total_eig_count=counters["eig"],
         total_wall_time=time.perf_counter() - started,
         sections_solved=counters["solved"],
@@ -255,12 +409,12 @@ def solve_uniform(
 
 
 def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
-    """Recursive adaptive subdivision down to the error bound alpha.
+    """Adaptive subdivision down to the error bound alpha.
 
     The solve engine with the whole structure as one piece. A section
     whose estimated error stays below alpha is accepted as a leaf;
     otherwise it is split evenly into 3 subsections (midpoint rule) or 2
-    (endpoint rule) that are solved recursively and joined. The
+    (endpoint rule) that are solved in turn and joined. The
     estimate is always the first-order one; ``config.order`` selects
     which scattering matrix a leaf contributes. Raises
     MaxDepthExceededError when a section still reaches alpha at depth 20,

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import warnings
 
 import pytest
 
@@ -314,3 +315,25 @@ def test_non_finite_numbers_exit2_naming_the_key(tmp_path, capsys, case):
     code = cli.main(["solve", "--structure", str(path), "--alpha", "1e-2"])
     assert code == 2
     assert f"{key} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("wavelength_um: 1.55", "wavelength_um: 1.0e+300"),
+        ("wavelength_um: 1.55", "wavelength_um: 1.0e+160"),
+        ("period_x_um: 1.0", "period_x_um: 1.0e-160"),
+    ],
+    ids=["wavelength-1e300", "wavelength-1e160", "period-x-1e-160"],
+)
+def test_overflowing_transverse_wavevector_exit2_naming_the_keys(tmp_path, capsys, old, new):
+    """A finite wavelength or period whose squared wavevector overflows is an input error, not a numeric one."""
+    path = tmp_path / "overflow.spec"
+    path.write_text(TAPER_DOC.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", "--structure", str(path), "--alpha", "1e-2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "wavelength_um" in err and "period_x_um" in err
+    assert "is not finite" in err

@@ -18,10 +18,10 @@ from conftest import uniform_slice, uniform_spec
 
 def eps_coefficients(slc, order):
     """Fourier coefficients of eps(x) and 1/eps(x), m in [-2*order, 2*order], as assembly computes them."""
-    table = _phase_table(slc, order)
+    table = _phase_table(np.array([[(x0, x1) for x0, x1, _ in slc.intervals]]), slc.period_x, order)
     values = [eps for _, _, eps in slc.intervals]
     inverse = [1.0 / eps for eps in values]
-    return _piecewise_coefficients(slc, values, table), _piecewise_coefficients(slc, inverse, table)
+    return _piecewise_coefficients([slc], [values], table)[0], _piecewise_coefficients([slc], [inverse], table)[0]
 
 
 def step_slice(period=1.0, x0=0.0, x1=0.5, eps_in=4.0, eps_out=1.0):

@@ -159,13 +159,20 @@ def test_estimator_is_max_norm_of_integral_terms(rng):
         for _ in range(3)
     ]
     sample_z = [0.0, 0.5, 1.0]
-    weights = [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0]
-    terms = _first_order_terms(basis, deltas, sample_z, weights, 0.0, 1.0)
+    weights = np.array([[1.0 / 6.0], [4.0 / 6.0], [1.0 / 6.0]])
+
+    def section_terms(deltas):
+        # Stacks of one section: deviations (1, n, n) per sample, distances to z_R and from z_L.
+        dz = np.array([(1.0 - z, z - 0.0) for z in sample_z]).reshape(3, 1, 2, 1)
+        lam_k0 = 1j * basis.lam[None] * basis.k0
+        stacked = [(d_a[None], d_b[None]) for d_a, d_b in deltas]
+        return _first_order_terms(lam_k0, [basis.k0], stacked, dz, weights)[0]
+
+    terms = section_terms(deltas)
     eps = max_abs(terms)
     assert eps == max(max_abs(block) for pair in terms for block in pair)
     # Linearity: scaling every deviation scales the estimate.
-    scaled = [(3.0 * d_a, 3.0 * d_b) for d_a, d_b in deltas]
-    terms3 = _first_order_terms(basis, scaled, sample_z, weights, 0.0, 1.0)
+    terms3 = section_terms([(3.0 * d_a, 3.0 * d_b) for d_a, d_b in deltas])
     assert max_abs(terms3) == pytest.approx(3.0 * eps, rel=1e-12)
 
 

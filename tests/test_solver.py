@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arcwa import cascade, modal, numerics, operators, sections
+from arcwa import cascade, modal, numerics, operators, sections, solver
 from arcwa.errors import MaxDepthExceededError
 from arcwa.geometry import parse_structure
 from arcwa.harness import max_norm_difference
@@ -208,10 +208,15 @@ def test_adaptive_determinism(taper_spec):
     assert np.array_equal(r1.smat.T_RL, r2.smat.T_RL)
 
 
-def test_adaptive_max_depth(taper_spec):
-    # No estimate is below alpha = 0, so the recursion reaches the depth limit.
-    with pytest.raises(MaxDepthExceededError, match="at depth 20"):
+def test_adaptive_max_depth(taper_spec, monkeypatch):
+    # No estimate is below alpha = 0, so the refinement reaches the depth limit.
+    with pytest.raises(MaxDepthExceededError, match="at depth 20") as batched:
         solve_adaptive(taper_spec, SolverConfig(alpha=0.0))
+    # A batch meets the limit out of depth-first order; the error is the depth-first one.
+    monkeypatch.setattr(solver, "_BATCH_ENTRIES", 1)
+    with pytest.raises(MaxDepthExceededError) as depth_first:
+        solve_adaptive(taper_spec, SolverConfig(alpha=0.0))
+    assert str(batched.value) == str(depth_first.value)
 
 
 def test_adaptive_order0_uses_zeroth_order_leaves(taper_spec, taper_oracle):
@@ -310,13 +315,29 @@ def counted(monkeypatch, module, name):
     return calls
 
 
+def counted_entries(monkeypatch, module, name):
+    """Replace the stacked kernel ``module.name`` with a wrapper; returns every stack entry it was given.
+
+    The per-slice functions are stacks of one of these kernels, so this counts their calls too.
+    """
+    entries = []
+    original = getattr(module, name)
+
+    def wrapper(stack, *args, **kwargs):
+        entries.extend(stack)
+        return original(stack, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return entries
+
+
 @pytest.mark.parametrize("case", COUNTER_CASES.values(), ids=COUNTER_CASES.keys())
 def test_operator_and_guard_counters(taper_spec, monkeypatch, case):
     """Boundaries are assembled once, the ports add no assembly, each interface is one
     factorization, and no guard needs the SVD fallback."""
     solve, assemblies, solved, eigs, eigen_basis_calls, factorizations = case
-    assembled = counted(monkeypatch, operators, "assemble_operators")
-    decomposed = counted(monkeypatch, modal, "eigen_basis")
+    assembled = counted_entries(monkeypatch, operators, "assemble_stack")
+    decomposed = counted_entries(monkeypatch, modal, "eigen_basis_stack")
     exact_conds = counted(monkeypatch, numerics, "condition_number")
     factored = counted(monkeypatch, numerics, "guarded_solve")
     # Modules that imported the guard by name share the same count.
@@ -333,26 +354,73 @@ def test_operator_and_guard_counters(taper_spec, monkeypatch, case):
 
 @pytest.mark.parametrize("case", REUSE_CASES.values(), ids=REUSE_CASES.keys())
 def test_handed_down_operators_match_fresh_assembly(taper_spec, monkeypatch, case):
-    """Every leaf re-solved with freshly assembled end operators is bit-identical."""
+    """Every leaf re-solved alone with freshly assembled end operators is bit-identical."""
     solve = case[0]
-    original = sections.first_order_smatrix
+    original = sections.first_order_stack
     solved = {}
 
-    def recording(*args, **kwargs):
-        result = original(*args, **kwargs)
-        solved[args[1:3]] = (args, kwargs, result)
-        return result
+    def recording(spec, stack):
+        results = original(spec, stack)
+        for section, result in zip(stack, results):
+            solved[section[:2]] = (section, result)
+        return results
 
-    monkeypatch.setattr(sections, "first_order_smatrix", recording)
+    monkeypatch.setattr(sections, "first_order_stack", recording)
     report = solve(taper_spec)
     assert len(report.sections) > 1
     for z_l, z_r, est_error in report.sections:
-        args, kwargs, used = solved[(z_l, z_r)]
-        assert kwargs["end_ops"] is not None
-        fresh = original(*args, **{**kwargs, "end_ops": None})
+        (_, _, basis, ref_ops, end_ops), used = solved[(z_l, z_r)]
+        assert end_ops is not None
+        fresh = original(taper_spec, [(z_l, z_r, basis, ref_ops, None)])[0]
         assert fresh.est_error == used.est_error == est_error
         for block in ("T_LR", "R_R", "R_L", "T_RL"):
             assert np.array_equal(getattr(fresh.smat, block), getattr(used.smat, block))
+
+
+SINUSOID_DOC = TAPER_DOC.replace(
+    "{kind: linear, start: 0.26, end: 0.37}", "{kind: sinusoidal, mean: 0.3, amplitude: 0.05, period_z: 0.7}"
+)
+BATCH_SOLVES = {
+    **{f"adaptive-alpha{alpha:g}": (lambda spec, rule, order, alpha=alpha: solve_adaptive(
+        spec, SolverConfig(alpha=alpha, reference_rule=rule, order=order))) for alpha in (1e-2, 1e-3, 1e-4)},
+    **{f"uniform-N{n}": (lambda spec, rule, order, n=n: solve_uniform(spec, n, order=order, reference_rule=rule))
+       for n in (1, 7, 64)},
+}
+
+
+@pytest.mark.parametrize("truncation", [3, 10], ids=["n7", "n21"])
+@pytest.mark.parametrize("loss", ["0.0", "0.001"], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+@pytest.mark.parametrize("doc", [TAPER_DOC, SINUSOID_DOC], ids=["taper", "sinusoid"])
+def test_batching_is_invisible(monkeypatch, doc, polarization, loss, truncation):
+    """Evaluating the frontier in batches gives what one section at a time gives, bit for bit."""
+    doc = doc.replace("polarization: TE", f"polarization: {polarization}").replace(
+        "eps: [12.25, 0.0]", f"eps: [12.25, {loss}]"
+    )
+    spec = parse_structure(doc.replace("truncation_order: 3", f"truncation_order: {truncation}"))
+    runs = [
+        (name, rule, order)
+        for name in BATCH_SOLVES
+        for rule in ReferenceRule
+        for order in (0, 1)
+        # Deeper adaptive runs cost up to seconds each. At n = 21 a batch holds one section anyway, and
+        # at alpha = 1e-4 order 0 only swaps the leaves of the order-1 tree.
+        if not (name == "adaptive-alpha0.0001" and (truncation == 10 or order == 0))
+        and not (truncation == 10 and name == "adaptive-alpha0.001")
+    ]
+    batched = [BATCH_SOLVES[name](spec, rule, order) for name, rule, order in runs]
+    monkeypatch.setattr(solver, "_BATCH_ENTRIES", 1)
+    for run, report in zip(runs, batched):
+        expected = BATCH_SOLVES[run[0]](spec, *run[1:])
+        for block in ("T_LR", "R_R", "R_L", "T_RL"):
+            assert np.array_equal(getattr(report.smat, block), getattr(expected.smat, block)), run
+        assert (report.smat.left_basis_id, report.smat.right_basis_id) == (
+            expected.smat.left_basis_id,
+            expected.smat.right_basis_id,
+        ), run
+        assert report.sections == expected.sections, run
+        assert report.sections_solved == expected.sections_solved, run
+        assert report.total_eig_count == expected.total_eig_count, run
 
 
 def full_smatrix(smat):

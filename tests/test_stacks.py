@@ -1,0 +1,81 @@
+"""Stacked kernels: every entry of a stack equals the call on that entry alone, bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arcwa.errors import NumericalError
+from arcwa.geometry import PermittivitySlice, Polarization
+from arcwa.modal import eigen_basis, eigen_basis_stack
+from arcwa.operators import assemble_operators, assemble_stack
+from arcwa.sections import first_order_smatrix, first_order_stack
+
+from conftest import uniform_spec
+
+
+@st.composite
+def random_slice(draw, z, lossy, period):
+    """A slice of 1-6 intervals with eps in [1, 13]; lossy ones get Im(eps) in (0, 1]."""
+    k = draw(st.integers(1, 6))
+    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=k - 1, max_size=k - 1, unique=True))
+    bounds = [0.0, *(period * cut for cut in sorted(cuts)), period]
+    loss = st.floats(1e-6, 1.0) if lossy else st.just(0.0)
+    values = draw(st.lists(st.builds(complex, st.floats(1.0, 13.0), loss), min_size=k, max_size=k))
+    return PermittivitySlice(z=z, period_x=period, intervals=tuple(zip(bounds, bounds[1:], values)))
+
+
+# Reference positions inside the section [0, 1]: the midpoint and right-end samples are skipped,
+# an interior one keeps all three, so one stack mixes sample counts.
+REFERENCE_Z = (0.5, 1.0, 0.25)
+
+
+@st.composite
+def section_stacks(draw):
+    """1-5 sections on [0, 1], each (left, reference, right) slices; lossless and lossy mixed."""
+    period = draw(st.floats(0.5, 2.0))
+    stack = []
+    for _ in range(draw(st.integers(1, 5))):
+        lossy = draw(st.booleans())
+        z_ref = draw(st.sampled_from(REFERENCE_Z))
+        stack.append(tuple(draw(random_slice(z, lossy, period)) for z in (0.0, z_ref, 1.0)))
+    return stack
+
+
+def assert_same(stacked, single, names):
+    for name in names:
+        assert np.array_equal(getattr(stacked, name), getattr(single, name)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=section_stacks(), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
+def test_stacked_kernels_equal_single_calls_bit_for_bit(stack, order, polarization):
+    # The background is the mid sample of sections whose reference is not the midpoint.
+    spec = uniform_spec(2.25, 1.0, polarization=polarization, order=order)
+    slices = [slc for section in stack for slc in section]
+    ops = assemble_stack(slices, spec)
+    for slc, stacked in zip(slices, ops):
+        assert_same(stacked, assemble_operators(slc, spec), ("P", "Q"))
+        assert stacked.z == slc.z
+
+    refs = ops[1::3]
+    try:
+        singles = [eigen_basis(ref) for ref in refs]
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            eigen_basis_stack(refs)
+        return
+    bases = eigen_basis_stack(refs)
+    for stacked, single in zip(bases, singles):
+        assert_same(stacked, single, ("W", "V", "lam", "W_inv", "V_inv"))
+        assert stacked.basis_id == single.basis_id
+
+    sections = [(0.0, 1.0, basis, ops[3 * i + 1], (ops[3 * i], ops[3 * i + 2])) for i, basis in enumerate(bases)]
+    for section, stacked in zip(sections, first_order_stack(spec, sections)):
+        single = first_order_smatrix(spec, *section[:4], end_ops=section[4])
+        assert_same(stacked.smat, single.smat, ("T_LR", "R_R", "R_L", "T_RL"))
+        assert (stacked.smat.left_basis_id, stacked.smat.right_basis_id) == (
+            single.smat.left_basis_id,
+            single.smat.right_basis_id,
+        )
+        assert stacked.est_error == single.est_error
