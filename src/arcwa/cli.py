@@ -7,7 +7,8 @@ Subcommands:
   validate  run the built-in analytic oracle checks
 
 Exit codes: 0 on success, 2 on input errors (bad flags, missing files,
-invalid structure documents), 3 on numeric failures.
+output paths that cannot be written, invalid structure documents), 3 on
+numeric failures.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, StructureError, ValueError) as exc:
+    except (OSError, StructureError, ValueError) as exc:
         print(f"arcwa: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ArcwaError as exc:

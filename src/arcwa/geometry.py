@@ -78,7 +78,8 @@ class ExponentialProfile:
 
     value(t) = start + (end - start) * expm1(rate*t) / expm1(rate) with
     t in [0, 1]; monotone for any rate != 0, so range bounds are the
-    endpoint values.
+    endpoint values. For rate > 0 the ramp is evaluated in the equal form
+    exp(rate*(t-1)) * expm1(-rate*t) / expm1(-rate), which cannot overflow.
     """
 
     start: float
@@ -92,7 +93,12 @@ class ExponentialProfile:
     def at(self, z: float) -> float:
         t = (z - self.z_start) / (self.z_end - self.z_start)
         t = min(max(t, 0.0), 1.0)
-        return self.start + (self.end - self.start) * math.expm1(self.rate * t) / math.expm1(self.rate)
+        rate = self.rate
+        if rate > 0.0:
+            ramp = math.exp(rate * (t - 1.0)) * math.expm1(-rate * t) / math.expm1(-rate)
+        else:
+            ramp = math.expm1(rate * t) / math.expm1(rate)
+        return self.start + (self.end - self.start) * ramp
 
     def bounds(self) -> tuple[float, float]:
         return (min(self.start, self.end), max(self.start, self.end))

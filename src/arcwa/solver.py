@@ -3,9 +3,11 @@
 The engine cuts [z_min, z_max] into equal pieces, solves each section in
 the eigenbasis of its reference position and subdivides it evenly into M
 subsections whenever its estimated error reaches the user bound alpha.
-Accepted sections are folded left to right: each section boundary is one
-``cascade.join``, which writes field continuity between the two bases and
-composes the scattering matrices with a single guarded factorization.
+Accepted sections are folded strictly left to right, in z order: each
+section boundary is one ``cascade.join``, which writes field continuity
+between the two bases and composes the scattering matrices with a single
+guarded factorization. The star product is associative, so this plain
+cascade is as valid a grouping as any other.
 
 ``solve_adaptive`` starts from the whole structure as a single piece. M
 follows the reference rule: 3 under the midpoint rule, 2 under the
@@ -24,14 +26,12 @@ section) and their first-order matrices are evaluated as one stack. Then,
 in z order, each section is accepted or refined, and the children of a
 refined section go back on top. Small n gains the most, because there a
 section's cost is per-call overhead rather than arithmetic. Equal pieces
-enter the frontier only as the batches reach them. The fold nesting is
-that of a depth-first recursion: each refined section keeps a running
-left fold of its children's composites, and the result fills its slot in
-its parent, so every join sees the operands it would see depth first and
-the output does not depend on B, bit for bit. Batching changes only the
-order in which sections are evaluated; an error inside a batched solve
-therefore reruns the solve one section at a time, which is the
-depth-first order and raises the error that order meets first.
+enter the frontier only as the batches reach them. An accepted section
+waits, keyed by its left boundary, until every section to its left has
+been folded; so the joins, and the output, do not depend on B. Batching
+changes only the order in which sections are evaluated; an error inside a
+batched solve therefore reruns the solve one section at a time, which is
+the depth-first order and raises the error that order meets first.
 
 The final scattering matrix is re-expressed in the eigenbases of the end
 cross-sections (the slices at z_min and z_max) by two more joins, with an
@@ -52,7 +52,7 @@ import itertools
 import math
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cascade, geometry, modal, operators, sections
 from .errors import MaxDepthExceededError
@@ -116,15 +116,6 @@ class SolveReport:
     sections_solved: int
 
 
-@dataclass
-class _Composite:
-    """Accumulated scattering matrix with its live boundary bases."""
-
-    smat: ScatteringMatrix
-    left_basis: ModalBasis
-    right_basis: ModalBasis
-
-
 # Matrix entries (sections x n^2) that one frontier batch evaluates
 # together: B = max(1, _BATCH_ENTRIES // n^2) sections, 10 at n = 7 and
 # 1 from n = 17 up. Larger stacks grew peak memory at n = 7 and were
@@ -150,39 +141,22 @@ class _Boundary:
 
 
 @dataclass(eq=False, slots=True)
-class _Fold:
-    """A refined section, or the whole structure: the running left fold of its children.
-
-    ``waiting[i]`` holds child i's composite and leaves from when it is
-    done until every child to its left has been folded in.
-    """
-
-    parent: _Fold | None
-    slot: int
-    waiting: list[tuple[_Composite, list[_Leaf]] | None]
-    acc: _Composite | None = None
-    leaves: list[_Leaf] = field(default_factory=list)
-    folded: int = 0
-
-
-@dataclass(eq=False, slots=True)
 class _Open:
-    """A section waiting to be evaluated, and the slot of its parent fold it fills."""
+    """A section waiting to be evaluated."""
 
     left: _Boundary
     right: _Boundary
     depth: int
     reference: tuple[OperatorPair, ModalBasis] | None
-    parent: _Fold
-    slot: int
+
+
+# An accepted section, keyed by its left boundary until the fold reaches it:
+# (right boundary, scattering matrix, reference basis, leaf).
+_Accepted = tuple[_Boundary, ScatteringMatrix, ModalBasis, _Leaf]
 
 
 def _reference_z(z_l: float, z_r: float, rule: ReferenceRule) -> float:
     return 0.5 * (z_l + z_r) if rule is ReferenceRule.MIDPOINT else z_r
-
-
-def _assemble(spec: StructureSpec, z: float) -> OperatorPair:
-    return operators.assemble_operators(geometry.slice_at(spec, z), spec)
 
 
 def _assemble_stack(spec: StructureSpec, zs: list[float]) -> list[OperatorPair]:
@@ -191,80 +165,39 @@ def _assemble_stack(spec: StructureSpec, zs: list[float]) -> list[OperatorPair]:
 
 def port_bases(spec: StructureSpec) -> tuple[ModalBasis, ModalBasis]:
     """End cross-section bases that solve results are expressed in (not cached)."""
-    return modal.eigen_basis(_assemble(spec, spec.z_min)), modal.eigen_basis(_assemble(spec, spec.z_max))
-
-
-def _attach_right(acc: _Composite, piece: _Composite) -> _Composite:
-    """Join a piece onto the accumulated composite at their shared plane."""
-    return _Composite(
-        smat=cascade.join(acc.smat, acc.right_basis, piece.smat, piece.left_basis),
-        left_basis=acc.left_basis,
-        right_basis=piece.right_basis,
-    )
+    left, right = _assemble_stack(spec, [spec.z_min, spec.z_max])
+    return modal.eigen_basis(left), modal.eigen_basis(right)
 
 
 def _identity(basis: ModalBasis) -> ScatteringMatrix:
     return sections.zeroth_order_smatrix(basis, basis.z_ref, basis.z_ref)
 
 
-def _normalize_to_ports(comp: _Composite, root: tuple[OperatorPair, OperatorPair]) -> ScatteringMatrix:
-    """Join identities in the port bases onto both ends of the composite."""
+def _normalize_to_ports(
+    smat: ScatteringMatrix, first: ModalBasis, last: ModalBasis, root: tuple[OperatorPair, OperatorPair]
+) -> ScatteringMatrix:
+    """Join identities in the port bases onto both ends of ``smat``, which runs from basis ``first`` to ``last``."""
     left_port = modal.eigen_basis(root[0])
     # A last basis at z_max was decomposed from root[1] itself, so it is the right port.
-    right_port = comp.right_basis if comp.right_basis.z_ref == root[1].z else modal.eigen_basis(root[1])
-    smat = cascade.join(_identity(left_port), left_port, comp.smat, comp.left_basis)
-    return cascade.join(smat, comp.right_basis, _identity(right_port), right_port)
-
-
-def _deliver(fold: _Fold, slot: int, comp: _Composite, leaves: list[_Leaf]) -> None:
-    """Fill a slot of a fold and fold in every child now contiguous from the left.
-
-    A fold that has all its children fills its own slot in its parent.
-    """
-    while True:
-        fold.waiting[slot] = (comp, leaves)
-        while fold.folded < len(fold.waiting) and fold.waiting[fold.folded] is not None:
-            child, child_leaves = fold.waiting[fold.folded]
-            fold.waiting[fold.folded] = None
-            fold.acc = child if fold.acc is None else _attach_right(fold.acc, child)
-            fold.leaves.extend(child_leaves)
-            fold.folded += 1
-        if fold.folded < len(fold.waiting) or fold.parent is None:
-            return
-        fold, slot, comp, leaves = fold.parent, fold.slot, fold.acc, fold.leaves
+    right_port = last if last.z_ref == root[1].z else modal.eigen_basis(root[1])
+    smat = cascade.join(_identity(left_port), left_port, smat, first)
+    return cascade.join(smat, last, _identity(right_port), right_port)
 
 
 def _split(section: _Open, m: int) -> list[_Open]:
     """The m children of a refined section, in z order; child 1 keeps its reference."""
-    fold = _Fold(parent=section.parent, slot=section.slot, waiting=[None] * m)
     z_l, z_r = section.left.z, section.right.z
     bounds = [section.left, *(_Boundary(z_l + (z_r - z_l) * (i + 1) / m) for i in range(m - 1)), section.right]
-    return [
-        _Open(bounds[i], bounds[i + 1], section.depth + 1, section.reference if i == 1 else None, fold, i)
-        for i in range(m)
-    ]
+    return [_Open(bounds[i], bounds[i + 1], section.depth + 1, section.reference if i == 1 else None) for i in range(m)]
 
 
-def _pieces(spec: StructureSpec, root: tuple[OperatorPair, OperatorPair], pieces: int, fold: _Fold) -> Iterator[_Open]:
-    """The equal root pieces in z order, made one at a time; each shares its left boundary."""
+def _pieces(spec: StructureSpec, left: _Boundary, end: OperatorPair, pieces: int) -> Iterator[_Open]:
+    """The equal root pieces in z order from ``left``, made one at a time; each shares its left boundary."""
     z_min, z_max = spec.z_min, spec.z_max
-    left = _Boundary(z_min, root[0])
     for i in range(pieces):
-        right = _Boundary(z_max, root[1]) if i == pieces - 1 else _Boundary(z_min + (z_max - z_min) * (i + 1) / pieces)
-        yield _Open(left, right, 0, None, fold, i)
+        right = _Boundary(z_max, end) if i == pieces - 1 else _Boundary(z_min + (z_max - z_min) * (i + 1) / pieces)
+        yield _Open(left, right, 0, None)
         left = right
-
-
-def _own_blocks(smat: ScatteringMatrix) -> ScatteringMatrix:
-    """A copy of a scattering matrix whose blocks hold no view of a batch buffer."""
-    return ScatteringMatrix(
-        T_LR=smat.T_LR.copy(),
-        R_R=smat.R_R.copy(),
-        R_L=smat.R_L.copy(),
-        T_RL=smat.T_RL.copy(),
-        left_basis_id=smat.left_basis_id,
-        right_basis_id=smat.right_basis_id,
-    )
 
 
 def _refine(
@@ -273,35 +206,54 @@ def _refine(
     root: tuple[OperatorPair, OperatorPair],
     pieces: int,
     batch: int,
-) -> tuple[_Fold, dict[str, int]]:
-    """Evaluate the frontier ``batch`` sections at a time; returns the completed root fold.
+) -> tuple[ScatteringMatrix, ModalBasis, ModalBasis, list[_Leaf], dict[str, int]]:
+    """Evaluate the frontier ``batch`` sections at a time and fold the leaves left to right.
 
     The open sections sit on a stack in z order, leftmost on top. Each
     round takes the ``batch`` leftmost of them, topping up from the root
     pieces, which are made only when needed, and pushes back the children
     of the sections it refines. With ``batch`` = 1 this is the depth-first
-    order, operation by operation.
+    order, operation by operation. After each round the running fold takes
+    in every accepted section that now adjoins its right edge. Returns the
+    fold, its first and last leaf bases, the leaves and the counters.
     """
     counters = {"eig": 0, "solved": 0}
-    whole = _Fold(parent=None, slot=0, waiting=[None] * pieces)
-    unmade = _pieces(spec, root, pieces, whole)
+    edge = _Boundary(spec.z_min, root[0])
+    unmade = _pieces(spec, edge, root[1], pieces)
     stack: list[_Open] = []
+    accepted: dict[_Boundary, _Accepted] = {}
+    smat = first = last = None
+    leaves: list[_Leaf] = []
     while True:
         taken = [stack.pop() for _ in range(min(batch, len(stack)))]
         taken.extend(itertools.islice(unmade, batch - len(taken)))
         if not taken:
-            return whole, counters
-        stack.extend(reversed(_evaluate(spec, config, taken, counters)))
+            return smat, first, last, leaves, counters
+        stack.extend(reversed(_evaluate(spec, config, taken, accepted, counters)))
+        while edge in accepted:
+            edge, piece, basis, leaf = accepted.pop(edge)
+            if smat is None:
+                smat, first = piece, basis
+            else:
+                smat = cascade.join(smat, last, piece, basis)
+            last = basis
+            leaves.append(leaf)
 
 
-def _evaluate(spec: StructureSpec, config: SolverConfig, taken: list[_Open], counters: dict[str, int]) -> list[_Open]:
+def _evaluate(
+    spec: StructureSpec,
+    config: SolverConfig,
+    taken: list[_Open],
+    accepted: dict[_Boundary, _Accepted],
+    counters: dict[str, int],
+) -> list[_Open]:
     """One round: evaluate the sections ``taken`` (in z order) and return the children to push.
 
     Missing right boundaries are assembled as one stack and fresh
     references as one stack, decomposed as one stack, and every section is
     solved at first order as one stack; then, in z order, each section is
-    accepted into its slot of the parent fold or split. The round's
-    temporaries are released on return, before the next round allocates.
+    either recorded in ``accepted`` under its left boundary or split. The
+    round's other temporaries are released on return.
     """
     rule = config.reference_rule
     estimate = config.order == 1 or config.alpha < math.inf
@@ -332,7 +284,7 @@ def _evaluate(spec: StructureSpec, config: SolverConfig, taken: list[_Open], cou
         for s in taken:
             basis = s.reference[1]
             smat = sections.zeroth_order_smatrix(basis, s.left.z, s.right.z)
-            _deliver(s.parent, s.slot, _Composite(smat, basis, basis), [(s.left.z, s.right.z, 0.0)])
+            accepted[s.left] = (s.right, smat, basis, (s.left.z, s.right.z, 0.0))
         return []
     results = sections.first_order_stack(
         spec, [(s.left.z, s.right.z, s.reference[1], s.reference[0], (s.left.ops, s.right.ops)) for s in taken]
@@ -341,11 +293,8 @@ def _evaluate(spec: StructureSpec, config: SolverConfig, taken: list[_Open], cou
     for s, result in zip(taken, results):
         z_l, z_r, basis = s.left.z, s.right.z, s.reference[1]
         if result.est_error < config.alpha:
-            if config.order == 0:
-                smat = sections.zeroth_order_smatrix(basis, z_l, z_r)
-            else:
-                smat = _own_blocks(result.smat) if len(taken) > 1 else result.smat
-            _deliver(s.parent, s.slot, _Composite(smat, basis, basis), [(z_l, z_r, result.est_error)])
+            smat = sections.zeroth_order_smatrix(basis, z_l, z_r) if config.order == 0 else result.smat
+            accepted[s.left] = (s.right, smat, basis, (z_l, z_r, result.est_error))
         elif s.depth >= _MAX_DEPTH:
             raise MaxDepthExceededError(
                 f"section [{z_l:g}, {z_r:g}] still has estimated error "
@@ -369,19 +318,19 @@ def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveRepor
     which raises the error the depth-first order meets first.
     """
     started = time.perf_counter()
-    batch = max(1, _BATCH_ENTRIES // (2 * spec.truncation_order + 1) ** 2)
-    root = (_assemble(spec, spec.z_min), _assemble(spec, spec.z_max))
+    batch = max(1, _BATCH_ENTRIES // spec.n_harmonics**2)
+    root = tuple(_assemble_stack(spec, [spec.z_min, spec.z_max]))
     try:
-        whole, counters = _refine(spec, config, root, pieces, batch)
+        folded = _refine(spec, config, root, pieces, batch)
     except Exception:
         if batch == 1:
             raise
         # One section at a time is the depth-first order: the rerun raises the error it meets first.
-        whole, counters = _refine(spec, config, root, pieces, 1)
-    smat = _normalize_to_ports(whole.acc, root)
+        folded = _refine(spec, config, root, pieces, 1)
+    smat, first, last, leaves, counters = folded
     return SolveReport(
-        smat=smat,
-        sections=tuple(whole.leaves),
+        smat=_normalize_to_ports(smat, first, last, root),
+        sections=tuple(leaves),
         total_eig_count=counters["eig"],
         total_wall_time=time.perf_counter() - started,
         sections_solved=counters["solved"],

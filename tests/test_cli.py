@@ -90,6 +90,24 @@ def test_invalid_document_exit2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--alpha", "1e-2", "--out"],
+        ["uniform", "--sections", "2", "--report"],
+        ["sweep", "--methods", "uniform0", "--grid", "2", "--oracle-sections", "4", "--out"],
+    ],
+    ids=["solve-out", "uniform-report", "sweep-out"],
+)
+def test_output_path_that_is_a_directory_exit2(taper_file, tmp_path, capsys, argv):
+    """An output file that cannot be written is an input error, not a traceback."""
+    code = cli.main([*argv, str(tmp_path), "--structure", str(taper_file)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "arcwa: input error:" in err and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
 def test_tm_zero_eps_exit2(tmp_path, capsys):
     """TM operators divide by eps: an eps = 0 interval is an input error, not a traceback."""
     doc = TAPER_DOC.replace("polarization: TE", "polarization: TM").replace(

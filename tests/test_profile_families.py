@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from arcwa import cli
 from arcwa.geometry import parse_structure
 from arcwa.harness import max_norm_difference
 from arcwa.solver import SolverConfig, solve_adaptive, solve_uniform
@@ -39,6 +40,26 @@ def test_exponential_profile_values():
     assert width.at(0.5) == pytest.approx(expected_mid, abs=1e-15)
     lo, hi = width.bounds()
     assert (lo, hi) == (0.26, 0.37)
+
+
+@pytest.mark.parametrize("rate", [2.0, 700.0, 800.0, 2000.0, -2.0, -800.0])
+def test_steep_exponential_profile_stays_finite_and_monotone(rate):
+    """Large positive rates used to overflow ``exp``; every rate keeps exact ends and a monotone ramp."""
+    width = family_spec(f"{{kind: exponential, start: 0.26, end: 0.37, rate: {rate}}}").regions[0].width
+    assert (width.at(0.0), width.at(1.0)) == (0.26, 0.37)
+    values = [width.at(i / 4096) for i in range(4097)]
+    assert all(a <= b for a, b in zip(values, values[1:]))
+    assert 0.26 <= min(values) and max(values) <= 0.37
+
+
+@pytest.mark.parametrize("rate", [800.0, 2000.0])
+def test_steep_exponential_profile_solves_from_the_cli(tmp_path, capsys, rate):
+    path = tmp_path / "steep.spec"
+    path.write_text(TAPER_DOC.replace(
+        "{kind: linear, start: 0.26, end: 0.37}", f"{{kind: exponential, start: 0.26, end: 0.37, rate: {rate}}}"
+    ))
+    assert cli.main(["solve", "--structure", str(path), "--alpha", "1e-2", "--out", str(tmp_path / "s.csv")]) == 0
+    assert "sections:" in capsys.readouterr().out
 
 
 def test_piecewise_profile_values_and_clamping():

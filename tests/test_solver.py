@@ -423,6 +423,52 @@ def test_batching_is_invisible(monkeypatch, doc, polarization, loss, truncation)
         assert report.total_eig_count == expected.total_eig_count, run
 
 
+def recorded_joins(monkeypatch):
+    """Wrap ``cascade.join``; returns (left, right, right basis, result) of its calls in order."""
+    joins = []
+    original = cascade.join
+
+    def recording(left, left_basis, right, right_basis):
+        result = original(left, left_basis, right, right_basis)
+        joins.append((left, right, right_basis, result))
+        return result
+
+    monkeypatch.setattr(cascade, "join", recording)
+    return joins
+
+
+FOLD_SOLVES = {
+    "adaptive-midpoint": lambda spec, alpha: solve_adaptive(spec, SolverConfig(alpha=alpha)),
+    "adaptive-endpoint": lambda spec, alpha: solve_adaptive(
+        spec, SolverConfig(alpha=alpha, reference_rule=ReferenceRule.ENDPOINT)
+    ),
+    "uniform-N16-order1": lambda spec, alpha: solve_uniform(spec, 16, order=1),
+}
+
+
+@pytest.mark.parametrize("truncation, alpha", [(3, 1e-2), (10, 1e-2)], ids=["n7", "n21"])
+@pytest.mark.parametrize("solve", FOLD_SOLVES.values(), ids=FOLD_SOLVES.keys())
+def test_leaves_fold_left_to_right(monkeypatch, solve, truncation, alpha):
+    """Each join adds one leaf to the running composite, in z order; then the two ports are joined on.
+
+    The sinusoid refines unevenly, so at n = 7 a batch accepts sections to the right of one it refines.
+    """
+    spec = parse_structure(SINUSOID_DOC.replace("truncation_order: 3", f"truncation_order: {truncation}"))
+    joins = recorded_joins(monkeypatch)
+    report = solve(spec, alpha)
+    *fold, left_port, right_port = joins
+    assert len(fold) == len(report.sections) - 1 > 1
+    for previous, (left, *_) in zip(fold, fold[1:]):
+        assert left is previous[-1]
+    # No right operand is a composite of several leaves, and they come in z order.
+    composites = {id(join[-1]) for join in joins}
+    assert not any(id(right) in composites for _, right, _, _ in fold)
+    reference_zs = [basis.z_ref for _, _, basis, _ in fold]
+    assert reference_zs == sorted(set(reference_zs))
+    assert left_port[1] is fold[-1][-1]
+    assert right_port[0] is left_port[-1]
+
+
 def full_smatrix(smat):
     """The 2n x 2n scattering matrix, left port modes first."""
     return np.block([[smat.R_L, smat.T_RL], [smat.T_LR, smat.R_R]])
