@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +37,16 @@ def _load_structure(path_str: str) -> StructureSpec:
     except OSError as exc:
         raise FileNotFoundError(f"cannot read structure file '{path}': {exc.strerror or exc}") from exc
     return parse_structure(text)
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Raise OSError, before any solve, for an output path that cannot be opened for writing; create no file."""
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        with open(path, "a"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def _print_report(report: SolveReport, method: str, stream) -> None:
@@ -168,6 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_writable(getattr(args, "out", None), getattr(args, "report", None))
         return args.func(args)
     except (OSError, StructureError, ValueError) as exc:
         print(f"arcwa: input error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -43,8 +44,6 @@ class Polarization(enum.Enum):
 class ConstantProfile:
     value: float
 
-    kind = "constant"
-
     def at(self, z: float) -> float:
         return self.value
 
@@ -60,8 +59,6 @@ class LinearProfile:
     end: float
     z_start: float
     z_end: float
-
-    kind = "linear"
 
     def at(self, z: float) -> float:
         t = (z - self.z_start) / (self.z_end - self.z_start)
@@ -88,8 +85,6 @@ class ExponentialProfile:
     z_start: float
     z_end: float
 
-    kind = "exponential"
-
     def at(self, z: float) -> float:
         t = (z - self.z_start) / (self.z_end - self.z_start)
         t = min(max(t, 0.0), 1.0)
@@ -114,8 +109,6 @@ class SinusoidalProfile:
     phase: float
     z_start: float
     z_end: float
-
-    kind = "sinusoidal"
 
     def at(self, z: float) -> float:
         arg = 2.0 * math.pi * (z - self.z_start) / self.period_z + self.phase
@@ -144,8 +137,6 @@ class PiecewiseLinearProfile:
     """Linear interpolation through (z, value) breakpoints, clamped outside."""
 
     points: tuple[tuple[float, float], ...]
-
-    kind = "piecewise_linear"
 
     def at(self, z: float) -> float:
         pts = self.points
@@ -250,6 +241,22 @@ _PROFILE_PARAMS = {
 }
 
 
+class _Loader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads the JSON and YAML 1.2 floats YAML 1.1 leaves as strings.
+
+    YAML 1.1 wants a dot and a signed exponent (``1.0e+6``); JSON and
+    YAML 1.2 also write ``1e-6``, ``2E5`` and ``1.0e300``. Quoted scalars
+    stay strings.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def _semantic(msg: str) -> SpecSemanticError:
     return SpecSemanticError(msg)
 
@@ -350,7 +357,7 @@ def parse_structure(text: str) -> StructureSpec:
     kind, ...).
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         detail = str(exc)
         mark = getattr(exc, "problem_mark", None)
@@ -388,6 +395,13 @@ def parse_structure(text: str) -> StructureSpec:
     z_max = _as_float(z_range[1], "z_range_um[1]")
     if not z_max > z_min:
         raise _semantic(f"z_range_um must satisfy max > min, got [{z_min}, {z_max}]")
+    # Propagation phases reach k0 * (z_max - z_min); from 2^52 rad up a double holds no fraction of a radian.
+    phase = 2.0 * math.pi / wavelength * (z_max - z_min)
+    if not phase < 2.0**52:
+        raise _semantic(
+            f"wavelength_um = {wavelength:g} and z_range_um = [{z_min:g}, {z_max:g}] give a propagation phase "
+            f"k0 * (z_max - z_min) = {phase:.3e} rad, beyond the 2^52 rad a double resolves"
+        )
 
     order = doc["truncation_order"]
     if isinstance(order, bool) or not isinstance(order, int) or order < 0:

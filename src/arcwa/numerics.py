@@ -19,10 +19,10 @@ messages are therefore those of the exact 2-norm test, at the cost of one
 factorization that the solve then reuses.
 
 An inverse that is already known (the Hermitian eigenbases of ``modal``
-come with theirs) needs no factorization: ``guard_inverse`` screens it
-with the exact 1-norm condition number ||A||_1 ||A^-1||_1 and the same
-margin, and hands every other matrix to the same exact 2-norm test;
-``guard_inverses`` does so for a stack of them.
+come with theirs) needs no factorization: ``guard_inverses`` screens a
+stack of such matrices with the exact 1-norm condition number
+||A||_1 ||A^-1||_1 and the same margin, and hands every other matrix to
+the same exact 2-norm test.
 """
 
 from __future__ import annotations
@@ -68,25 +68,15 @@ def guarded_solve(
     return getrs(lu, piv, b)[0]
 
 
-def guard_inverse(a: np.ndarray, a_inv: np.ndarray, reject: Callable[[float], NumericalError]) -> None:
-    """Raise ``reject(cond)`` unless ``a``, whose inverse ``a_inv`` is known, passes COND_LIMIT.
-
-    A matrix with ``10 n ||a||_1 ||a_inv||_1 <= COND_LIMIT`` passes on the
-    screen; any other one (inside that band, singular or non-finite, where
-    ``a_inv`` carries non-finite entries) gets the exact 2-norm
-    ``condition_number``, which ``reject`` receives when it is refused. A
-    stack of one ``guard_inverses``.
-    """
-    guard_inverses(a[None], a_inv[None], [reject])
-
-
 def guard_inverses(
     a: np.ndarray, a_inv: np.ndarray, rejects: Sequence[Callable[[float], NumericalError]]
 ) -> None:
-    """``guard_inverse`` for a stack of matrices, shaped (matrices, n, n), with one ``reject`` each.
+    """Raise ``reject(cond)`` for the first matrix of a stack (matrices, n, n) that fails COND_LIMIT.
 
-    The matrices are screened in stack order, so the first refused one
-    raises.
+    ``a_inv`` holds their known inverses, ``rejects`` one ``reject`` each.
+    A matrix with ``10 n ||a||_1 ||a_inv||_1 <= COND_LIMIT`` passes on the
+    screen; any other one (inside that band, singular or non-finite) gets
+    the exact 2-norm ``condition_number``, which ``reject`` receives.
     """
     lange = lapack.get_lapack_funcs("lange", (a, a_inv))
     n = a.shape[-1]
@@ -104,11 +94,6 @@ def checked_solve(
     return guarded_solve(
         a, b, lambda cond: error_cls(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
     )
-
-
-def checked_inv(a: np.ndarray, error_cls: type[NumericalError], what: str) -> np.ndarray:
-    """Invert ``a`` after verifying it is well-conditioned."""
-    return checked_solve(a, np.eye(a.shape[0]), error_cls, what)
 
 
 def as_stack(arrays: Sequence[np.ndarray]) -> np.ndarray:

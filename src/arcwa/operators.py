@@ -47,7 +47,6 @@ class OperatorPair:
     P: np.ndarray
     Q: np.ndarray
     z: float
-    polarization: Polarization
     k0: float
 
     @property
@@ -173,6 +172,6 @@ def _assemble_group(slices: list[PermittivitySlice], spec: StructureSpec) -> lis
         q = [-checked_solve(t, eye, SingularOperatorError, "Toeplitz(1/eps)") for t in inv_toeplitz]
 
     return [
-        OperatorPair(P=p_i, Q=q_i, z=slc.z, polarization=spec.polarization, k0=spec.k0)
+        OperatorPair(P=p_i, Q=q_i, z=slc.z, k0=spec.k0)
         for slc, p_i, q_i in zip(slices, p, q)
     ]

@@ -1,57 +1,61 @@
 """Structure solver: one engine for fixed partitions and adaptive subdivision.
 
-The engine cuts [z_min, z_max] into equal pieces, solves each section in
-the eigenbasis of its reference position and subdivides it evenly into M
-subsections whenever its estimated error reaches the user bound alpha.
-Accepted sections are folded strictly left to right, in z order: each
-section boundary is one ``cascade.join``, which writes field continuity
-between the two bases and composes the scattering matrices with a single
-guarded factorization. The star product is associative, so this plain
-cascade is as valid a grouping as any other.
+The engine cuts [z_min, z_max] at given root cut positions, solves each
+section in the eigenbasis of its reference point and subdivides it evenly
+into M subsections whenever its estimated error reaches the user bound
+alpha. Accepted sections are folded strictly left to right, in z order:
+each section boundary is one ``cascade.join``, which writes field
+continuity between the two bases and composes the scattering matrices with
+a single guarded factorization. The star product is associative, so this
+plain cascade is as valid a grouping as any other.
 
-``solve_adaptive`` starts from the whole structure as a single piece. M
-follows the reference rule: 3 under the midpoint rule, 2 under the
-endpoint rule. Either way the child at index 1 has its reference where
-its parent's is (the middle third's midpoint, the right half's right
-end), so it reuses the parent's eigendecomposition; ``total_eig_count``
-reflects that reuse. ``solve_uniform`` is the same engine with N pieces
-and alpha = inf: a fixed partition that is never refined.
+A point is a z with its operators and its modal basis, each filled in at
+most once. Sections that meet share their boundary point; a section's
+reference is a point of its own under the midpoint rule and its right
+point under the endpoint rule; the two end points carry the operators at
+z_min and z_max. Every reuse of operators or of a basis is by identity.
+
+``solve_adaptive`` cuts only at z_min and z_max. M follows the reference
+rule: 3 under the midpoint rule, 2 under the endpoint rule. Either way the
+child at index 1 has its reference where its parent's is (the middle
+third's midpoint, the right half's right end), so it shares its parent's
+reference point and eigendecomposition; ``total_eig_count`` reflects that
+reuse. ``solve_uniform`` is the same engine with N equal pieces and
+alpha = inf: a fixed partition that is never refined.
 
 The engine works on a frontier: a stack of the open sections in z order,
 leftmost on top. Each round takes the B leftmost of them as one batch,
 B = max(1, 512 // n^2) for n modes (10 at n = 7, 1 from n = 17 up): their
-missing boundary and reference operators are assembled as one stack,
-their fresh bases are decomposed as one stack (one eigensolver call per
+points that lack operators are assembled as one stack, their fresh
+reference points are decomposed as one stack (one eigensolver call per
 section) and their first-order matrices are evaluated as one stack. Then,
 in z order, each section is accepted or refined, and the children of a
 refined section go back on top. Small n gains the most, because there a
-section's cost is per-call overhead rather than arithmetic. Equal pieces
+section's cost is per-call overhead rather than arithmetic. Root sections
 enter the frontier only as the batches reach them. An accepted section
-waits, keyed by its left boundary, until every section to its left has
-been folded; so the joins, and the output, do not depend on B. Batching
-changes only the order in which sections are evaluated; an error inside a
-batched solve therefore reruns the solve one section at a time, which is
-the depth-first order and raises the error that order meets first.
+waits, keyed by its left point, until every section to its left has been
+folded; so the joins, and the output, do not depend on B. Batching changes
+only the order in which sections are evaluated; an error inside a batched
+solve therefore reruns the solve one section at a time, which is the
+depth-first order and raises the error that order meets first.
 
-The final scattering matrix is re-expressed in the eigenbases of the end
-cross-sections (the slices at z_min and z_max) by two more joins, with an
-identity matrix in each port basis, so a solve with L leaves performs
-(L - 1) + 2 interface factorizations. Those "port" bases depend
-only on the structure and basis ids hash basis content, so results of
-different methods, resolutions and solves compare entry by entry. Each
-solve decomposes its own end operators (nothing is cached); under the
-endpoint rule the last section's basis sits at z_max and serves as the
-right port. The port eigendecompositions are not charged to
-``total_eig_count``.
+The final scattering matrix is re-expressed in the bases of the two end
+points by two more joins, with an identity matrix in each port basis, so a
+solve with L leaves performs (L - 1) + 2 interface factorizations. Those
+"port" bases depend only on the structure and basis ids hash basis
+content, so results of different methods, resolutions and solves compare
+entry by entry. Each solve decomposes its own end points (nothing is
+cached); under the endpoint rule the z_max point is the last section's
+reference and already has its basis. The port eigendecompositions are not
+charged to ``total_eig_count``.
 """
-
 from __future__ import annotations
 
 import enum
 import itertools
 import math
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from . import cascade, geometry, modal, operators, sections
@@ -126,102 +130,106 @@ _BATCH_ENTRIES = 512
 _Leaf = tuple[float, float, float]
 
 
-class _Boundary:
-    """A section boundary and its operators, shared by the two sections that meet there.
+@dataclass(eq=False, slots=True)
+class _Point:
+    """A position in z whose operators and basis are each filled in at most once.
 
-    ``ops`` stays None until the section to its left is evaluated (and for
-    good when nothing reads the estimate), so each boundary is assembled once.
+    ``ops`` stays None until something reads them (a boundary's only when
+    the estimate is read) and ``basis`` until the point is a reference.
     """
 
-    __slots__ = ("z", "ops")
-
-    def __init__(self, z: float, ops: OperatorPair | None = None) -> None:
-        self.z = z
-        self.ops = ops
+    z: float
+    ops: OperatorPair | None = None
+    basis: ModalBasis | None = None
 
 
 @dataclass(eq=False, slots=True)
 class _Open:
     """A section waiting to be evaluated."""
 
-    left: _Boundary
-    right: _Boundary
+    left: _Point
+    right: _Point
+    reference: _Point
     depth: int
-    reference: tuple[OperatorPair, ModalBasis] | None
 
 
-# An accepted section, keyed by its left boundary until the fold reaches it:
-# (right boundary, scattering matrix, reference basis, leaf).
-_Accepted = tuple[_Boundary, ScatteringMatrix, ModalBasis, _Leaf]
+# An accepted section, keyed by its left point until the fold reaches it:
+# (right point, scattering matrix, reference basis, leaf).
+_Accepted = tuple[_Point, ScatteringMatrix, ModalBasis, _Leaf]
 
 
-def _reference_z(z_l: float, z_r: float, rule: ReferenceRule) -> float:
-    return 0.5 * (z_l + z_r) if rule is ReferenceRule.MIDPOINT else z_r
+def _assemble(spec: StructureSpec, points: Iterable[_Point]) -> None:
+    """Give the points that lack operators theirs, each point once, as one stack."""
+    missing = [p for p in dict.fromkeys(points) if p.ops is None]
+    stack = operators.assemble_stack([geometry.slice_at(spec, p.z) for p in missing], spec) if missing else []
+    for point, ops in zip(missing, stack):
+        point.ops = ops
 
 
-def _assemble_stack(spec: StructureSpec, zs: list[float]) -> list[OperatorPair]:
-    return operators.assemble_stack([geometry.slice_at(spec, z) for z in zs], spec) if zs else []
+def _decompose(points: Sequence[_Point]) -> int:
+    """Give the points that lack a basis theirs, as one stack; returns how many were decomposed."""
+    missing = [p for p in points if p.basis is None]
+    for point, basis in zip(missing, modal.eigen_basis_stack([p.ops for p in missing]) if missing else []):
+        point.basis = basis
+    return len(missing)
 
 
 def port_bases(spec: StructureSpec) -> tuple[ModalBasis, ModalBasis]:
     """End cross-section bases that solve results are expressed in (not cached)."""
-    left, right = _assemble_stack(spec, [spec.z_min, spec.z_max])
-    return modal.eigen_basis(left), modal.eigen_basis(right)
+    ends = (_Point(spec.z_min), _Point(spec.z_max))
+    _assemble(spec, ends)
+    _decompose(ends)
+    return ends[0].basis, ends[1].basis
 
 
 def _identity(basis: ModalBasis) -> ScatteringMatrix:
     return sections.zeroth_order_smatrix(basis, basis.z_ref, basis.z_ref)
 
 
-def _normalize_to_ports(
-    smat: ScatteringMatrix, first: ModalBasis, last: ModalBasis, root: tuple[OperatorPair, OperatorPair]
-) -> ScatteringMatrix:
-    """Join identities in the port bases onto both ends of ``smat``, which runs from basis ``first`` to ``last``."""
-    left_port = modal.eigen_basis(root[0])
-    # A last basis at z_max was decomposed from root[1] itself, so it is the right port.
-    right_port = last if last.z_ref == root[1].z else modal.eigen_basis(root[1])
-    smat = cascade.join(_identity(left_port), left_port, smat, first)
-    return cascade.join(smat, last, _identity(right_port), right_port)
+def _sections(points: Iterator[_Point], depth: int, rule: ReferenceRule) -> Iterator[_Open]:
+    """The sections between consecutive ``points`` in z order, each made only when asked for.
 
-
-def _split(section: _Open, m: int) -> list[_Open]:
-    """The m children of a refined section, in z order; child 1 keeps its reference."""
-    z_l, z_r = section.left.z, section.right.z
-    bounds = [section.left, *(_Boundary(z_l + (z_r - z_l) * (i + 1) / m) for i in range(m - 1)), section.right]
-    return [_Open(bounds[i], bounds[i + 1], section.depth + 1, section.reference if i == 1 else None) for i in range(m)]
-
-
-def _pieces(spec: StructureSpec, left: _Boundary, end: OperatorPair, pieces: int) -> Iterator[_Open]:
-    """The equal root pieces in z order from ``left``, made one at a time; each shares its left boundary."""
-    z_min, z_max = spec.z_min, spec.z_max
-    for i in range(pieces):
-        right = _Boundary(z_max, end) if i == pieces - 1 else _Boundary(z_min + (z_max - z_min) * (i + 1) / pieces)
-        yield _Open(left, right, 0, None)
+    Each gets its rule's own reference point: under the endpoint rule, its right point.
+    """
+    left = next(points)
+    for right in points:
+        # No local names the reference: a suspended generator would keep its basis alive.
+        yield _Open(left, right, right if rule is ReferenceRule.ENDPOINT else _Point(0.5 * (left.z + right.z)), depth)
         left = right
+
+
+def _split(section: _Open, rule: ReferenceRule) -> list[_Open]:
+    """The children of a refined section, in z order; child 1 shares its parent's reference point."""
+    m, z_l, z_r = _SUBDIVISIONS[rule], section.left.z, section.right.z
+    inner = [_Point(z_l + (z_r - z_l) * (i + 1) / m) for i in range(m - 1)]
+    children = list(_sections(iter([section.left, *inner, section.right]), section.depth + 1, rule))
+    children[1].reference = section.reference
+    return children
 
 
 def _refine(
     spec: StructureSpec,
     config: SolverConfig,
-    root: tuple[OperatorPair, OperatorPair],
-    pieces: int,
+    cuts: Sequence[float],
+    ends: tuple[_Point, _Point],
     batch: int,
 ) -> tuple[ScatteringMatrix, ModalBasis, ModalBasis, list[_Leaf], dict[str, int]]:
     """Evaluate the frontier ``batch`` sections at a time and fold the leaves left to right.
 
     The open sections sit on a stack in z order, leftmost on top. Each
     round takes the ``batch`` leftmost of them, topping up from the root
-    pieces, which are made only when needed, and pushes back the children
-    of the sections it refines. With ``batch`` = 1 this is the depth-first
-    order, operation by operation. After each round the running fold takes
-    in every accepted section that now adjoins its right edge. Returns the
+    sections between the ``cuts``, which run from end point to end point
+    and are made only when needed, and pushes back the children of the
+    sections it refines. With ``batch`` = 1 this is the depth-first order,
+    operation by operation. After each round the running fold takes in
+    every accepted section whose left point is its right edge. Returns the
     fold, its first and last leaf bases, the leaves and the counters.
     """
     counters = {"eig": 0, "solved": 0}
-    edge = _Boundary(spec.z_min, root[0])
-    unmade = _pieces(spec, edge, root[1], pieces)
+    edge = ends[0]
+    unmade = _sections(itertools.chain(ends[:1], map(_Point, cuts[1:-1]), ends[1:]), 0, config.reference_rule)
     stack: list[_Open] = []
-    accepted: dict[_Boundary, _Accepted] = {}
+    accepted: dict[_Point, _Accepted] = {}
     smat = first = last = None
     leaves: list[_Leaf] = []
     while True:
@@ -244,92 +252,75 @@ def _evaluate(
     spec: StructureSpec,
     config: SolverConfig,
     taken: list[_Open],
-    accepted: dict[_Boundary, _Accepted],
+    accepted: dict[_Point, _Accepted],
     counters: dict[str, int],
 ) -> list[_Open]:
     """One round: evaluate the sections ``taken`` (in z order) and return the children to push.
 
-    Missing right boundaries are assembled as one stack and fresh
-    references as one stack, decomposed as one stack, and every section is
-    solved at first order as one stack; then, in z order, each section is
-    either recorded in ``accepted`` under its left boundary or split. The
-    round's other temporaries are released on return.
+    Their points that lack operators (right points only when the estimate
+    is read) are assembled as one stack, the fresh reference points are
+    decomposed as one stack and the sections are solved at first order as
+    one stack, or not at all when nothing reads the estimate, which then
+    counts as 0.0. Then, in z order, each section is either recorded in
+    ``accepted`` under its left point or split.
     """
-    rule = config.reference_rule
     estimate = config.order == 1 or config.alpha < math.inf
-    if estimate:
-        bounds = [s.right for s in taken if s.right.ops is None]
-        for bound, ops in zip(bounds, _assemble_stack(spec, [b.z for b in bounds])):
-            bound.ops = ops
-    fresh: list[_Open] = []
-    ref_ops: list[OperatorPair | None] = []
-    missing: list[tuple[int, float]] = []
-    for s in taken:
-        if s.reference is None:
-            z = _reference_z(s.left.z, s.right.z, rule)
-            # The endpoint rule's reference reuses the section's right end.
-            ops = s.right.ops if s.right.ops is not None and s.right.ops.z == z else None
-            if ops is None:
-                missing.append((len(fresh), z))
-            fresh.append(s)
-            ref_ops.append(ops)
-    for (i, _), ops in zip(missing, _assemble_stack(spec, [z for _, z in missing])):
-        ref_ops[i] = ops
-    for s, ops, basis in zip(fresh, ref_ops, modal.eigen_basis_stack(ref_ops) if fresh else []):
-        s.reference = (ops, basis)
-    counters["eig"] += len(fresh)
+    fresh = [s.reference for s in taken if s.reference.basis is None]
+    _assemble(spec, [s.right for s in taken] + fresh if estimate else fresh)
+    counters["eig"] += _decompose(fresh)
     counters["solved"] += len(taken)
 
-    if not estimate:
-        for s in taken:
-            basis = s.reference[1]
-            smat = sections.zeroth_order_smatrix(basis, s.left.z, s.right.z)
-            accepted[s.left] = (s.right, smat, basis, (s.left.z, s.right.z, 0.0))
-        return []
-    results = sections.first_order_stack(
-        spec, [(s.left.z, s.right.z, s.reference[1], s.reference[0], (s.left.ops, s.right.ops)) for s in taken]
-    )
+    results = [None] * len(taken)
+    if estimate:
+        stack = [(s.left.z, s.right.z, s.reference.basis, s.reference.ops, (s.left.ops, s.right.ops)) for s in taken]
+        results = sections.first_order_stack(spec, stack)
     children: list[_Open] = []
     for s, result in zip(taken, results):
-        z_l, z_r, basis = s.left.z, s.right.z, s.reference[1]
-        if result.est_error < config.alpha:
+        z_l, z_r, basis = s.left.z, s.right.z, s.reference.basis
+        est_error = 0.0 if result is None else result.est_error
+        if est_error < config.alpha:
             smat = sections.zeroth_order_smatrix(basis, z_l, z_r) if config.order == 0 else result.smat
-            accepted[s.left] = (s.right, smat, basis, (z_l, z_r, result.est_error))
+            accepted[s.left] = (s.right, smat, basis, (z_l, z_r, est_error))
         elif s.depth >= _MAX_DEPTH:
             raise MaxDepthExceededError(
                 f"section [{z_l:g}, {z_r:g}] still has estimated error "
-                f"{result.est_error:.3e} >= alpha = {config.alpha:.3e} at depth {s.depth}; "
+                f"{est_error:.3e} >= alpha = {config.alpha:.3e} at depth {s.depth}; "
                 "the structure is too singular for this accuracy"
             )
         else:
-            children.extend(_split(s, _SUBDIVISIONS[rule]))
+            children.extend(_split(s, config.reference_rule))
     return children
 
 
-def _solve(spec: StructureSpec, config: SolverConfig, pieces: int) -> SolveReport:
-    """Cut [z_min, z_max] into ``pieces`` equal sections and refine each down to alpha.
+def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> SolveReport:
+    """Cut the structure at ``cuts`` (z_min first, z_max last) and refine each root section down to alpha.
 
-    Every section receives the operators at its own ends; a refined
-    section's inner child boundaries are each assembled once, for the two
-    children that share them. At order 0 with alpha = inf nothing reads the
-    estimate: sections are solved at zeroth order directly and no inner
-    boundary is assembled. A batch evaluates sections out of depth-first
-    order, so after any error the solve is rerun one section at a time,
-    which raises the error the depth-first order meets first.
+    The end points are assembled first, a boundary point when the section
+    to its left is evaluated (never when nothing reads the estimate). A
+    batch evaluates sections out of depth-first order, so after any error
+    the solve is rerun one section at a time from fresh inner points, which
+    raises the error the depth-first order meets first. The end points that
+    still lack a basis are then decomposed as one stack for the ports.
     """
     started = time.perf_counter()
     batch = max(1, _BATCH_ENTRIES // spec.n_harmonics**2)
-    root = tuple(_assemble_stack(spec, [spec.z_min, spec.z_max]))
+    ends = (_Point(cuts[0]), _Point(cuts[-1]))
+    _assemble(spec, ends)
     try:
-        folded = _refine(spec, config, root, pieces, batch)
+        folded = _refine(spec, config, cuts, ends, batch)
     except Exception:
         if batch == 1:
             raise
         # One section at a time is the depth-first order: the rerun raises the error it meets first.
-        folded = _refine(spec, config, root, pieces, 1)
+        for end in ends:
+            end.basis = None
+        folded = _refine(spec, config, cuts, ends, 1)
     smat, first, last, leaves, counters = folded
+    _decompose(ends)
+    left, right = ends
+    smat = cascade.join(_identity(left.basis), left.basis, smat, first)
     return SolveReport(
-        smat=_normalize_to_ports(smat, first, last, root),
+        smat=cascade.join(smat, last, _identity(right.basis), right.basis),
         sections=tuple(leaves),
         total_eig_count=counters["eig"],
         total_wall_time=time.perf_counter() - started,
@@ -345,23 +336,25 @@ def solve_uniform(
 ) -> SolveReport:
     """Fixed-resolution cascade: N equal sections that are never refined.
 
-    The solve engine with N pieces and alpha = inf. Every section gets its
-    own reference basis (one eigendecomposition each); the result is
-    expressed in the end cross-section port bases. At order 1 every
-    section boundary is assembled once and shared by its two sections; at
-    order 0 only the reference positions and the two ends are assembled.
+    The solve engine cut into N equal pieces, with alpha = inf. Every
+    section gets its own reference point (one eigendecomposition each);
+    the result is expressed in the end-point port bases. At order 1 every
+    boundary point is assembled once and shared by its two sections; at
+    order 0 only the reference points and the two end points are assembled.
     """
     if n_sections < 1:
         raise ValueError(f"n_sections must be >= 1, got {n_sections}")
     config = SolverConfig(alpha=math.inf, reference_rule=reference_rule, order=order)
-    return _solve(spec, config, n_sections)
+    z_min, z_max = spec.z_min, spec.z_max
+    cuts = [z_min, *(z_min + (z_max - z_min) * i / n_sections for i in range(1, n_sections)), z_max]
+    return _solve(spec, config, cuts)
 
 
 def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
     """Adaptive subdivision down to the error bound alpha.
 
-    The solve engine with the whole structure as one piece. A section
-    whose estimated error stays below alpha is accepted as a leaf;
+    The solve engine with the whole structure as one root section. A
+    section whose estimated error stays below alpha is accepted as a leaf;
     otherwise it is split evenly into 3 subsections (midpoint rule) or 2
     (endpoint rule) that are solved in turn and joined. The
     estimate is always the first-order one; ``config.order`` selects
@@ -376,4 +369,4 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
     non-commensurate with the span, or start from solve_uniform at a
     resolution finer than the modulation, when in doubt.
     """
-    return _solve(spec, config, 1)
+    return _solve(spec, config, [spec.z_min, spec.z_max])

@@ -99,13 +99,23 @@ def test_invalid_document_exit2(tmp_path, capsys):
     ],
     ids=["solve-out", "uniform-report", "sweep-out"],
 )
-def test_output_path_that_is_a_directory_exit2(taper_file, tmp_path, capsys, argv):
-    """An output file that cannot be written is an input error, not a traceback."""
+def test_output_path_that_is_a_directory_exit2(taper_file, tmp_path, capsys, monkeypatch, argv):
+    """An output file that cannot be written is an input error, not a traceback, found before any solve."""
+    assembled = []
+    assemble_stack = operators_mod.assemble_stack
+
+    def recording(slices, spec):
+        assembled.append(len(slices))
+        return assemble_stack(slices, spec)
+
+    monkeypatch.setattr(operators_mod, "assemble_stack", recording)
     code = cli.main([*argv, str(tmp_path), "--structure", str(taper_file)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "arcwa: input error:" in err and str(tmp_path) in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert "arcwa: input error:" in captured.err and str(tmp_path) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert assembled == []
 
 
 def test_tm_zero_eps_exit2(tmp_path, capsys):
@@ -258,7 +268,7 @@ def test_validate_detects_tm_sign_flip(monkeypatch, capsys):
         ops = original(slc, spec)
         if spec.polarization is Polarization.TM:
             return operators_mod.OperatorPair(
-                P=ops.P, Q=-ops.Q, z=ops.z, polarization=ops.polarization, k0=ops.k0
+                P=ops.P, Q=-ops.Q, z=ops.z, k0=ops.k0
             )
         return ops
 
@@ -355,3 +365,22 @@ def test_overflowing_transverse_wavevector_exit2_naming_the_keys(tmp_path, capsy
     err = capsys.readouterr().err
     assert "wavelength_um" in err and "period_x_um" in err
     assert "is not finite" in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("wavelength_um: 1.55", "wavelength_um: 1.0e-300"),
+        ("z_range_um: [0.0, 1.0]", "z_range_um: [0.0, 1.0e+300]"),
+    ],
+    ids=["wavelength-1e-300", "z-max-1e300"],
+)
+def test_unresolvable_propagation_phase_exit2_naming_the_keys(tmp_path, capsys, old, new):
+    """A phase k0 * (z_max - z_min) beyond what a double resolves is an input error, not a depth-limit failure."""
+    path = tmp_path / "phase.spec"
+    path.write_text(TAPER_DOC.replace(old, new))
+    code = cli.main(["solve", "--structure", str(path), "--alpha", "1e-2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "wavelength_um" in err and "z_range_um" in err
+    assert "beyond the 2^52 rad a double resolves" in err

@@ -195,6 +195,21 @@ def test_json_document_accepted():
     assert spec.n_harmonics == 3
 
 
+@pytest.mark.parametrize("text, value", [("1e-6", 1e-6), ("2E5", 2e5), ("1.0e300", 1e300), (".5e3", 500.0)])
+def test_exponent_numbers_parse_as_floats(text, value):
+    """JSON and YAML 1.2 exponent forms are numbers in both kinds of document; a quoted one stays a string."""
+    yaml_doc = TAPER_DOC.replace("eps: [12.25, 0.0]", f"eps: [12.25, {text}]")
+    assert parse_structure(yaml_doc).regions[0].eps == complex(12.25, value)
+    json_doc = (
+        '{"wavelength_um": 1.0, "polarization": "TE", "period_x_um": 1.0,'
+        ' "z_range_um": [0.0, 1.0], "truncation_order": 1, "background_eps": [1.0, %s],'
+        ' "regions": [{"eps": [4.0, 0.0], "center_x": 0.5, "profile": {"kind": "constant", "value": 0.25}}]}'
+    )
+    assert parse_structure(json_doc % text).background_eps == complex(1.0, value)
+    with pytest.raises(SpecSemanticError, match="must be a real number"):
+        parse_structure(json_doc % f'"{text}"')
+
+
 def test_varying_center_profile():
     doc = MINIMAL_DOC.replace(
         "center_x: 1.0",

@@ -32,7 +32,6 @@ def ops_from(p, q, z=0.0, k0=K0):
         P=np.asarray(p, dtype=np.complex128),
         Q=np.asarray(q, dtype=np.complex128),
         z=z,
-        polarization=Polarization.TE,
         k0=k0,
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arcwa.errors import ResonanceError, SingularOperatorError
-from arcwa.numerics import COND_LIMIT, checked_inv, checked_solve, guard_inverse
+from arcwa.numerics import COND_LIMIT, checked_solve, guard_inverses
 
 SIZES = (2, 7, 21, 51)
 # 2-norm condition numbers from 1 to 1e14, dense around COND_LIMIT.
@@ -62,12 +62,12 @@ def test_verdicts_and_messages_follow_the_exact_2norm_condition_number():
                 checked_solve(a, b, ResonanceError, "Redheffer (I - R_R R_L)")
             assert str(solve_err.value) == message
             with pytest.raises(SingularOperatorError) as inv_err:
-                checked_inv(a, SingularOperatorError, "Toeplitz(eps)")
+                checked_solve(a, np.eye(n), SingularOperatorError, "Toeplitz(eps)")
             assert str(inv_err.value) == message.replace("Redheffer (I - R_R R_L)", "Toeplitz(eps)")
         else:
             x = checked_solve(a, b, ResonanceError, "solve")
             assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x)
-            inv = checked_inv(a, SingularOperatorError, "inverse")
+            inv = checked_solve(a, np.eye(n), SingularOperatorError, "inverse")
             assert np.linalg.norm(a @ inv - np.eye(n)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(inv)
     # Both verdicts occur.
     assert 0 < rejected < len(SIZES) * CONDITIONS.size * len(KINDS)
@@ -85,10 +85,10 @@ def test_explicit_inverse_screen_follows_the_exact_2norm_condition_number():
         if cond > COND_LIMIT:
             rejected += 1
             with pytest.raises(SingularOperatorError) as err:
-                guard_inverse(a, a_inv, reject_as("cond(V)"))
+                guard_inverses(a[None], a_inv[None], [reject_as("cond(V)")])
             assert str(err.value) == f"cond(V): condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
         else:
-            guard_inverse(a, a_inv, reject_as("cond(V)"))
+            guard_inverses(a[None], a_inv[None], [reject_as("cond(V)")])
     assert 0 < rejected < len(SIZES) * CONDITIONS.size * len(KINDS)
 
 
@@ -105,7 +105,7 @@ def test_explicit_inverse_screen_follows_the_exact_2norm_condition_number():
 )
 def test_explicit_inverse_screen_rejects_singular_and_non_finite_inputs(a, a_inv):
     with pytest.raises(SingularOperatorError, match="condition number .* exceeds"):
-        guard_inverse(a, a_inv, reject_as("inverse"))
+        guard_inverses(a[None], a_inv[None], [reject_as("inverse")])
 
 
 @pytest.mark.parametrize(
@@ -122,7 +122,7 @@ def test_singular_and_non_finite_inputs_rejected(a):
     with pytest.raises(ResonanceError, match="condition number .* exceeds"):
         checked_solve(a, np.ones(a.shape[0]), ResonanceError, "solve")
     with pytest.raises(SingularOperatorError, match="condition number .* exceeds"):
-        checked_inv(a, SingularOperatorError, "inverse")
+        checked_solve(a, np.eye(a.shape[0]), SingularOperatorError, "inverse")
 
 
 def test_real_matrix_with_complex_right_hand_side():
@@ -130,4 +130,4 @@ def test_real_matrix_with_complex_right_hand_side():
     b = np.array([1.0, 2.0j])
     x = checked_solve(a, b, ResonanceError, "solve")
     assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-15)
-    assert checked_inv(a, SingularOperatorError, "inverse").dtype == np.float64
+    assert checked_solve(a, np.eye(2), SingularOperatorError, "inverse").dtype == np.float64

@@ -47,7 +47,7 @@ def test_delta_q_only_identity(rng):
     ops = assemble_operators(uniform_slice(2.25), spec)
     basis = eigen_basis(ops)
     dq = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    bumped = OperatorPair(P=ops.P, Q=ops.Q + dq, z=0.0, polarization=ops.polarization, k0=ops.k0)
+    bumped = OperatorPair(P=ops.P, Q=ops.Q + dq, z=0.0, k0=ops.k0)
     d_a, d_b = delta_ab(bumped, ops, basis)
     expected = basis.V_inv @ dq @ basis.W
     assert_allclose(d_a, expected, atol=1e-12)
@@ -60,7 +60,7 @@ def test_delta_sum_difference_identities(rng):
     basis = eigen_basis(ops)
     dp = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     dq = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    bumped = OperatorPair(P=ops.P + dp, Q=ops.Q + dq, z=0.0, polarization=ops.polarization, k0=ops.k0)
+    bumped = OperatorPair(P=ops.P + dp, Q=ops.Q + dq, z=0.0, k0=ops.k0)
     d_a, d_b = delta_ab(bumped, ops, basis)
     assert_allclose(d_a + d_b, 2.0 * basis.W_inv @ dp @ basis.V, atol=1e-12)
     assert_allclose(d_a - d_b, 2.0 * basis.V_inv @ dq @ basis.W, atol=1e-12)

@@ -1,6 +1,7 @@
 """Fixed-resolution and adaptive solvers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,22 @@ def test_handed_down_operators_match_fresh_assembly(taper_spec, monkeypatch, cas
         assert fresh.est_error == used.est_error == est_error
         for block in ("T_LR", "R_R", "R_L", "T_RL"):
             assert np.array_equal(getattr(fresh.smat, block), getattr(used.smat, block))
+
+
+@pytest.mark.parametrize("rule", ReferenceRule, ids=lambda rule: rule.value)
+def test_boundary_operators_are_freed_with_their_sections(rule):
+    """The peak memory of a uniform solve does not grow with its section count: no point outlives its sections."""
+    spec = parse_structure(TAPER_DOC.replace("truncation_order: 3", "truncation_order: 10"))
+    solve_uniform(spec, 1, order=1, reference_rule=rule)
+    peaks = {}
+    for n_sections in (16, 128):
+        tracemalloc.start()
+        try:
+            solve_uniform(spec, n_sections, order=1, reference_rule=rule)
+            peaks[n_sections] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[128] <= 1.5 * peaks[16], peaks
 
 
 SINUSOID_DOC = TAPER_DOC.replace(
