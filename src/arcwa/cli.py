@@ -7,8 +7,8 @@ Subcommands:
   validate  run the built-in analytic oracle checks
 
 Exit codes: 0 on success, 2 on input errors (bad flags, missing files,
-output paths that cannot be written, invalid structure documents), 3 on
-numeric failures.
+output paths that cannot be written, invalid structure documents,
+documents whose operators do not fit in memory), 3 on numeric failures.
 """
 
 from __future__ import annotations
@@ -183,6 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, StructureError, ValueError) as exc:
         print(f"arcwa: input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"arcwa: input error: {exc}; the dense operators grow as (2 * truncation_order + 1)^2", file=sys.stderr)
         return EXIT_INPUT
     except ArcwaError as exc:
         print(f"arcwa: numeric failure: {exc}", file=sys.stderr)

@@ -194,14 +194,14 @@ def eigen_basis(ops: OperatorPair) -> ModalBasis:
 def eigen_basis_stack(stack: Sequence[OperatorPair]) -> list[ModalBasis]:
     """``eigen_basis`` for several operator pairs of one size, as one stack.
 
-    Each basis equals the one built alone, bit for bit. The eigensolver
-    runs once per pair; the branch, the ordering and the Hermitian route's
-    basis matrices are computed for the whole stack, and the ``geev``
-    route's inverses stay one guarded factorization per pair. Errors are
-    raised stage by stage: eigensolvers and cutoff checks in stack order,
-    then the Hermitian route's guards (every W of a stack, then every V),
-    then the ``geev`` route's factorizations. For a single pair that is
-    the order ``eigen_basis`` describes.
+    Each basis equals the one built alone, bit for bit, and owns its arrays.
+    The eigensolver runs once per pair; the branch, the ordering and the
+    Hermitian route's basis matrices are computed for the whole stack, and
+    the ``geev`` route's inverses stay one guarded factorization per pair.
+    Errors are raised stage by stage: eigensolvers and cutoff checks in
+    stack order, then the Hermitian route's guards (every W of a stack, then
+    every V), then the ``geev`` route's factorizations. For a single pair
+    that is the order ``eigen_basis`` describes.
     """
     solved = []
     # Indices of the Hermitian-route pairs: TE (no B) and TM.
@@ -250,9 +250,9 @@ def eigen_basis_stack(stack: Sequence[OperatorPair]) -> list[ModalBasis]:
         guard_inverses(v, v_inv, [_near_defective("V", stack[i].z) for i in group])
         for k, i in enumerate(group):
             ops = stack[i]
-            bases[i] = ModalBasis(
-                W=w[k], V=v[k], lam=lam_group[k], z_ref=ops.z, k0=ops.k0, W_inv=w_inv[k], V_inv=v_inv[k]
-            )
+            # Copies, in the same memory order: a view would keep the whole stack alive with this basis.
+            w_k, v_k, w_inv_k, v_inv_k, lam_k = (np.copy(a[k]) for a in (w, v, w_inv, v_inv, lam_group))
+            bases[i] = ModalBasis(W=w_k, V=v_k, lam=lam_k, z_ref=ops.z, k0=ops.k0, W_inv=w_inv_k, V_inv=v_inv_k)
 
     for i, (ops, lam_i, (_, eigvecs, _)) in enumerate(zip(stack, lam, solved)):
         if bases[i] is not None:
@@ -262,7 +262,7 @@ def eigen_basis_stack(stack: Sequence[OperatorPair]) -> list[ModalBasis]:
         w_inv = guarded_solve(w, eye, _near_defective("W", ops.z))
         v = ops.Q @ (w / lam_i[None, :])
         v_inv = guarded_solve(v, eye, _near_defective("V", ops.z))
-        bases[i] = ModalBasis(W=w, V=v, lam=lam_i, z_ref=ops.z, k0=ops.k0, W_inv=w_inv, V_inv=v_inv)
+        bases[i] = ModalBasis(W=w, V=v, lam=np.copy(lam_i), z_ref=ops.z, k0=ops.k0, W_inv=w_inv, V_inv=v_inv)
     return bases
 
 

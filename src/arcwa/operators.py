@@ -130,9 +130,9 @@ def assemble_stack(slices: Sequence[PermittivitySlice], spec: StructureSpec) -> 
 
     Each pair equals the one assembled alone, bit for bit. Slices that
     share an interval count and a period form one stack; slices with
-    different interval counts never share a coefficient sum. The returned
-    matrices are views of their stack, except that every TE pair holds the
-    same read-only identity as P.
+    different interval counts never share a coefficient sum. Each pair owns
+    its matrices, so it keeps no other pair's alive, except that every TE
+    pair holds the same read-only identity as P.
     """
     groups: dict[tuple[int, float], list[int]] = {}
     for i, slc in enumerate(slices):
@@ -162,11 +162,13 @@ def _assemble_group(slices: list[PermittivitySlice], spec: StructureSpec) -> lis
 
     if spec.polarization is Polarization.TE:
         p = [_identity(n)] * len(slices)
-        q = eps_toeplitz - np.diag(kt**2).astype(np.complex128)
+        shift = np.diag(kt**2).astype(np.complex128)
+        q = [t - shift for t in eps_toeplitz]
     else:
         eye = np.eye(n)
         eps_inv = as_stack([checked_solve(t, eye, SingularOperatorError, "Toeplitz(eps)") for t in eps_toeplitz])
-        p = kt[:, None] * eps_inv * kt[None, :] - np.eye(n, dtype=np.complex128)
+        eye_c = np.eye(n, dtype=np.complex128)
+        p = [kt[:, None] * e * kt[None, :] - eye_c for e in eps_inv]
         inverse_values = [[1.0 / eps for _, _, eps in slc.intervals] for slc in slices]
         inv_toeplitz = _toeplitz_from(_piecewise_coefficients(slices, inverse_values, table), order)
         q = [-checked_solve(t, eye, SingularOperatorError, "Toeplitz(1/eps)") for t in inv_toeplitz]

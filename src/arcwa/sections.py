@@ -10,9 +10,9 @@ varying inside the section through the deviation matrices
 
 integrated against propagation phases that, by the branch rule, never
 exceed unit magnitude. The integrals are evaluated with a 3-point Simpson
-rule sampling z_L, the midpoint and z_R. A sample at the reference
-position (the midpoint under the midpoint rule, z_R under the endpoint
-rule) has exactly zero deviation and is skipped.
+rule sampling z_L, the midpoint and z_R. A sample that is the reference
+operators themselves (the midpoint under the midpoint rule, z_R under the
+endpoint rule) has exactly zero deviation and is skipped.
 
 The four integral terms double as the section's error estimate: they are
 exactly the difference between the first- and zeroth-order matrices, and
@@ -20,8 +20,10 @@ the largest absolute entry across the four is the estimate compared
 against the user's error bound during adaptive subdivision.
 
 The solver evaluates sections in stacks (``first_order_stack``, with the
-deviations of ``delta_stack``); ``first_order_smatrix`` and ``delta_ab``
-are stacks of one, and every entry of a stack equals its single call.
+deviations of ``delta_stack``) from the operators it assembled for every
+sample; ``first_order_smatrix`` and ``delta_ab`` are stacks of one, and
+every entry of a stack equals its single call. Only ``first_order_smatrix``
+matches samples to the reference by position, and it assembles the rest.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .modal import ModalBasis, propagation_factor
 from .numerics import as_stack
 from .operators import OperatorPair
 
-# Sample positions matching the section reference are skipped.
+# first_order_smatrix takes ref_ops for a sample within this times max(span, 1) of the reference position.
 _SAMPLE_RTOL = 1e-12
 
 
@@ -80,9 +82,8 @@ class SectionResult:
 # Deviation matrices (dA, dB) of one sampled z against the reference.
 _Deltas = tuple[np.ndarray, np.ndarray]
 
-# A section to solve at first order: (z_L, z_R, basis, ref_ops, end_ops),
-# where end_ops optionally holds the operators at z_L and z_R.
-_Section = tuple[float, float, ModalBasis, OperatorPair, tuple[OperatorPair, OperatorPair] | None]
+# A section to solve: (z_L, z_R, basis, ref_ops, the operators at z_L, the midpoint and z_R).
+_Section = tuple[float, float, ModalBasis, OperatorPair, tuple[OperatorPair, OperatorPair, OperatorPair]]
 
 
 def delta_ab(slice_ops: OperatorPair, ref_ops: OperatorPair, basis: ModalBasis) -> _Deltas:
@@ -192,79 +193,67 @@ def first_order_smatrix(
 
     The reference position must lie inside [z_L, z_R]. ``end_ops``
     optionally supplies the operators at z_L and z_R, which neighbouring
-    sections share; without it they are assembled here. A stack of one
-    ``first_order_stack``.
+    sections share. A sample within _SAMPLE_RTOL of the reference position
+    is ``ref_ops``; the others are assembled here as one stack. A stack of
+    one ``first_order_stack``.
     """
-    return first_order_stack(spec, [(z_L, z_R, basis, ref_ops, end_ops)])[0]
-
-
-def first_order_stack(spec: StructureSpec, sections: Sequence[_Section]) -> list[SectionResult]:
-    """``first_order_smatrix`` for several sections of one spec, as one stack.
-
-    Each result equals the one solved alone, bit for bit. Missing sample
-    operators are assembled as one stack, and sections with equal sample
-    counts share one evaluation of the deviations and the terms. Each
-    S-matrix's four blocks are views of one buffer of its stack.
-    """
-    # Per section: the samples' z and operators (None until assembled), their
-    # distances to z_R and from z_L, and their Simpson weights.
-    samples: list[list[tuple[float, OperatorPair | None]]] = []
-    offsets: list[list[tuple[float, float]]] = []
-    weights: list[list[float]] = []
-    for z_L, z_R, basis, _, end_ops in sections:
-        if not z_R > z_L:
-            raise ValueError(f"z_R = {z_R:g} must be > z_L = {z_L:g}")
-        span = z_R - z_L
-        if not (z_L - _SAMPLE_RTOL * span <= basis.z_ref <= z_R + _SAMPLE_RTOL * span):
-            raise ValueError(f"basis reference z = {basis.z_ref:g} lies outside section [{z_L:g}, {z_R:g}]")
-        if end_ops is not None and (end_ops[0].z != z_L or end_ops[1].z != z_R):
-            raise ValueError(
-                f"end operators at z = {end_ops[0].z:g}, {end_ops[1].z:g} do not match section [{z_L:g}, {z_R:g}]"
-            )
-        nodes = [(z_L, span / 6.0), (0.5 * (z_L + z_R), 4.0 * span / 6.0), (z_R, span / 6.0)]
-        known = [None, None, None] if end_ops is None else [end_ops[0], None, end_ops[1]]
-        # The reference sample is skipped: its deviation is exactly zero.
-        taken = [k for k, (zk, _) in enumerate(nodes) if not abs(zk - basis.z_ref) <= _SAMPLE_RTOL * max(span, 1.0)]
-        samples.append([(nodes[k][0], known[k]) for k in taken])
-        offsets.append([(z_R - nodes[k][0], nodes[k][0] - z_L) for k in taken])
-        weights.append([nodes[k][1] for k in taken])
-
-    missing = [(i, k) for i, chosen in enumerate(samples) for k, (_, ops_k) in enumerate(chosen) if ops_k is None]
-    if missing:
-        slices = [geometry.slice_at(spec, samples[i][k][0]) for i, k in missing]
-        for (i, k), ops_k in zip(missing, operators.assemble_stack(slices, spec)):
-            samples[i][k] = (samples[i][k][0], ops_k)
-
-    by_count: dict[int, list[int]] = {}
-    for i, chosen in enumerate(samples):
-        by_count.setdefault(len(chosen), []).append(i)
-    results: list[SectionResult] = [None] * len(sections)  # type: ignore[list-item]
-    for count, group in by_count.items():
-        bases = [sections[i][2] for i in group]
-        k0 = [b.k0 for b in bases]
-        lam_k0 = 1j * as_stack([b.lam for b in bases]) * np.array(k0)[:, None]
-        refs = [sections[i][3] for i in group]
-        deltas = [delta_stack([samples[i][k][1] for i in group], refs, bases) for k in range(count)]
-        # (S, G) views of the (G, S) per-section lists.
-        dz = np.array([offsets[i] for i in group]).reshape(len(group), count, 2).transpose(1, 0, 2)
-        terms = _first_order_terms(
-            lam_k0, k0, deltas, dz[..., None], np.array([weights[i] for i in group]).reshape(len(group), count).T
+    if not z_R > z_L:
+        raise ValueError(f"z_R = {z_R:g} must be > z_L = {z_L:g}")
+    span = z_R - z_L
+    if not (z_L - _SAMPLE_RTOL * span <= basis.z_ref <= z_R + _SAMPLE_RTOL * span):
+        raise ValueError(f"basis reference z = {basis.z_ref:g} lies outside section [{z_L:g}, {z_R:g}]")
+    if end_ops is not None and (end_ops[0].z != z_L or end_ops[1].z != z_R):
+        raise ValueError(
+            f"end operators at z = {end_ops[0].z:g}, {end_ops[1].z:g} do not match section [{z_L:g}, {z_R:g}]"
         )
-        est_error = np.abs(terms).max(axis=(1, 2, 3, 4)).tolist()
-        # The zeroth-order matrix adds only the diagonal transmission; the
-        # four blocks of a section share its slot of the terms' buffer.
-        n = lam_k0.shape[1]
-        diagonal = np.zeros((len(group), 1, n * n), dtype=np.complex128)
-        diagonal[:, 0, :: n + 1] = np.exp(lam_k0 * np.array([[sections[i][1] - sections[i][0]] for i in group]))
-        terms[:, 0] += diagonal.reshape(len(group), 1, n, n)
-        for i, basis, ((t_lr, t_rl), (r_r, r_l)), est in zip(group, bases, terms, est_error):
-            smat = ScatteringMatrix(
-                T_LR=t_lr,
-                R_R=r_r,
-                R_L=r_l,
-                T_RL=t_rl,
-                left_basis_id=basis.basis_id,
-                right_basis_id=basis.basis_id,
-            )
-            results[i] = SectionResult(smat=smat, est_error=est)
-    return results
+    nodes = [zk for zk, _ in _simpson(z_L, z_R)]
+    known = [None, None, None] if end_ops is None else [end_ops[0], None, end_ops[1]]
+    samples = [ref_ops if abs(zk - basis.z_ref) <= _SAMPLE_RTOL * max(span, 1.0) else ops
+               for zk, ops in zip(nodes, known)]
+    missing = [k for k, ops_k in enumerate(samples) if ops_k is None]
+    for k, ops_k in zip(missing, operators.assemble_stack([geometry.slice_at(spec, nodes[k]) for k in missing], spec)):
+        samples[k] = ops_k
+    return first_order_stack([(z_L, z_R, basis, ref_ops, tuple(samples))])[0]
+
+
+def _simpson(z_L: float, z_R: float) -> list[tuple[float, float]]:
+    """The (z, weight) nodes of the 3-point Simpson rule on [z_L, z_R]."""
+    span = z_R - z_L
+    return [(z_L, span / 6.0), (0.5 * (z_L + z_R), 4.0 * span / 6.0), (z_R, span / 6.0)]
+
+
+def first_order_stack(sections: Sequence[_Section]) -> list[SectionResult]:
+    """``first_order_smatrix`` for several sections, as one stack, from the sample operators given.
+
+    Each result equals the one solved alone, bit for bit. A sample that is
+    the section's ``ref_ops`` object is skipped; a stack whose sections
+    skip different numbers of samples raises ValueError. Each S-matrix's
+    four blocks are views of one buffer of the stack.
+    """
+    z_l, z_r, bases, refs, samples = zip(*sections)
+    # Per section, the samples taken: operators, distances to z_R and from z_L, and Simpson weights.
+    taken = [
+        [(ops_k, (z_R - zk, zk - z_L), wk) for ops_k, (zk, wk) in zip(chosen, _simpson(z_L, z_R)) if ops_k is not ref]
+        for z_L, z_R, ref, chosen in zip(z_l, z_r, refs, samples)
+    ]
+    if len({len(chosen) for chosen in taken}) > 1:
+        raise ValueError(f"sections of one stack take different numbers of samples: {[len(c) for c in taken]}")
+    count, size = len(taken[0]), len(sections)
+    k0 = [b.k0 for b in bases]
+    lam_k0 = 1j * as_stack([b.lam for b in bases]) * np.array(k0)[:, None]
+    deltas = [delta_stack([chosen[k][0] for chosen in taken], refs, bases) for k in range(count)]
+    # (S, G) views of the (G, S) per-section lists.
+    dz = np.array([[offset for _, offset, _ in chosen] for chosen in taken]).reshape(size, count, 2).transpose(1, 0, 2)
+    weights = np.array([[wk for _, _, wk in chosen] for chosen in taken]).reshape(size, count).T
+    terms = _first_order_terms(lam_k0, k0, deltas, dz[..., None], weights)
+    est_error = np.abs(terms).max(axis=(1, 2, 3, 4)).tolist()
+    # The zeroth-order matrix adds only the diagonal transmission; the
+    # four blocks of a section share its slot of the terms' buffer.
+    n = lam_k0.shape[1]
+    diagonal = np.zeros((size, 1, n * n), dtype=np.complex128)
+    diagonal[:, 0, :: n + 1] = np.exp(lam_k0 * (np.array(z_r) - np.array(z_l))[:, None])
+    terms[:, 0] += diagonal.reshape(size, 1, n, n)
+    return [
+        SectionResult(ScatteringMatrix(t_lr, r_r, r_l, t_rl, basis.basis_id, basis.basis_id), est)
+        for basis, ((t_lr, t_rl), (r_r, r_l)), est in zip(bases, terms, est_error)
+    ]

@@ -10,18 +10,18 @@ a single guarded factorization. The star product is associative, so this
 plain cascade is as valid a grouping as any other.
 
 A point is a z with its operators and its modal basis, each filled in at
-most once. Sections that meet share their boundary point; a section's
-reference is a point of its own under the midpoint rule and its right
-point under the endpoint rule; the two end points carry the operators at
-z_min and z_max. Every reuse of operators or of a basis is by identity.
+most once. A section has a point per Simpson sample: left and right, shared
+with the sections it meets, and a middle point of its own. Its reference
+is its middle point under the midpoint rule and its right point under the
+endpoint rule. Every reuse of operators or of a basis is by identity.
 
 ``solve_adaptive`` cuts only at z_min and z_max. M follows the reference
-rule: 3 under the midpoint rule, 2 under the endpoint rule. Either way the
-child at index 1 has its reference where its parent's is (the middle
-third's midpoint, the right half's right end), so it shares its parent's
-reference point and eigendecomposition; ``total_eig_count`` reflects that
-reuse. ``solve_uniform`` is the same engine with N equal pieces and
-alpha = inf: a fixed partition that is never refined.
+rule: 3 under the midpoint rule, 2 under the endpoint rule. The parent's
+middle point becomes the middle third's middle point, or the boundary of
+the two halves; either way child 1 shares its parent's reference point and
+eigendecomposition, and ``total_eig_count`` reflects that reuse.
+``solve_uniform`` is the same engine with N equal pieces and alpha = inf:
+a fixed partition that is never refined.
 
 The engine works on a frontier: a stack of the open sections in z order,
 leftmost on top. Each round takes the B leftmost of them as one batch,
@@ -132,10 +132,10 @@ _Leaf = tuple[float, float, float]
 
 @dataclass(eq=False, slots=True)
 class _Point:
-    """A position in z whose operators and basis are each filled in at most once.
+    """A Simpson sample whose operators and basis are each filled in at most once.
 
-    ``ops`` stays None until something reads them (a boundary's only when
-    the estimate is read) and ``basis`` until the point is a reference.
+    ``ops`` stays None until something reads them (only a reference's when
+    nothing reads the estimate) and ``basis`` until the point is a reference.
     """
 
     z: float
@@ -145,11 +145,11 @@ class _Point:
 
 @dataclass(eq=False, slots=True)
 class _Open:
-    """A section waiting to be evaluated."""
+    """A section waiting to be evaluated; its reference is ``middle`` (midpoint rule) or ``right`` (endpoint)."""
 
     left: _Point
+    middle: _Point
     right: _Point
-    reference: _Point
     depth: int
 
 
@@ -186,24 +186,25 @@ def _identity(basis: ModalBasis) -> ScatteringMatrix:
     return sections.zeroth_order_smatrix(basis, basis.z_ref, basis.z_ref)
 
 
-def _sections(points: Iterator[_Point], depth: int, rule: ReferenceRule) -> Iterator[_Open]:
-    """The sections between consecutive ``points`` in z order, each made only when asked for.
-
-    Each gets its rule's own reference point: under the endpoint rule, its right point.
-    """
+def _sections(points: Iterator[_Point], depth: int) -> Iterator[_Open]:
+    """The sections between consecutive ``points`` in z order, each made only when asked for."""
     left = next(points)
     for right in points:
-        # No local names the reference: a suspended generator would keep its basis alive.
-        yield _Open(left, right, right if rule is ReferenceRule.ENDPOINT else _Point(0.5 * (left.z + right.z)), depth)
+        # No local names the middle point: a suspended generator would keep its basis alive.
+        yield _Open(left, _Point(0.5 * (left.z + right.z)), right, depth)
         left = right
 
 
 def _split(section: _Open, rule: ReferenceRule) -> list[_Open]:
-    """The children of a refined section, in z order; child 1 shares its parent's reference point."""
+    """The children of a refined section, in z order; child 1 keeps its parent's reference point.
+
+    The parent's middle point is the child point at its midpoint: the halves' boundary or the middle third's middle.
+    """
     m, z_l, z_r = _SUBDIVISIONS[rule], section.left.z, section.right.z
-    inner = [_Point(z_l + (z_r - z_l) * (i + 1) / m) for i in range(m - 1)]
-    children = list(_sections(iter([section.left, *inner, section.right]), section.depth + 1, rule))
-    children[1].reference = section.reference
+    inner = [section.middle] if m == 2 else [_Point(z_l + (z_r - z_l) * i / m) for i in range(1, m)]
+    children = list(_sections(iter([section.left, *inner, section.right]), section.depth + 1))
+    if m == 3:
+        children[1].middle = section.middle
     return children
 
 
@@ -227,7 +228,7 @@ def _refine(
     """
     counters = {"eig": 0, "solved": 0}
     edge = ends[0]
-    unmade = _sections(itertools.chain(ends[:1], map(_Point, cuts[1:-1]), ends[1:]), 0, config.reference_rule)
+    unmade = _sections(itertools.chain(ends[:1], map(_Point, cuts[1:-1]), ends[1:]), 0)
     stack: list[_Open] = []
     accepted: dict[_Point, _Accepted] = {}
     smat = first = last = None
@@ -257,26 +258,29 @@ def _evaluate(
 ) -> list[_Open]:
     """One round: evaluate the sections ``taken`` (in z order) and return the children to push.
 
-    Their points that lack operators (right points only when the estimate
-    is read) are assembled as one stack, the fresh reference points are
-    decomposed as one stack and the sections are solved at first order as
-    one stack, or not at all when nothing reads the estimate, which then
-    counts as 0.0. Then, in z order, each section is either recorded in
-    ``accepted`` under its left point or split.
+    Their middle and right points that lack operators are assembled as one
+    stack (only the fresh references when nothing reads the estimate), the
+    fresh reference points are decomposed as one stack and the sections are
+    solved at first order as one stack, or not at all when nothing reads the
+    estimate, which then counts as 0.0. Then, in z order, each section is
+    either recorded in ``accepted`` under its left point or split.
     """
     estimate = config.order == 1 or config.alpha < math.inf
-    fresh = [s.reference for s in taken if s.reference.basis is None]
-    _assemble(spec, [s.right for s in taken] + fresh if estimate else fresh)
+    endpoint = config.reference_rule is ReferenceRule.ENDPOINT
+    refs = [s.right if endpoint else s.middle for s in taken]
+    fresh = [p for p in refs if p.basis is None]
+    _assemble(spec, [p for s in taken for p in (s.middle, s.right)] if estimate else fresh)
     counters["eig"] += _decompose(fresh)
     counters["solved"] += len(taken)
 
     results = [None] * len(taken)
     if estimate:
-        stack = [(s.left.z, s.right.z, s.reference.basis, s.reference.ops, (s.left.ops, s.right.ops)) for s in taken]
-        results = sections.first_order_stack(spec, stack)
+        stack = [(s.left.z, s.right.z, r.basis, r.ops, (s.left.ops, s.middle.ops, s.right.ops))
+                 for s, r in zip(taken, refs)]
+        results = sections.first_order_stack(stack)
     children: list[_Open] = []
-    for s, result in zip(taken, results):
-        z_l, z_r, basis = s.left.z, s.right.z, s.reference.basis
+    for s, ref, result in zip(taken, refs, results):
+        z_l, z_r, basis = s.left.z, s.right.z, ref.basis
         est_error = 0.0 if result is None else result.est_error
         if est_error < config.alpha:
             smat = sections.zeroth_order_smatrix(basis, z_l, z_r) if config.order == 0 else result.smat
@@ -295,10 +299,10 @@ def _evaluate(
 def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> SolveReport:
     """Cut the structure at ``cuts`` (z_min first, z_max last) and refine each root section down to alpha.
 
-    The end points are assembled first, a boundary point when the section
-    to its left is evaluated (never when nothing reads the estimate). A
-    batch evaluates sections out of depth-first order, so after any error
-    the solve is rerun one section at a time from fresh inner points, which
+    The end points are assembled first, a section's other points when it is
+    evaluated (only its reference when nothing reads the estimate). A batch
+    evaluates sections out of depth-first order, so after any error the
+    solve is rerun one section at a time from fresh inner points, which
     raises the error the depth-first order meets first. The end points that
     still lack a basis are then decomposed as one stack for the ports.
     """

@@ -17,6 +17,13 @@ from arcwa.numerics import max_abs
 from arcwa.sections import ScatteringMatrix
 from arcwa.solver import solve_uniform
 
+def owning_buffer(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory: ``a`` itself, or the end of its chain of bases."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 # Desk-scale linear taper: high-contrast core widening from 0.26 to 0.37 um
 # across a 1 um span on a 1 um transverse period.
 TAPER_DOC = """

@@ -384,3 +384,12 @@ def test_unresolvable_propagation_phase_exit2_naming_the_keys(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "wavelength_um" in err and "z_range_um" in err
     assert "beyond the 2^52 rad a double resolves" in err
+
+
+def test_document_beyond_memory_exit2_naming_truncation_order(tmp_path, capsys):
+    """Operators too large to allocate are an input error, not a traceback; 10^15 harmonics fail at once."""
+    path = tmp_path / "huge.spec"
+    path.write_text(TAPER_DOC.replace("truncation_order: 3", "truncation_order: 1000000000000000"))
+    code = cli.main(["solve", "--structure", str(path), "--alpha", "1e-2"])
+    assert code == 2
+    assert "truncation_order" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from arcwa.modal import (
     LAMBDA_CUTOFF,
     ModalBasis,
     eigen_basis,
+    eigen_basis_stack,
     mode_coefficients,
     propagation_factor,
     reconstruct_fields,
@@ -22,7 +23,7 @@ from arcwa.modal import (
 from arcwa.numerics import guarded_solve
 from arcwa.operators import OperatorPair, assemble_operators
 
-from conftest import uniform_slice, uniform_spec
+from conftest import owning_buffer, uniform_slice, uniform_spec
 
 K0 = 2.0 * np.pi / 1.55
 
@@ -351,3 +352,17 @@ def test_roots_of_real_eigenvalues_pass_the_branch_bit_for_bit(lam2):
     """What the Hermitian route hands to the branch rule comes back unchanged."""
     lam = np.sqrt(np.asarray(lam2, dtype=np.float64).astype(np.complex128))
     assert modal._principal_branch(lam).tobytes() == lam.tobytes()
+
+
+@pytest.mark.parametrize("loss", [0.0, 1e-3], ids=["hermitian", "geev"])
+@pytest.mark.parametrize("polarization", Polarization)
+def test_stacked_bases_own_their_arrays(polarization, loss):
+    """No basis of a stack keeps another basis's arrays alive: views of one stack would."""
+    spec = uniform_spec(2.25, 1.0, polarization=polarization, order=3)
+    slices = [uniform_slice(complex(eps, loss), z=z) for z, eps in enumerate((2.25, 4.0, 12.25))]
+    stack = [assemble_operators(slc, spec) for slc in slices]
+    names = ("W", "V", "lam", "W_inv", "V_inv")
+    arrays = [owning_buffer(getattr(basis, name)) for basis in eigen_basis_stack(stack) for name in names]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)

@@ -11,9 +11,9 @@ from scipy.linalg import toeplitz
 from arcwa.errors import SingularOperatorError
 from arcwa.geometry import PermittivitySlice, Polarization
 from arcwa.numerics import checked_solve
-from arcwa.operators import _phase_table, _piecewise_coefficients, _toeplitz_from, assemble_operators
+from arcwa.operators import _phase_table, _piecewise_coefficients, _toeplitz_from, assemble_operators, assemble_stack
 
-from conftest import uniform_slice, uniform_spec
+from conftest import owning_buffer, uniform_slice, uniform_spec
 
 
 def eps_coefficients(slc, order):
@@ -293,3 +293,21 @@ def test_assembly_matches_interval_loop_bit_for_bit(slc, order, polarization):
     inverted = tuple((x0, x1, 1.0 / eps) for x0, x1, eps in slc.intervals)
     assert np.array_equal(coeffs, loop_coefficients(slc.intervals, slc.period_x, order))
     assert np.array_equal(coeffs_inv, loop_coefficients(inverted, slc.period_x, order))
+
+
+@pytest.mark.parametrize("polarization", Polarization)
+def test_stacked_pairs_own_their_matrices(polarization):
+    """No pair of a stack keeps another pair's matrices alive; only the TE identity P is shared.
+
+    Views of different entries of one stack do not overlap, so the buffers that own them are compared.
+    """
+    spec = uniform_spec(2.25, 1.0, polarization=polarization, order=3)
+    pairs = assemble_stack([uniform_slice(eps, z=z) for z, eps in enumerate((2.25, 4.0, 12.25))], spec)
+    matrices = [ops.Q for ops in pairs]
+    if polarization is Polarization.TM:
+        matrices += [ops.P for ops in pairs]
+    else:
+        assert all(ops.P is pairs[0].P and not ops.P.flags.writeable for ops in pairs)
+    for i, a in enumerate(matrices):
+        for b in matrices[i + 1:]:
+            assert not np.shares_memory(owning_buffer(a), owning_buffer(b))

@@ -31,7 +31,7 @@ REUSE_CASES = {
     "midpoint-M3": (lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4)), 163, 121, 81, 83, 82),
     "endpoint-M2": (
         lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4, reference_rule=ReferenceRule.ENDPOINT)),
-        768,
+        513,
         511,
         256,
         257,
@@ -334,7 +334,7 @@ def counted_entries(monkeypatch, module, name):
 
 @pytest.mark.parametrize("case", COUNTER_CASES.values(), ids=COUNTER_CASES.keys())
 def test_operator_and_guard_counters(taper_spec, monkeypatch, case):
-    """Boundaries are assembled once, the ports add no assembly, each interface is one
+    """Each z is assembled once, the ports add no assembly, each interface is one
     factorization, and no guard needs the SVD fallback."""
     solve, assemblies, solved, eigs, eigen_basis_calls, factorizations = case
     assembled = counted_entries(monkeypatch, operators, "assemble_stack")
@@ -345,6 +345,7 @@ def test_operator_and_guard_counters(taper_spec, monkeypatch, case):
     for module in (modal, cascade):
         monkeypatch.setattr(module, "guarded_solve", numerics.guarded_solve)
     report = solve(taper_spec)
+    assert len({slc.z for slc in assembled}) == len(assembled)
     assert len(assembled) == assemblies
     assert len(factored) == factorizations
     assert report.sections_solved == solved
@@ -355,24 +356,25 @@ def test_operator_and_guard_counters(taper_spec, monkeypatch, case):
 
 @pytest.mark.parametrize("case", REUSE_CASES.values(), ids=REUSE_CASES.keys())
 def test_handed_down_operators_match_fresh_assembly(taper_spec, monkeypatch, case):
-    """Every leaf re-solved alone with freshly assembled end operators is bit-identical."""
+    """Every leaf re-solved alone with freshly assembled sample operators is bit-identical."""
     solve = case[0]
     original = sections.first_order_stack
     solved = {}
 
-    def recording(spec, stack):
-        results = original(spec, stack)
+    def recording(stack):
+        results = original(stack)
         for section, result in zip(stack, results):
             solved[section[:2]] = (section, result)
         return results
 
     monkeypatch.setattr(sections, "first_order_stack", recording)
     report = solve(taper_spec)
+    monkeypatch.setattr(sections, "first_order_stack", original)
     assert len(report.sections) > 1
     for z_l, z_r, est_error in report.sections:
-        (_, _, basis, ref_ops, end_ops), used = solved[(z_l, z_r)]
-        assert end_ops is not None
-        fresh = original(taper_spec, [(z_l, z_r, basis, ref_ops, None)])[0]
+        (_, _, basis, ref_ops, samples), used = solved[(z_l, z_r)]
+        assert sum(ops is ref_ops for ops in samples) == 1
+        fresh = sections.first_order_smatrix(taper_spec, z_l, z_r, basis, ref_ops)
         assert fresh.est_error == used.est_error == est_error
         for block in ("T_LR", "R_R", "R_L", "T_RL"):
             assert np.array_equal(getattr(fresh.smat, block), getattr(used.smat, block))
