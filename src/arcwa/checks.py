@@ -18,6 +18,7 @@ import numpy as np
 
 from . import cascade, modal, operators, sections
 from .geometry import PermittivitySlice, Polarization, StructureSpec
+from .harness import max_norm_difference
 from .numerics import max_abs
 
 
@@ -180,12 +181,7 @@ def _check_star_identity() -> tuple[bool, str]:
     ident = identity_smatrix(n, 0)
     left = cascade.star(s, ident)
     right = cascade.star(ident, s)
-    worst = max(
-        max_abs(left.T_LR - s.T_LR), max_abs(left.R_L - s.R_L),
-        max_abs(left.R_R - s.R_R), max_abs(left.T_RL - s.T_RL),
-        max_abs(right.T_LR - s.T_LR), max_abs(right.R_L - s.R_L),
-        max_abs(right.R_R - s.R_R), max_abs(right.T_RL - s.T_RL),
-    )
+    worst = max(max_norm_difference(left, s), max_norm_difference(right, s))
     return worst < 1e-12, f"max |S * I - S| = {worst:.2e}"
 
 
@@ -198,11 +194,7 @@ def _check_projection_identity() -> tuple[bool, str]:
     rng = np.random.default_rng(11)
     s = random_passive_smatrix(rng, basis.n, basis.basis_id, basis.basis_id)
     projected = cascade.project_left(s, (x, y), basis.basis_id)
-    err = max(
-        err,
-        max_abs(projected.T_LR - s.T_LR), max_abs(projected.R_L - s.R_L),
-        max_abs(projected.R_R - s.R_R), max_abs(projected.T_RL - s.T_RL),
-    )
+    err = max(err, max_norm_difference(projected, s))
     return err < 1e-12, f"identity-projection residual {err:.2e}"
 
 
@@ -212,13 +204,7 @@ def _check_constant_section_orders() -> tuple[bool, str]:
     basis = modal.eigen_basis(ops)
     first = sections.first_order_smatrix(spec, 0.0, 0.8, basis, ops)
     zeroth = sections.zeroth_order_smatrix(basis, 0.0, 0.8)
-    worst = max(
-        max_abs(first.smat.T_LR - zeroth.T_LR),
-        max_abs(first.smat.R_L - zeroth.R_L),
-        max_abs(first.smat.R_R - zeroth.R_R),
-        max_abs(first.smat.T_RL - zeroth.T_RL),
-        first.est_error,
-    )
+    worst = max(max_norm_difference(first.smat, zeroth), first.est_error)
     return worst < 1e-12, f"order-0/order-1 gap {worst:.2e}"
 
 

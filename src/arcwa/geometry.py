@@ -2,7 +2,9 @@
 
 A structure is a stack of material regions living on a transverse periodic
 domain [0, period_x]. Each region is an interval whose center and width may
-vary along the propagation axis z through a small family of profile shapes.
+vary along the propagation axis z through one of three profile classes:
+piecewise-linear (the ``constant`` and ``linear`` kinds are two-point
+piecewise-linear profiles over the z range), exponential and sinusoidal.
 ``slice_at`` evaluates the stack at one z into an exact piecewise-constant
 permittivity slice, which downstream code turns into Fourier coefficients
 in closed form.
@@ -38,35 +40,6 @@ class Polarization(enum.Enum):
 # ---------------------------------------------------------------------------
 # Profiles: scalar functions of z with exact range bounds.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantProfile:
-    value: float
-
-    def at(self, z: float) -> float:
-        return self.value
-
-    def bounds(self) -> tuple[float, float]:
-        return (self.value, self.value)
-
-
-@dataclass(frozen=True)
-class LinearProfile:
-    """Linear interpolation from ``start`` at z_start to ``end`` at z_end."""
-
-    start: float
-    end: float
-    z_start: float
-    z_end: float
-
-    def at(self, z: float) -> float:
-        t = (z - self.z_start) / (self.z_end - self.z_start)
-        t = min(max(t, 0.0), 1.0)
-        return self.start + (self.end - self.start) * t
-
-    def bounds(self) -> tuple[float, float]:
-        return (min(self.start, self.end), max(self.start, self.end))
 
 
 @dataclass(frozen=True)
@@ -134,7 +107,11 @@ class SinusoidalProfile:
 
 @dataclass(frozen=True)
 class PiecewiseLinearProfile:
-    """Linear interpolation through (z, value) breakpoints, clamped outside."""
+    """Linear interpolation through (z, value) breakpoints, clamped outside.
+
+    The ``constant`` and ``linear`` kinds are two-point profiles through
+    (z_min, start) and (z_max, end), with start = end for a constant.
+    """
 
     points: tuple[tuple[float, float], ...]
 
@@ -155,13 +132,7 @@ class PiecewiseLinearProfile:
         return (min(values), max(values))
 
 
-Profile = Union[
-    ConstantProfile,
-    LinearProfile,
-    ExponentialProfile,
-    SinusoidalProfile,
-    PiecewiseLinearProfile,
-]
+Profile = Union[ExponentialProfile, SinusoidalProfile, PiecewiseLinearProfile]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +251,8 @@ def _as_complex(value, what: str) -> complex:
 
 def _parse_profile(node, z_min: float, z_max: float, what: str) -> Profile:
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return ConstantProfile(_as_float(node, what))
+        value = _as_float(node, what)
+        return PiecewiseLinearProfile(((z_min, value), (z_max, value)))
     if not isinstance(node, dict):
         raise _semantic(f"{what} must be a number or a profile mapping, got {node!r}")
     kind = node.get("kind")
@@ -297,18 +269,19 @@ def _parse_profile(node, z_min: float, z_max: float, what: str) -> Profile:
         return params[name]
 
     if kind == "constant":
-        return ConstantProfile(_as_float(need("value"), f"{what}.value"))
+        value = _as_float(need("value"), f"{what}.value")
+        return PiecewiseLinearProfile(((z_min, value), (z_max, value)))
     if kind == "linear":
-        return LinearProfile(
-            _as_float(need("start"), f"{what}.start"),
-            _as_float(need("end"), f"{what}.end"),
-            z_min,
-            z_max,
-        )
+        start = _as_float(need("start"), f"{what}.start")
+        end = _as_float(need("end"), f"{what}.end")
+        return PiecewiseLinearProfile(((z_min, start), (z_max, end)))
     if kind == "exponential":
         rate = _as_float(params.get("rate", 1.0), f"{what}.rate")
         if rate == 0.0:
             raise _semantic(f"{what}: exponential profile rate must be nonzero")
+        # A subnormal rate underflows expm1(rate * t) and turns the ramp into a step.
+        if abs(rate) < sys.float_info.min:
+            raise _semantic(f"{what}.rate = {rate!r} is subnormal; |rate| must be at least {sys.float_info.min!r}")
         return ExponentialProfile(
             _as_float(need("start"), f"{what}.start"),
             _as_float(need("end"), f"{what}.end"),

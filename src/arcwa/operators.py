@@ -17,7 +17,8 @@ Concrete fillings, normal incidence, nonmagnetic media:
 where E = Toeplitz(eps coefficients), K = diag(m * wavelength / period).
 The coefficients are exact for the piecewise-constant slice; eps and 1/eps
 share one table of interval phases, computed with a single exp for a whole
-stack of slices that share an interval count and a period.
+stack of slices that share an interval count. Every slice lies on the
+spec's transverse period, the one the wavevectors K are taken on.
 The TM sign fold makes vacuum satisfy P*Q = I, matching TE; the inverse
 rule for Q keeps TM convergence correct across material steps. Both
 fillings are pinned by the vacuum spectrum check and the analytic slab
@@ -129,14 +130,20 @@ def assemble_stack(slices: Sequence[PermittivitySlice], spec: StructureSpec) -> 
     """``assemble_operators`` for several slices of one spec, computed as stacks.
 
     Each pair equals the one assembled alone, bit for bit. Slices that
-    share an interval count and a period form one stack; slices with
-    different interval counts never share a coefficient sum. Each pair owns
-    its matrices, so it keeps no other pair's alive, except that every TE
-    pair holds the same read-only identity as P.
+    share an interval count form one stack; slices with different interval
+    counts never share a coefficient sum. Each pair owns its matrices, so
+    it keeps no other pair's alive, except that every TE pair holds the
+    same read-only identity as P. A slice on another transverse period
+    than the spec's raises ValueError.
     """
-    groups: dict[tuple[int, float], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, slc in enumerate(slices):
-        groups.setdefault((len(slc.intervals), slc.period_x), []).append(i)
+        if slc.period_x != spec.period_x_um:
+            raise ValueError(
+                f"slice at z = {slc.z:g} lies on period_x = {slc.period_x!r}, "
+                f"but the spec's period_x_um is {spec.period_x_um!r}"
+            )
+        groups.setdefault(len(slc.intervals), []).append(i)
     pairs: list[OperatorPair] = [None] * len(slices)  # type: ignore[list-item]
     for group in groups.values():
         for i, pair in zip(group, _assemble_group([slices[i] for i in group], spec)):
@@ -145,7 +152,7 @@ def assemble_stack(slices: Sequence[PermittivitySlice], spec: StructureSpec) -> 
 
 
 def _assemble_group(slices: list[PermittivitySlice], spec: StructureSpec) -> list[OperatorPair]:
-    """One stack of slices that share an interval count and a period.
+    """One stack of slices that share an interval count.
 
     The 1/eps coefficients are computed only for TM, the one filling that
     uses them; its two Toeplitz inverses stay one guarded factorization per
@@ -154,7 +161,7 @@ def _assemble_group(slices: list[PermittivitySlice], spec: StructureSpec) -> lis
     order = spec.truncation_order
     # (x0, x1, eps) of every interval, shaped (slices, intervals, 3).
     intervals = np.array([slc.intervals for slc in slices])
-    table = _phase_table(intervals[..., :2].real, slices[0].period_x, order)
+    table = _phase_table(intervals[..., :2].real, spec.period_x_um, order)
     eps_toeplitz = _toeplitz_from(_piecewise_coefficients(slices, intervals[..., 2], table), order)
     m = np.arange(-order, order + 1, dtype=np.float64)
     kt = m * spec.wavelength_um / spec.period_x_um  # transverse wavevector / k0

@@ -12,7 +12,10 @@ integrated against propagation phases that, by the branch rule, never
 exceed unit magnitude. The integrals are evaluated with a 3-point Simpson
 rule sampling z_L, the midpoint and z_R. A sample that is the reference
 operators themselves (the midpoint under the midpoint rule, z_R under the
-endpoint rule) has exactly zero deviation and is skipped.
+endpoint rule) has exactly zero deviation and is skipped. TE operators
+share one identity P, so their P term is skipped; every other deviation
+forms both terms, and a P equal to the reference P gives a dP of exact
+zeros.
 
 The four integral terms double as the section's error estimate: they are
 exactly the difference between the first- and zeroth-order matrices, and
@@ -89,8 +92,7 @@ _Section = tuple[float, float, ModalBasis, OperatorPair, tuple[OperatorPair, Ope
 def delta_ab(slice_ops: OperatorPair, ref_ops: OperatorPair, basis: ModalBasis) -> _Deltas:
     """Deviations (dA, dB) of sampled operators from the reference, in the reference basis.
 
-    When P equals the reference P (TE has P = I at every z) its term is
-    exactly zero and is skipped. A stack of one ``delta_stack``.
+    A stack of one ``delta_stack``.
     """
     d_a, d_b = delta_stack([slice_ops], [ref_ops], [basis])
     return d_a[0], d_b[0]
@@ -101,26 +103,21 @@ def delta_stack(
 ) -> _Deltas:
     """``delta_ab`` for G (sample, reference, basis) triples, stacked as (G, n, n).
 
-    Each deviation equals the one computed alone, bit for bit.
+    Each deviation equals the one computed alone. TE operators share one
+    read-only identity P, so a stack whose samples all hold their
+    reference's P object skips the P term; any other stack forms dP for
+    every entry, which is exact zeros where P equals the reference P.
     """
     for s, r, b in zip(slice_ops, ref_ops, bases):
         if s.P.shape != r.P.shape or r.P.shape != b.W.shape:
             raise ValueError(f"dimension mismatch: slice {s.P.shape}, reference {r.P.shape}, basis {b.W.shape}")
     q = as_stack([s.Q for s in slice_ops]) - as_stack([r.Q for r in ref_ops])
     dq = as_stack([b.V_inv for b in bases]) @ q @ as_stack([b.W for b in bases])
-    # TE operators share one read-only identity P, so their P terms vanish by identity.
     if all(s.P is r.P for s, r in zip(slice_ops, ref_ops)):
         return dq, -dq
     p = as_stack([s.P for s in slice_ops]) - as_stack([r.P for r in ref_ops])
-    moved = p.any(axis=(1, 2))
-    if moved.all():
-        dp = as_stack([b.W_inv for b in bases]) @ p @ as_stack([b.V for b in bases])
-        return dp + dq, dp - dq
-    if not moved.any():
-        return dq, -dq
     dp = as_stack([b.W_inv for b in bases]) @ p @ as_stack([b.V for b in bases])
-    moved = moved[:, None, None]
-    return np.where(moved, dp + dq, dq), np.where(moved, dp - dq, -dq)
+    return dp + dq, dp - dq
 
 
 def zeroth_order_smatrix(basis: ModalBasis, z_L: float, z_R: float) -> ScatteringMatrix:
@@ -187,33 +184,24 @@ def first_order_smatrix(
     z_R: float,
     basis: ModalBasis,
     ref_ops: OperatorPair,
-    end_ops: tuple[OperatorPair, OperatorPair] | None = None,
 ) -> SectionResult:
     """Solve one section to first perturbation order in the given basis.
 
-    The reference position must lie inside [z_L, z_R]. ``end_ops``
-    optionally supplies the operators at z_L and z_R, which neighbouring
-    sections share. A sample within _SAMPLE_RTOL of the reference position
-    is ``ref_ops``; the others are assembled here as one stack. A stack of
-    one ``first_order_stack``.
+    The reference position must lie inside [z_L, z_R]. A sample within
+    _SAMPLE_RTOL of the reference position is ``ref_ops``; the others are
+    assembled here as one stack. A stack of one ``first_order_stack``.
     """
     if not z_R > z_L:
         raise ValueError(f"z_R = {z_R:g} must be > z_L = {z_L:g}")
     span = z_R - z_L
     if not (z_L - _SAMPLE_RTOL * span <= basis.z_ref <= z_R + _SAMPLE_RTOL * span):
         raise ValueError(f"basis reference z = {basis.z_ref:g} lies outside section [{z_L:g}, {z_R:g}]")
-    if end_ops is not None and (end_ops[0].z != z_L or end_ops[1].z != z_R):
-        raise ValueError(
-            f"end operators at z = {end_ops[0].z:g}, {end_ops[1].z:g} do not match section [{z_L:g}, {z_R:g}]"
-        )
     nodes = [zk for zk, _ in _simpson(z_L, z_R)]
-    known = [None, None, None] if end_ops is None else [end_ops[0], None, end_ops[1]]
-    samples = [ref_ops if abs(zk - basis.z_ref) <= _SAMPLE_RTOL * max(span, 1.0) else ops
-               for zk, ops in zip(nodes, known)]
-    missing = [k for k, ops_k in enumerate(samples) if ops_k is None]
-    for k, ops_k in zip(missing, operators.assemble_stack([geometry.slice_at(spec, nodes[k]) for k in missing], spec)):
-        samples[k] = ops_k
-    return first_order_stack([(z_L, z_R, basis, ref_ops, tuple(samples))])[0]
+    at_ref = [abs(zk - basis.z_ref) <= _SAMPLE_RTOL * max(span, 1.0) for zk in nodes]
+    assembled = iter(operators.assemble_stack(
+        [geometry.slice_at(spec, zk) for zk, ref in zip(nodes, at_ref) if not ref], spec))
+    samples = tuple(ref_ops if ref else next(assembled) for ref in at_ref)
+    return first_order_stack([(z_L, z_R, basis, ref_ops, samples)])[0]
 
 
 def _simpson(z_L: float, z_R: float) -> list[tuple[float, float]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,12 @@ from arcwa.modal import ModalBasis
 from arcwa.numerics import max_abs
 from arcwa.sections import ScatteringMatrix
 from arcwa.solver import solve_uniform
+
+
+def uniform_spec_on(period: float, eps: complex = 1.0, **kwargs) -> StructureSpec:
+    """``uniform_spec`` of unit thickness on the transverse period ``period``: a spec assembles only slices on its own."""
+    return dataclasses.replace(uniform_spec(eps, 1.0, **kwargs), period_x_um=period)
+
 
 def owning_buffer(a: np.ndarray) -> np.ndarray:
     """The array that owns ``a``'s memory: ``a`` itself, or the end of its chain of bases."""

@@ -6,7 +6,7 @@ import pytest
 
 from arcwa.errors import SpecSemanticError, SpecSyntaxError
 from arcwa.geometry import (
-    ConstantProfile,
+    PiecewiseLinearProfile,
     Polarization,
     parse_structure,
     slice_at,
@@ -34,7 +34,8 @@ def test_parse_minimal_document():
     assert spec.polarization is Polarization.TM
     assert spec.truncation_order == 0
     assert spec.background_eps == 1.0 + 0.0j
-    assert isinstance(spec.regions[0].width, ConstantProfile)
+    assert spec.regions[0].width == PiecewiseLinearProfile(((0.0, 0.5), (0.5, 0.5)))
+    assert spec.regions[0].center == PiecewiseLinearProfile(((0.0, 1.0), (0.5, 1.0)))
     assert spec.k0 == pytest.approx(2.0 * math.pi)
 
 
@@ -45,6 +46,15 @@ def test_parse_linear_taper_widths():
     assert region.width.at(1.0) == pytest.approx(0.37, abs=1e-15)
     assert region.width.at(0.5) == pytest.approx((0.26 + 0.37) / 2.0, abs=1e-15)
     assert region.eps == 12.25 + 0.0j
+
+
+def test_linear_profile_is_exactly_end_at_z_max():
+    """A linear profile is the two-point profile through (z_min, start) and (z_max, end)."""
+    spec = parse_structure(TAPER_DOC.replace("start: 0.26, end: 0.37", "start: 0.9, end: 0.03"))
+    width = spec.regions[0].width
+    assert width == PiecewiseLinearProfile(((0.0, 0.9), (1.0, 0.03)))
+    assert (width.at(0.0), width.at(1.0)) == (0.9, 0.03)
+    assert width.bounds() == (0.03, 0.9)
 
 
 def test_negative_width_rejected():

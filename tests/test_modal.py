@@ -23,7 +23,7 @@ from arcwa.modal import (
 from arcwa.numerics import guarded_solve
 from arcwa.operators import OperatorPair, assemble_operators
 
-from conftest import owning_buffer, uniform_slice, uniform_spec
+from conftest import owning_buffer, uniform_slice, uniform_spec, uniform_spec_on
 
 K0 = 2.0 * np.pi / 1.55
 
@@ -246,7 +246,7 @@ def sorted_squares(lam):
 @settings(max_examples=40, deadline=None)
 @given(slc=slices(lossy=False), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
 def test_hermitian_route_matches_geev_on_lossless_slices(slc, order, polarization):
-    ops = assemble_operators(slc, uniform_spec(1.0, 1.0, polarization=polarization, order=order))
+    ops = assemble_operators(slc, uniform_spec_on(slc.period_x, polarization=polarization, order=order))
     assert modal._hermitian_eig(ops) is not None
     try:
         reference = geev_eigen_basis(ops)
@@ -273,7 +273,7 @@ def test_hermitian_route_matches_geev_on_lossless_slices(slc, order, polarizatio
 @settings(max_examples=25, deadline=None)
 @given(slc=slices(lossy=True), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
 def test_lossy_slices_keep_the_geev_route_bit_for_bit(slc, order, polarization):
-    ops = assemble_operators(slc, uniform_spec(1.0, 1.0, polarization=polarization, order=order))
+    ops = assemble_operators(slc, uniform_spec_on(slc.period_x, polarization=polarization, order=order))
     basis, reference = eigen_basis(ops), geev_eigen_basis(ops)
     for name in ("W", "V", "lam", "W_inv", "V_inv"):
         assert np.array_equal(getattr(basis, name), getattr(reference, name))
@@ -317,15 +317,15 @@ def test_other_operator_pairs_take_the_geev_route(p, q):
 # enough to put a propagating root on the backward branch (TE) or to order an evanescent root
 # after all others (TM) while the snap tolerance was relative to |lam| itself.
 GEEV_DUST_SLICES = {
-    "TE-order10-backward-propagating": (Polarization.TE, 10, 1.5, ((0.0, 1.3125, 1.875), (1.3125, 1.5, 5.0))),
-    "TM-order8-misordered-evanescent": (Polarization.TM, 8, 0.75, ((0.0, 0.65625, 9.75), (0.65625, 0.75, 5.875))),
+    "TE-order10-backward-propagating": (Polarization.TE, 10, ((0.0, 0.875, 1.875), (0.875, 1.0, 5.0))),
+    "TM-order8-misordered-evanescent": (Polarization.TM, 8, ((0.0, 0.875, 9.75), (0.875, 1.0, 5.875))),
 }
 
 
 @pytest.mark.parametrize("case", GEEV_DUST_SLICES.values(), ids=GEEV_DUST_SLICES.keys())
 def test_geev_dust_leaves_roots_on_their_axes(monkeypatch, case):
-    polarization, order, period, intervals = case
-    slc = PermittivitySlice(z=0.0, period_x=period, intervals=tuple((a, b, complex(e)) for a, b, e in intervals))
+    polarization, order, intervals = case
+    slc = PermittivitySlice(z=0.0, period_x=1.0, intervals=tuple((a, b, complex(e)) for a, b, e in intervals))
     ops = assemble_operators(slc, uniform_spec(1.0, 1.0, polarization=polarization, order=order))
     hermitian = eigen_basis(ops)
     monkeypatch.setattr(modal, "_hermitian_eig", lambda ops: None)

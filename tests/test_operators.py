@@ -13,7 +13,7 @@ from arcwa.geometry import PermittivitySlice, Polarization
 from arcwa.numerics import checked_solve
 from arcwa.operators import _phase_table, _piecewise_coefficients, _toeplitz_from, assemble_operators, assemble_stack
 
-from conftest import owning_buffer, uniform_slice, uniform_spec
+from conftest import owning_buffer, uniform_slice, uniform_spec, uniform_spec_on
 
 
 def eps_coefficients(slc, order):
@@ -228,6 +228,16 @@ def test_operator_metadata():
     assert ops.k0 == pytest.approx(spec.k0)
 
 
+def test_slice_on_another_period_rejected():
+    """The coefficients would be taken on the slice's period and the wavevectors on the spec's."""
+    spec = uniform_spec(2.25, 1.0, order=2)
+    slc = step_slice(period=2.0, x0=0.5, x1=1.5)
+    with pytest.raises(ValueError, match=r"period_x = 2\.0, but the spec's period_x_um is 1\.0"):
+        assemble_operators(slc, spec)
+    with pytest.raises(ValueError, match="period_x"):
+        assemble_stack([uniform_slice(2.25), slc], spec)
+
+
 def loop_coefficients(intervals, period, order):
     """Reference: Fourier coefficients accumulated one interval at a time."""
     m = np.arange(-2 * order, 2 * order + 1)
@@ -284,7 +294,7 @@ def lossy_slices(draw):
 @settings(max_examples=50, deadline=None)
 @given(slc=lossy_slices(), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
 def test_assembly_matches_interval_loop_bit_for_bit(slc, order, polarization):
-    spec = uniform_spec(1.0, 1.0, polarization=polarization, order=order)
+    spec = uniform_spec_on(slc.period_x, polarization=polarization, order=order)
     ops = assemble_operators(slc, spec)
     p, q = loop_operators(slc, spec)
     assert np.array_equal(ops.P, p)

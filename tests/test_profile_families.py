@@ -52,6 +52,17 @@ def test_steep_exponential_profile_stays_finite_and_monotone(rate):
     assert 0.26 <= min(values) and max(values) <= 0.37
 
 
+@pytest.mark.parametrize("rate", [5.0e-324, -1.0e-310])
+def test_subnormal_exponential_rate_exit2_naming_the_key(tmp_path, capsys, rate):
+    """expm1(rate * t) underflows for a subnormal rate, and the ramp would become a step."""
+    path = tmp_path / "subnormal.spec"
+    path.write_text(TAPER_DOC.replace(
+        "{kind: linear, start: 0.26, end: 0.37}", f"{{kind: exponential, start: 0.2, end: 0.4, rate: {rate!r}}}"
+    ))
+    assert cli.main(["solve", "--structure", str(path), "--alpha", "1e-2"]) == 2
+    assert "regions[0].profile.rate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rate", [800.0, 2000.0])
 def test_steep_exponential_profile_solves_from_the_cli(tmp_path, capsys, rate):
     path = tmp_path / "steep.spec"

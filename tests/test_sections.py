@@ -20,7 +20,7 @@ from arcwa.cascade import star
 from arcwa.solver import solve_uniform
 from arcwa.harness import max_norm_difference
 
-from conftest import TAPER_DOC, blocks_diff, uniform_slice, uniform_spec
+from conftest import CONSTANT_DOC, TAPER_DOC, blocks_diff, uniform_slice, uniform_spec
 
 
 def taper_section_inputs(spec, z_l, z_r):
@@ -90,10 +90,13 @@ def test_zeroth_order_semigroup():
     assert blocks_diff(star(half1, half2), full) <= 1e-12
 
 
-def test_first_order_equals_zeroth_for_constant(constant_spec):
-    ops = assemble_operators(slice_at(constant_spec, 0.5), constant_spec)
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+def test_first_order_equals_zeroth_for_constant(polarization):
+    # TM samples hold their own P, equal to the reference P, so their dP is formed and is exact zeros.
+    spec = parse_structure(CONSTANT_DOC.replace("polarization: TE", f"polarization: {polarization}"))
+    ops = assemble_operators(slice_at(spec, 0.5), spec)
     basis = eigen_basis(ops)
-    first = first_order_smatrix(constant_spec, 0.0, 1.0, basis, ops)
+    first = first_order_smatrix(spec, 0.0, 1.0, basis, ops)
     zeroth = zeroth_order_smatrix(basis, 0.0, 1.0)
     assert blocks_diff(first.smat, zeroth) == 0.0
     assert first.est_error == 0.0
@@ -188,18 +191,17 @@ def test_section_with_every_sample_at_the_reference(taper):
         assert np.array_equal(getattr(first.smat, name), getattr(zeroth, name))
 
 
-def loop_first_order(spec, z_l, z_r, basis, ref_ops, end_ops):
+def loop_first_order(spec, z_l, z_r, basis, ref_ops):
     """Reference: all three Simpson samples, the reference one included, block by block."""
     span = z_r - z_l
     sample_z = [z_l, 0.5 * (z_l + z_r), z_r]
     weights = [span / 6.0, 4.0 * span / 6.0, span / 6.0]
-    known = [None, None, None] if end_ops is None else [end_ops[0], None, end_ops[1]]
     names = ("T_LR", "R_R", "R_L", "T_RL")
     blocks = {name: np.zeros((basis.n, basis.n), dtype=np.complex128) for name in names}
-    for zk, wk, ops_k in zip(sample_z, weights, known):
+    for zk, wk in zip(sample_z, weights):
         if abs(zk - basis.z_ref) <= 1e-12 * max(span, 1.0):
             ops_k = ref_ops
-        elif ops_k is None:
+        else:
             ops_k = assemble_operators(slice_at(spec, zk), spec)
         dp = basis.W_inv @ (ops_k.P - ref_ops.P) @ basis.V
         dq = basis.V_inv @ (ops_k.Q - ref_ops.Q) @ basis.W
@@ -225,11 +227,8 @@ def loop_first_order(spec, z_l, z_r, basis, ref_ops, end_ops):
     z_l=st.floats(0.0, 0.9),
     fraction=st.floats(1e-3, 1.0),
     endpoint=st.booleans(),
-    ends_given=st.booleans(),
 )
-def test_first_order_matches_three_sample_loop_bit_for_bit(
-    polarization, order, widths, core, z_l, fraction, endpoint, ends_given
-):
+def test_first_order_matches_three_sample_loop_bit_for_bit(polarization, order, widths, core, z_l, fraction, endpoint):
     doc = (
         TAPER_DOC.replace("polarization: TE", f"polarization: {polarization}")
         .replace("truncation_order: 3", f"truncation_order: {order}")
@@ -241,9 +240,8 @@ def test_first_order_matches_three_sample_loop_bit_for_bit(
     z_ref = z_r if endpoint else 0.5 * (z_l + z_r)
     ref_ops = assemble_operators(slice_at(spec, z_ref), spec)
     basis = eigen_basis(ref_ops)
-    ends = tuple(assemble_operators(slice_at(spec, z), spec) for z in (z_l, z_r)) if ends_given else None
-    first = first_order_smatrix(spec, z_l, z_r, basis, ref_ops, end_ops=ends)
-    smat, est_error = loop_first_order(spec, z_l, z_r, basis, ref_ops, ends)
+    first = first_order_smatrix(spec, z_l, z_r, basis, ref_ops)
+    smat, est_error = loop_first_order(spec, z_l, z_r, basis, ref_ops)
     for name, block in smat.items():
         assert np.array_equal(getattr(first.smat, name), block)
     assert first.est_error == est_error

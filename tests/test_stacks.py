@@ -9,9 +9,9 @@ from arcwa.errors import NumericalError
 from arcwa.geometry import PermittivitySlice, Polarization, slice_at
 from arcwa.modal import eigen_basis, eigen_basis_stack
 from arcwa.operators import assemble_operators, assemble_stack
-from arcwa.sections import first_order_smatrix, first_order_stack
+from arcwa.sections import first_order_stack
 
-from conftest import uniform_spec
+from conftest import uniform_spec, uniform_spec_on
 
 
 @st.composite
@@ -32,15 +32,15 @@ REFERENCE_Z = (0.5, 1.0, 0.25)
 
 @st.composite
 def section_stacks(draw):
-    """A reference position and 1-5 sections on [0, 1], each its slices at z = 0, the reference and 1,
-    lossless and lossy mixed."""
+    """A transverse period, a reference position and 1-5 sections on [0, 1], each its slices at z = 0,
+    the reference and 1, lossless and lossy mixed."""
     period = draw(st.floats(0.5, 2.0))
     z_ref = draw(st.sampled_from(REFERENCE_Z))
     stack = []
     for _ in range(draw(st.integers(1, 5))):
         lossy = draw(st.booleans())
         stack.append({z: draw(random_slice(z, lossy, period)) for z in dict.fromkeys((0.0, z_ref, 1.0))})
-    return z_ref, stack
+    return period, z_ref, stack
 
 
 def assert_same(stacked, single, names):
@@ -52,8 +52,8 @@ def assert_same(stacked, single, names):
 @given(drawn=section_stacks(), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
 def test_stacked_kernels_equal_single_calls_bit_for_bit(drawn, order, polarization):
     # The background is the mid sample of sections whose reference is not the midpoint.
-    z_ref, stack = drawn
-    spec = uniform_spec(2.25, 1.0, polarization=polarization, order=order)
+    period, z_ref, stack = drawn
+    spec = uniform_spec_on(period, 2.25, polarization=polarization, order=order)
     slices = [slc for section in stack for slc in section.values()] + [slice_at(spec, 0.5)]
     ops = assemble_stack(slices, spec)
     for slc, stacked in zip(slices, ops):
@@ -81,8 +81,7 @@ def test_stacked_kernels_equal_single_calls_bit_for_bit(drawn, order, polarizati
         for basis, by_z in zip(bases, section_ops)
     ]
     for section, stacked in zip(sections, first_order_stack(sections)):
-        left, _, right = section[4]
-        single = first_order_smatrix(spec, *section[:4], end_ops=(left, right))
+        (single,) = first_order_stack([section])
         assert_same(stacked.smat, single.smat, ("T_LR", "R_R", "R_L", "T_RL"))
         assert (stacked.smat.left_basis_id, stacked.smat.right_basis_id) == (
             single.smat.left_basis_id,
