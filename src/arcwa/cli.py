@@ -7,13 +7,15 @@ Subcommands:
   validate  run the built-in analytic oracle checks
 
 Exit codes: 0 on success, 2 on input errors (bad flags, missing files,
-output paths that cannot be written, invalid structure documents,
+output paths that cannot be written or that name the same file as another
+path flag, invalid structure documents,
 documents whose operators do not fit in memory), 3 on numeric failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -47,6 +49,16 @@ def _check_writable(*paths: str | None) -> None:
             pass
         if not existed:
             os.remove(path)
+
+
+def _check_distinct(args) -> None:
+    """Raise ValueError when two of --structure, --out and --report name the same file."""
+    named = [(f"--{flag}", path) for flag in ("structure", "out", "report") if (path := getattr(args, flag, None))]
+    for (flag_a, a), (flag_b, b) in itertools.combinations(named, 2):
+        if os.path.realpath(a) == os.path.realpath(b) or (
+            os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+        ):
+            raise ValueError(f"{flag_a} '{a}' and {flag_b} '{b}' name the same file")
 
 
 def _print_report(report: SolveReport, method: str, stream) -> None:
@@ -179,6 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_distinct(args)
         _check_writable(getattr(args, "out", None), getattr(args, "report", None))
         return args.func(args)
     except (OSError, StructureError, ValueError) as exc:

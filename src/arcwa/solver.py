@@ -24,20 +24,20 @@ eigendecomposition, and ``total_eig_count`` reflects that reuse.
 a fixed partition that is never refined.
 
 The engine works on a frontier: a stack of the open sections in z order,
-leftmost on top. Each round takes the B leftmost of them as one batch,
-B = max(1, 512 // n^2) for n modes (10 at n = 7, 1 from n = 17 up): their
-points that lack operators are assembled as one stack, their fresh
-reference points are decomposed as one stack (one eigensolver call per
-section) and their first-order matrices are evaluated as one stack. Then,
-in z order, each section is accepted or refined, and the children of a
-refined section go back on top. Small n gains the most, because there a
-section's cost is per-call overhead rather than arithmetic. Root sections
-enter the frontier only as the batches reach them. An accepted section
-waits, keyed by its left point, until every section to its left has been
-folded; so the joins, and the output, do not depend on B. Batching changes
-only the order in which sections are evaluated; an error inside a batched
-solve therefore reruns the solve one section at a time, which is the
-depth-first order and raises the error that order meets first.
+leftmost on top. Each round takes the B leftmost of them as one batch, B =
+max(1, 4096 // n^2) for n modes (83 at n = 7, 9 at n = 21, 1 from n = 47
+up): their points that lack operators are assembled as one stack, their
+fresh reference points are decomposed as one stack (one eigensolver call
+per section) and their first-order matrices are evaluated as one stack.
+Then, in z order, each section is accepted or refined, and the children of
+a refined section go back on top. A batch shares each kernel call's fixed
+cost, most of a section's cost at n = 7 and much of it at n = 21. Root
+sections enter the frontier only as the batches reach them. An accepted
+section waits, keyed by its left point, until every section to its left has
+been folded; so the joins, and the output, do not depend on B. Batching
+changes only the order in which sections are evaluated; an error inside a
+batched solve therefore reruns the solve one section at a time, which is
+the depth-first order and raises the error that order meets first.
 
 The final scattering matrix is re-expressed in the bases of the two end
 points by two more joins, with an identity matrix in each port basis, so a
@@ -120,11 +120,11 @@ class SolveReport:
     sections_solved: int
 
 
-# Matrix entries (sections x n^2) that one frontier batch evaluates
-# together: B = max(1, _BATCH_ENTRIES // n^2) sections, 10 at n = 7 and
-# 1 from n = 17 up. Larger stacks grew peak memory at n = 7 and were
-# slower than one section at a time at n >= 21.
-_BATCH_ENTRIES = 512
+# Matrix entries (sections x n^2) evaluated in one frontier batch: B =
+# max(1, _BATCH_ENTRIES // n^2), 83 at n = 7, 9 at n = 21, 1 at n = 51. On
+# 2 cores with one BLAS thread 4096 ran n = 21 solves a third faster than
+# 512; 8192 (B = 3 at n = 51) only grew n = 51 peak memory, by 4%.
+_BATCH_ENTRIES = 4096
 
 # What the report keeps of an accepted section: (z_L, z_R, est_error).
 _Leaf = tuple[float, float, float]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 import warnings
 
@@ -26,6 +27,20 @@ def constant_file(tmp_path):
     path = tmp_path / "constant.spec"
     path.write_text(CONSTANT_DOC)
     return path
+
+
+@pytest.fixture()
+def assembled(monkeypatch):
+    """The stack sizes of every operator assembly made while the test runs."""
+    sizes = []
+    assemble_stack = operators_mod.assemble_stack
+
+    def recording(slices, spec):
+        sizes.append(len(slices))
+        return assemble_stack(slices, spec)
+
+    monkeypatch.setattr(operators_mod, "assemble_stack", recording)
+    return sizes
 
 
 def read_csv(path):
@@ -99,16 +114,8 @@ def test_invalid_document_exit2(tmp_path, capsys):
     ],
     ids=["solve-out", "uniform-report", "sweep-out"],
 )
-def test_output_path_that_is_a_directory_exit2(taper_file, tmp_path, capsys, monkeypatch, argv):
+def test_output_path_that_is_a_directory_exit2(taper_file, tmp_path, capsys, assembled, argv):
     """An output file that cannot be written is an input error, not a traceback, found before any solve."""
-    assembled = []
-    assemble_stack = operators_mod.assemble_stack
-
-    def recording(slices, spec):
-        assembled.append(len(slices))
-        return assemble_stack(slices, spec)
-
-    monkeypatch.setattr(operators_mod, "assemble_stack", recording)
     code = cli.main([*argv, str(tmp_path), "--structure", str(taper_file)])
     assert code == 2
     captured = capsys.readouterr()
@@ -116,6 +123,37 @@ def test_output_path_that_is_a_directory_exit2(taper_file, tmp_path, capsys, mon
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert assembled == []
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["solve", "--alpha", "1e-2", "--out", "{x}", "--report", "{x}"], ("--out", "--report")),
+        (["solve", "--alpha", "1e-2", "--out", "{s}"], ("--structure", "--out")),
+        (["solve", "--alpha", "1e-2", "--report", "{link}"], ("--structure", "--report")),
+        (["uniform", "--sections", "2", "--report", "{s}", "--out", "{x}"], ("--structure", "--report")),
+        (["uniform", "--sections", "2", "--out", "{x}", "--report", "{dotted_x}"], ("--out", "--report")),
+        (["sweep", "--grid", "2", "--oracle-sections", "4", "--out", "{s}"], ("--structure", "--out")),
+    ],
+    ids=["solve-out-report", "solve-structure-out", "solve-structure-hardlink", "uniform-structure-report",
+         "uniform-out-dotted-report", "sweep-structure-out"],
+)
+def test_path_flags_naming_the_same_file_exit2(taper_file, tmp_path, capsys, assembled, argv, flags):
+    """Two path flags that name one file are an input error found before any solve; nothing is written."""
+    original = taper_file.read_bytes()
+    (tmp_path / "sub").mkdir()
+    link = tmp_path / "link.spec"
+    os.link(taper_file, link)
+    paths = {"x": tmp_path / "x.out", "dotted_x": tmp_path / "sub" / ".." / "x.out", "s": taper_file, "link": link}
+    argv = [arg.format(**paths) for arg in argv]
+    code = cli.main([*argv, "--structure", str(taper_file)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("arcwa: input error:") and "name the same file" in err
+    assert all(flag in err for flag in flags)
+    assert assembled == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.spec", "sub", "taper.spec"]
+    assert taper_file.read_bytes() == original
 
 
 def test_tm_zero_eps_exit2(tmp_path, capsys):

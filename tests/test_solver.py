@@ -422,10 +422,10 @@ def test_batching_is_invisible(monkeypatch, doc, polarization, loss, truncation)
         for name in BATCH_SOLVES
         for rule in ReferenceRule
         for order in (0, 1)
-        # Deeper adaptive runs cost up to seconds each. At n = 21 a batch holds one section anyway, and
-        # at alpha = 1e-4 order 0 only swaps the leaves of the order-1 tree.
+        # Deeper adaptive runs cost up to seconds each. At n = 21 alpha = 1e-3 runs only at order 1 under
+        # the midpoint rule, and at alpha = 1e-4 order 0 only swaps the leaves of the order-1 tree.
         if not (name == "adaptive-alpha0.0001" and (truncation == 10 or order == 0))
-        and not (truncation == 10 and name == "adaptive-alpha0.001")
+        and not (truncation == 10 and name == "adaptive-alpha0.001" and (rule, order) != (ReferenceRule.MIDPOINT, 1))
     ]
     batched = [BATCH_SOLVES[name](spec, rule, order) for name, rule, order in runs]
     monkeypatch.setattr(solver, "_BATCH_ENTRIES", 1)
@@ -440,6 +440,29 @@ def test_batching_is_invisible(monkeypatch, doc, polarization, loss, truncation)
         assert report.sections == expected.sections, run
         assert report.sections_solved == expected.sections_solved, run
         assert report.total_eig_count == expected.total_eig_count, run
+
+
+@pytest.mark.parametrize("truncation, n_sections", [(3, 100), (10, 20), (25, 3)], ids=["n7", "n21", "n51"])
+def test_batch_sizes(monkeypatch, truncation, n_sections):
+    """An order-0 uniform solve decomposes its references in full batches of B = max(1, _BATCH_ENTRIES // n^2),
+    then the two ports as one stack; B is above 1 at n = 21."""
+    spec = parse_structure(TAPER_DOC.replace("truncation_order: 3", f"truncation_order: {truncation}"))
+    sizes = []
+    eigen_basis_stack = modal.eigen_basis_stack
+
+    def recording(stack):
+        sizes.append(len(stack))
+        return eigen_basis_stack(stack)
+
+    monkeypatch.setattr(modal, "eigen_basis_stack", recording)
+    solve_uniform(spec, n_sections)
+    *frontier, ports = sizes
+    batch = max(1, solver._BATCH_ENTRIES // spec.n_harmonics**2)
+    assert max(frontier) == min(n_sections, batch)
+    assert frontier == [batch] * (n_sections // batch) + [n_sections % batch] * (n_sections % batch > 0)
+    assert ports == 2
+    if truncation == 10:
+        assert batch > 1
 
 
 def recorded_joins(monkeypatch):
