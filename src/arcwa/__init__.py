@@ -51,7 +51,6 @@ from .sections import (
     zeroth_order_smatrix,
 )
 from .solver import (
-    ReferenceRule,
     SolveReport,
     SolverConfig,
     port_bases,
@@ -75,7 +74,6 @@ __all__ = [
     "PermittivitySlice",
     "Polarization",
     "ProjectionBreakdownError",
-    "ReferenceRule",
     "ResonanceError",
     "ScatteringMatrix",
     "SectionResult",

@@ -200,7 +200,7 @@ def _check_projection_identity() -> tuple[bool, str]:
 
 def _check_constant_section_orders() -> tuple[bool, str]:
     spec = uniform_spec(6.25, 0.8, order=2)
-    ops = operators.assemble_operators(uniform_slice(6.25), spec)
+    ops = operators.assemble_operators(uniform_slice(6.25, z=0.4), spec)
     basis = modal.eigen_basis(ops)
     first = sections.first_order_smatrix(spec, 0.0, 0.8, basis, ops)
     zeroth = sections.zeroth_order_smatrix(basis, 0.0, 0.8)

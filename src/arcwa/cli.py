@@ -25,7 +25,7 @@ from . import checks as checks_mod
 from . import harness
 from .errors import ArcwaError, StructureError
 from .geometry import StructureSpec, parse_structure
-from .solver import ReferenceRule, SolveReport, SolverConfig, solve_adaptive, solve_uniform
+from .solver import SolveReport, SolverConfig, solve_adaptive, solve_uniform
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -92,17 +92,15 @@ def _emit_solution(args, report: SolveReport, method: str) -> None:
 
 def _cmd_solve(args) -> int:
     spec = _load_structure(args.structure)
-    rule = ReferenceRule(args.reference)
-    report = solve_adaptive(spec, SolverConfig(alpha=args.alpha, reference_rule=rule, order=args.order))
-    _emit_solution(args, report, f"adaptive(alpha={args.alpha:g}, reference={rule.value}, order={args.order})")
+    report = solve_adaptive(spec, SolverConfig(alpha=args.alpha, order=args.order))
+    _emit_solution(args, report, f"adaptive(alpha={args.alpha:g}, order={args.order})")
     return EXIT_OK
 
 
 def _cmd_uniform(args) -> int:
     spec = _load_structure(args.structure)
-    rule = ReferenceRule(args.reference)
-    report = solve_uniform(spec, args.sections, order=args.order, reference_rule=rule)
-    _emit_solution(args, report, f"uniform(N={args.sections}, reference={rule.value}, order={args.order})")
+    report = solve_uniform(spec, args.sections, order=args.order)
+    _emit_solution(args, report, f"uniform(N={args.sections}, order={args.order})")
     return EXIT_OK
 
 
@@ -113,13 +111,7 @@ def _cmd_sweep(args) -> int:
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError:
         raise ValueError(f"grid must be a comma-separated list of numbers, got {args.grid!r}") from None
-    records = harness.run_sweep(
-        spec,
-        methods,
-        grid,
-        oracle_sections=args.oracle_sections,
-        reference_rule=ReferenceRule(args.reference),
-    )
+    records = harness.run_sweep(spec, methods, grid, oracle_sections=args.oracle_sections)
     if args.out:
         with open(args.out, "w") as fh:
             harness.write_sweep_csv(records, fh)
@@ -157,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="adaptive solve down to an error bound")
     solve.add_argument("--structure", required=True, help="structure document path")
     solve.add_argument("--alpha", type=float, required=True, help="error bound")
-    solve.add_argument("--reference", choices=["midpoint", "endpoint"], default="midpoint")
     solve.add_argument("--order", type=int, choices=[0, 1], default=1)
     solve.add_argument("--out", help="scattering-matrix CSV path (default: stdout)")
     solve.add_argument("--report", help="optional JSON report path")
@@ -167,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     uniform.add_argument("--structure", required=True, help="structure document path")
     uniform.add_argument("--sections", type=int, required=True, help="number of equal sections")
     uniform.add_argument("--order", type=int, choices=[0, 1], default=0)
-    uniform.add_argument("--reference", choices=["midpoint", "endpoint"], default="midpoint")
     uniform.add_argument("--out", help="scattering-matrix CSV path (default: stdout)")
     uniform.add_argument("--report", help="optional JSON report path")
     uniform.set_defaults(func=_cmd_uniform)
@@ -177,7 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--methods", default="uniform0,uniform1,adaptive", help="comma list from: uniform0,uniform1,adaptive")
     sweep.add_argument("--grid", required=True, help="comma list of knobs (N or alpha)")
     sweep.add_argument("--oracle-sections", type=int, default=256, help="ground-truth resolution")
-    sweep.add_argument("--reference", choices=["midpoint", "endpoint"], default="midpoint")
     sweep.add_argument("--out", help="sweep CSV path (default: stdout)")
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -18,7 +18,7 @@ from .errors import BasisMismatchError
 from .geometry import StructureSpec
 from .numerics import max_abs
 from .sections import ScatteringMatrix
-from .solver import ReferenceRule, SolveReport, SolverConfig, solve_adaptive, solve_uniform
+from .solver import SolveReport, SolverConfig, solve_adaptive, solve_uniform
 
 METHODS = ("uniform0", "uniform1", "adaptive")
 
@@ -59,15 +59,13 @@ def _section_count(method: str, knob: float) -> int:
     return int(knob)
 
 
-def _run_method(
-    spec: StructureSpec, method: str, knob: float, reference_rule: ReferenceRule
-) -> SolveReport:
+def _run_method(spec: StructureSpec, method: str, knob: float) -> SolveReport:
     if method == "uniform0":
-        return solve_uniform(spec, _section_count(method, knob), order=0, reference_rule=reference_rule)
+        return solve_uniform(spec, _section_count(method, knob), order=0)
     if method == "uniform1":
-        return solve_uniform(spec, _section_count(method, knob), order=1, reference_rule=reference_rule)
+        return solve_uniform(spec, _section_count(method, knob), order=1)
     if method == "adaptive":
-        return solve_adaptive(spec, SolverConfig(alpha=float(knob), reference_rule=reference_rule))
+        return solve_adaptive(spec, SolverConfig(alpha=float(knob)))
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -76,7 +74,6 @@ def run_sweep(
     methods: Sequence[str],
     grid: Sequence[float],
     oracle_sections: int = 256,
-    reference_rule: ReferenceRule = ReferenceRule.MIDPOINT,
 ) -> list[SweepRecord]:
     """Run every (method, knob) pair against a fixed-resolution ground truth.
 
@@ -92,11 +89,11 @@ def run_sweep(
     if unknown:
         raise ValueError(f"unknown method(s) {unknown}; expected one of {METHODS}")
 
-    oracle = solve_uniform(spec, oracle_sections, order=0, reference_rule=ReferenceRule.MIDPOINT)
+    oracle = solve_uniform(spec, oracle_sections, order=0)
     records = []
     for method in methods:
         for knob in grid:
-            report = _run_method(spec, method, knob, reference_rule)
+            report = _run_method(spec, method, knob)
             records.append(
                 SweepRecord(
                     method=method,

@@ -9,13 +9,13 @@ varying inside the section through the deviation matrices
     dB(z) = W^-1 (P(z) - P_r) V - V^-1 (Q(z) - Q_r) W,
 
 integrated against propagation phases that, by the branch rule, never
-exceed unit magnitude. The integrals are evaluated with a 3-point Simpson
-rule sampling z_L, the midpoint and z_R. A sample that is the reference
-operators themselves (the midpoint under the midpoint rule, z_R under the
-endpoint rule) has exactly zero deviation and is skipped. TE operators
-share one identity P, so their P term is skipped; every other deviation
-forms both terms, and a P equal to the reference P gives a dP of exact
-zeros.
+exceed unit magnitude. The reference is the section's midpoint. The
+integrals are evaluated with a 3-point Simpson rule sampling z_L, the
+midpoint and z_R; the midpoint sample has exactly zero deviation, so only
+the two end samples are formed, each with weight (z_R - z_L) / 6. TE
+operators share one identity P, so their P term is skipped; every other
+deviation forms both terms, and a P equal to the reference P gives a dP of
+exact zeros.
 
 The four integral terms double as the section's error estimate: they are
 exactly the difference between the first- and zeroth-order matrices, and
@@ -25,8 +25,8 @@ against the user's error bound during adaptive subdivision.
 The solver evaluates sections in stacks (``first_order_stack``, with the
 deviations of ``delta_stack``) from the operators it assembled for every
 sample; ``first_order_smatrix`` and ``delta_ab`` are stacks of one, and
-every entry of a stack equals its single call. Only ``first_order_smatrix``
-matches samples to the reference by position, and it assembles the rest.
+every entry of a stack equals its single call. ``first_order_smatrix``
+assembles the two end samples itself.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .modal import ModalBasis, propagation_factor
 from .numerics import as_stack
 from .operators import OperatorPair
 
-# first_order_smatrix takes ref_ops for a sample within this times max(span, 1) of the reference position.
+# first_order_smatrix accepts a basis within this times max(span, 1) of the section's midpoint:
+# the middle third of a split section keeps its parent's middle z, which can be an ulp off its own.
 _SAMPLE_RTOL = 1e-12
 
 
@@ -85,8 +86,8 @@ class SectionResult:
 # Deviation matrices (dA, dB) of one sampled z against the reference.
 _Deltas = tuple[np.ndarray, np.ndarray]
 
-# A section to solve: (z_L, z_R, basis, ref_ops, the operators at z_L, the midpoint and z_R).
-_Section = tuple[float, float, ModalBasis, OperatorPair, tuple[OperatorPair, OperatorPair, OperatorPair]]
+# A section to solve: (z_L, z_R, midpoint basis, midpoint operators, the operators at z_L and z_R).
+_Section = tuple[float, float, ModalBasis, OperatorPair, tuple[OperatorPair, OperatorPair]]
 
 
 def delta_ab(slice_ops: OperatorPair, ref_ops: OperatorPair, basis: ModalBasis) -> _Deltas:
@@ -185,61 +186,43 @@ def first_order_smatrix(
     basis: ModalBasis,
     ref_ops: OperatorPair,
 ) -> SectionResult:
-    """Solve one section to first perturbation order in the given basis.
+    """Solve one section to first perturbation order in the basis of its midpoint.
 
-    The reference position must lie inside [z_L, z_R]. A sample within
-    _SAMPLE_RTOL of the reference position is ``ref_ops``; the others are
-    assembled here as one stack. A stack of one ``first_order_stack``.
+    ``basis`` and ``ref_ops`` must be the midpoint's, within _SAMPLE_RTOL
+    times max(z_R - z_L, 1). The two end samples are assembled here as one
+    stack. A stack of one ``first_order_stack``.
     """
     if not z_R > z_L:
         raise ValueError(f"z_R = {z_R:g} must be > z_L = {z_L:g}")
-    span = z_R - z_L
-    if not (z_L - _SAMPLE_RTOL * span <= basis.z_ref <= z_R + _SAMPLE_RTOL * span):
-        raise ValueError(f"basis reference z = {basis.z_ref:g} lies outside section [{z_L:g}, {z_R:g}]")
-    nodes = [zk for zk, _ in _simpson(z_L, z_R)]
-    at_ref = [abs(zk - basis.z_ref) <= _SAMPLE_RTOL * max(span, 1.0) for zk in nodes]
-    assembled = iter(operators.assemble_stack(
-        [geometry.slice_at(spec, zk) for zk, ref in zip(nodes, at_ref) if not ref], spec))
-    samples = tuple(ref_ops if ref else next(assembled) for ref in at_ref)
-    return first_order_stack([(z_L, z_R, basis, ref_ops, samples)])[0]
-
-
-def _simpson(z_L: float, z_R: float) -> list[tuple[float, float]]:
-    """The (z, weight) nodes of the 3-point Simpson rule on [z_L, z_R]."""
-    span = z_R - z_L
-    return [(z_L, span / 6.0), (0.5 * (z_L + z_R), 4.0 * span / 6.0), (z_R, span / 6.0)]
+    middle = 0.5 * (z_L + z_R)
+    if not abs(basis.z_ref - middle) <= _SAMPLE_RTOL * max(z_R - z_L, 1.0):
+        raise ValueError(f"basis reference z = {basis.z_ref:g} is not the midpoint of section [{z_L:g}, {z_R:g}]")
+    ends = operators.assemble_stack([geometry.slice_at(spec, z) for z in (z_L, z_R)], spec)
+    return first_order_stack([(z_L, z_R, basis, ref_ops, tuple(ends))])[0]
 
 
 def first_order_stack(sections: Sequence[_Section]) -> list[SectionResult]:
-    """``first_order_smatrix`` for several sections, as one stack, from the sample operators given.
+    """``first_order_smatrix`` for several sections, as one stack, from the end-sample operators given.
 
-    Each result equals the one solved alone, bit for bit. A sample that is
-    the section's ``ref_ops`` object is skipped; a stack whose sections
-    skip different numbers of samples raises ValueError. Each S-matrix's
+    Each result equals the one solved alone, bit for bit. Each S-matrix's
     four blocks are views of one buffer of the stack.
     """
-    z_l, z_r, bases, refs, samples = zip(*sections)
-    # Per section, the samples taken: operators, distances to z_R and from z_L, and Simpson weights.
-    taken = [
-        [(ops_k, (z_R - zk, zk - z_L), wk) for ops_k, (zk, wk) in zip(chosen, _simpson(z_L, z_R)) if ops_k is not ref]
-        for z_L, z_R, ref, chosen in zip(z_l, z_r, refs, samples)
-    ]
-    if len({len(chosen) for chosen in taken}) > 1:
-        raise ValueError(f"sections of one stack take different numbers of samples: {[len(c) for c in taken]}")
-    count, size = len(taken[0]), len(sections)
+    z_l, z_r, bases, refs, ends = zip(*sections)
     k0 = [b.k0 for b in bases]
     lam_k0 = 1j * as_stack([b.lam for b in bases]) * np.array(k0)[:, None]
-    deltas = [delta_stack([chosen[k][0] for chosen in taken], refs, bases) for k in range(count)]
-    # (S, G) views of the (G, S) per-section lists.
-    dz = np.array([[offset for _, offset, _ in chosen] for chosen in taken]).reshape(size, count, 2).transpose(1, 0, 2)
-    weights = np.array([[wk for _, _, wk in chosen] for chosen in taken]).reshape(size, count).T
+    # The z_L sample, then the z_R one: deviations, distances to z_R and from z_L, and Simpson weights.
+    deltas = [delta_stack([pair[k] for pair in ends], refs, bases) for k in range(2)]
+    span = np.array(z_r) - np.array(z_l)
+    zero = np.zeros_like(span)
+    dz = np.array([[span, zero], [zero, span]]).transpose(0, 2, 1)
+    weights = np.array([span / 6.0, span / 6.0])
     terms = _first_order_terms(lam_k0, k0, deltas, dz[..., None], weights)
     est_error = np.abs(terms).max(axis=(1, 2, 3, 4)).tolist()
     # The zeroth-order matrix adds only the diagonal transmission; the
     # four blocks of a section share its slot of the terms' buffer.
-    n = lam_k0.shape[1]
+    size, n = lam_k0.shape
     diagonal = np.zeros((size, 1, n * n), dtype=np.complex128)
-    diagonal[:, 0, :: n + 1] = np.exp(lam_k0 * (np.array(z_r) - np.array(z_l))[:, None])
+    diagonal[:, 0, :: n + 1] = np.exp(lam_k0 * span[:, None])
     terms[:, 0] += diagonal.reshape(size, 1, n, n)
     return [
         SectionResult(ScatteringMatrix(t_lr, r_r, r_l, t_rl, basis.basis_id, basis.basis_id), est)

@@ -1,25 +1,23 @@
 """Structure solver: one engine for fixed partitions and adaptive subdivision.
 
 The engine cuts [z_min, z_max] at given root cut positions, solves each
-section in the eigenbasis of its reference point and subdivides it evenly
-into M subsections whenever its estimated error reaches the user bound
-alpha. Accepted sections are folded strictly left to right, in z order:
-each section boundary is one ``cascade.join``, which writes field
-continuity between the two bases and composes the scattering matrices with
-a single guarded factorization. The star product is associative, so this
-plain cascade is as valid a grouping as any other.
+section in the eigenbasis of its reference point and trisects it whenever
+its estimated error reaches the user bound alpha. Accepted sections are
+folded strictly left to right, in z order: each section boundary is one
+``cascade.join``, which writes field continuity between the two bases and
+composes the scattering matrices with a single guarded factorization. The
+star product is associative, so this plain cascade is as valid a grouping
+as any other.
 
 A point is a z with its operators and its modal basis, each filled in at
 most once. A section has a point per Simpson sample: left and right, shared
-with the sections it meets, and a middle point of its own. Its reference
-is its middle point under the midpoint rule and its right point under the
-endpoint rule. Every reuse of operators or of a basis is by identity.
+with the sections it meets, and a middle point of its own, which is its
+reference. Every reuse of operators or of a basis is by identity.
 
-``solve_adaptive`` cuts only at z_min and z_max. M follows the reference
-rule: 3 under the midpoint rule, 2 under the endpoint rule. The parent's
-middle point becomes the middle third's middle point, or the boundary of
-the two halves; either way child 1 shares its parent's reference point and
-eigendecomposition, and ``total_eig_count`` reflects that reuse.
+``solve_adaptive`` cuts only at z_min and z_max. The parent's middle point
+becomes the middle third's middle point, so child 1 shares its parent's
+reference point and eigendecomposition, and ``total_eig_count`` reflects
+that reuse.
 ``solve_uniform`` is the same engine with N equal pieces and alpha = inf:
 a fixed partition that is never refined.
 
@@ -45,13 +43,11 @@ solve with L leaves performs (L - 1) + 2 interface factorizations. Those
 "port" bases depend only on the structure and basis ids hash basis
 content, so results of different methods, resolutions and solves compare
 entry by entry. Each solve decomposes its own end points (nothing is
-cached); under the endpoint rule the z_max point is the last section's
-reference and already has its basis. The port eigendecompositions are not
-charged to ``total_eig_count``.
+cached). The port eigendecompositions are not charged to
+``total_eig_count``.
 """
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import time
@@ -66,16 +62,6 @@ from .operators import OperatorPair
 from .sections import ScatteringMatrix
 
 
-class ReferenceRule(enum.Enum):
-    """Where a section samples its reference operators."""
-
-    MIDPOINT = "midpoint"
-    ENDPOINT = "endpoint"
-
-
-# Subsections per refined section: each rule's natural split, the one in
-# which a child's reference coincides with its parent's.
-_SUBDIVISIONS = {ReferenceRule.MIDPOINT: 3, ReferenceRule.ENDPOINT: 2}
 # Refinement depth at which a section still over alpha raises.
 _MAX_DEPTH = 20
 
@@ -87,12 +73,10 @@ class SolverConfig:
     ``alpha`` is the per-section error bound the estimate is compared
     against; alpha = inf never refines. At order 0 with alpha = inf
     nothing reads the estimate, so it is not computed and every section
-    reports ``est_error`` 0.0. ``reference_rule`` also fixes how many
-    subsections a refined section splits into (3 midpoint, 2 endpoint).
+    reports ``est_error`` 0.0.
     """
 
     alpha: float
-    reference_rule: ReferenceRule = ReferenceRule.MIDPOINT
     order: int = 1
 
     def __post_init__(self) -> None:
@@ -145,7 +129,7 @@ class _Point:
 
 @dataclass(eq=False, slots=True)
 class _Open:
-    """A section waiting to be evaluated; its reference is ``middle`` (midpoint rule) or ``right`` (endpoint)."""
+    """A section waiting to be evaluated; its reference is ``middle``."""
 
     left: _Point
     middle: _Point
@@ -195,16 +179,12 @@ def _sections(points: Iterator[_Point], depth: int) -> Iterator[_Open]:
         left = right
 
 
-def _split(section: _Open, rule: ReferenceRule) -> list[_Open]:
-    """The children of a refined section, in z order; child 1 keeps its parent's reference point.
-
-    The parent's middle point is the child point at its midpoint: the halves' boundary or the middle third's middle.
-    """
-    m, z_l, z_r = _SUBDIVISIONS[rule], section.left.z, section.right.z
-    inner = [section.middle] if m == 2 else [_Point(z_l + (z_r - z_l) * i / m) for i in range(1, m)]
+def _split(section: _Open) -> list[_Open]:
+    """The three children of a refined section, in z order; child 1 keeps its parent's middle point."""
+    z_l, z_r = section.left.z, section.right.z
+    inner = [_Point(z_l + (z_r - z_l) * i / 3) for i in range(1, 3)]
     children = list(_sections(iter([section.left, *inner, section.right]), section.depth + 1))
-    if m == 3:
-        children[1].middle = section.middle
+    children[1].middle = section.middle
     return children
 
 
@@ -259,28 +239,26 @@ def _evaluate(
     """One round: evaluate the sections ``taken`` (in z order) and return the children to push.
 
     Their middle and right points that lack operators are assembled as one
-    stack (only the fresh references when nothing reads the estimate), the
-    fresh reference points are decomposed as one stack and the sections are
-    solved at first order as one stack, or not at all when nothing reads the
-    estimate, which then counts as 0.0. Then, in z order, each section is
-    either recorded in ``accepted`` under its left point or split.
+    stack (only the fresh middle points when nothing reads the estimate),
+    the fresh middle points are decomposed as one stack and the sections
+    are solved at first order as one stack, or not at all when nothing
+    reads the estimate, which then counts as 0.0. Then, in z order, each
+    section is either recorded in ``accepted`` under its left point or
+    split.
     """
     estimate = config.order == 1 or config.alpha < math.inf
-    endpoint = config.reference_rule is ReferenceRule.ENDPOINT
-    refs = [s.right if endpoint else s.middle for s in taken]
-    fresh = [p for p in refs if p.basis is None]
+    fresh = [s.middle for s in taken if s.middle.basis is None]
     _assemble(spec, [p for s in taken for p in (s.middle, s.right)] if estimate else fresh)
     counters["eig"] += _decompose(fresh)
     counters["solved"] += len(taken)
 
     results = [None] * len(taken)
     if estimate:
-        stack = [(s.left.z, s.right.z, r.basis, r.ops, (s.left.ops, s.middle.ops, s.right.ops))
-                 for s, r in zip(taken, refs)]
+        stack = [(s.left.z, s.right.z, s.middle.basis, s.middle.ops, (s.left.ops, s.right.ops)) for s in taken]
         results = sections.first_order_stack(stack)
     children: list[_Open] = []
-    for s, ref, result in zip(taken, refs, results):
-        z_l, z_r, basis = s.left.z, s.right.z, ref.basis
+    for s, result in zip(taken, results):
+        z_l, z_r, basis = s.left.z, s.right.z, s.middle.basis
         est_error = 0.0 if result is None else result.est_error
         if est_error < config.alpha:
             smat = sections.zeroth_order_smatrix(basis, z_l, z_r) if config.order == 0 else result.smat
@@ -292,7 +270,7 @@ def _evaluate(
                 "the structure is too singular for this accuracy"
             )
         else:
-            children.extend(_split(s, config.reference_rule))
+            children.extend(_split(s))
     return children
 
 
@@ -300,11 +278,11 @@ def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> 
     """Cut the structure at ``cuts`` (z_min first, z_max last) and refine each root section down to alpha.
 
     The end points are assembled first, a section's other points when it is
-    evaluated (only its reference when nothing reads the estimate). A batch
-    evaluates sections out of depth-first order, so after any error the
-    solve is rerun one section at a time from fresh inner points, which
-    raises the error the depth-first order meets first. The end points that
-    still lack a basis are then decomposed as one stack for the ports.
+    evaluated (only its middle point when nothing reads the estimate). A
+    batch evaluates sections out of depth-first order, so after any error
+    the solve is rerun one section at a time from fresh inner points, which
+    raises the error the depth-first order meets first. The end points are
+    then decomposed as one stack for the ports.
     """
     started = time.perf_counter()
     batch = max(1, _BATCH_ENTRIES // spec.n_harmonics**2)
@@ -316,8 +294,6 @@ def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> 
         if batch == 1:
             raise
         # One section at a time is the depth-first order: the rerun raises the error it meets first.
-        for end in ends:
-            end.basis = None
         folded = _refine(spec, config, cuts, ends, 1)
     smat, first, last, leaves, counters = folded
     _decompose(ends)
@@ -332,12 +308,7 @@ def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> 
     )
 
 
-def solve_uniform(
-    spec: StructureSpec,
-    n_sections: int,
-    order: int = 0,
-    reference_rule: ReferenceRule = ReferenceRule.MIDPOINT,
-) -> SolveReport:
+def solve_uniform(spec: StructureSpec, n_sections: int, order: int = 0) -> SolveReport:
     """Fixed-resolution cascade: N equal sections that are never refined.
 
     The solve engine cut into N equal pieces, with alpha = inf. Every
@@ -348,7 +319,7 @@ def solve_uniform(
     """
     if n_sections < 1:
         raise ValueError(f"n_sections must be >= 1, got {n_sections}")
-    config = SolverConfig(alpha=math.inf, reference_rule=reference_rule, order=order)
+    config = SolverConfig(alpha=math.inf, order=order)
     z_min, z_max = spec.z_min, spec.z_max
     cuts = [z_min, *(z_min + (z_max - z_min) * i / n_sections for i in range(1, n_sections)), z_max]
     return _solve(spec, config, cuts)
@@ -359,18 +330,17 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
 
     The solve engine with the whole structure as one root section. A
     section whose estimated error stays below alpha is accepted as a leaf;
-    otherwise it is split evenly into 3 subsections (midpoint rule) or 2
-    (endpoint rule) that are solved in turn and joined. The
-    estimate is always the first-order one; ``config.order`` selects
-    which scattering matrix a leaf contributes. Raises
+    otherwise it is split evenly into 3 subsections that are solved in turn
+    and joined. The estimate is always the first-order one; ``config.order``
+    selects which scattering matrix a leaf contributes. Raises
     MaxDepthExceededError when a section still reaches alpha at depth 20,
     which signals a structure too singular for the requested alpha.
 
-    Caveat: each section inspects the cross-section only at its endpoints,
-    midpoint and reference position. A modulation that vanishes at all of
-    those (e.g. a sinusoid with exactly one period over the span) yields a
-    zero estimate and is accepted unrefined. Keep modulation periods
-    non-commensurate with the span, or start from solve_uniform at a
-    resolution finer than the modulation, when in doubt.
+    Caveat: each section inspects the cross-section only at its two ends
+    and midpoint. A modulation that vanishes at all of those (e.g. a
+    sinusoid with exactly one period over the span) yields a zero estimate
+    and is accepted unrefined. Keep modulation periods non-commensurate
+    with the span, or start from solve_uniform at a resolution finer than
+    the modulation, when in doubt.
     """
     return _solve(spec, config, [spec.z_min, spec.z_max])

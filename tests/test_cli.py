@@ -78,7 +78,7 @@ def test_solve_writes_csv_and_report(taper_file, tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["total_eig_count"] >= 1
     assert len(payload["sections"]) >= 1
-    assert payload["method"].startswith("adaptive")
+    assert payload["method"] == "adaptive(alpha=0.01, order=1)"
 
 
 def test_solve_constant_reports_single_zero_error_section(constant_file, capsys):
@@ -154,6 +154,21 @@ def test_path_flags_naming_the_same_file_exit2(taper_file, tmp_path, capsys, ass
     assert assembled == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.spec", "sub", "taper.spec"]
     assert taper_file.read_bytes() == original
+
+
+@pytest.mark.parametrize("reference", ["endpoint", "midpoint"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--alpha", "1e-2"], ["uniform", "--sections", "2"], ["sweep", "--grid", "2", "--oracle-sections", "4"]],
+    ids=["solve", "uniform", "sweep"],
+)
+def test_reference_flag_is_gone_exit2(taper_file, capsys, assembled, argv, reference):
+    """Every section's reference is its midpoint; argparse rejects the removed --reference flag before any solve."""
+    with pytest.raises(SystemExit) as exited:
+        cli.main([*argv, "--structure", str(taper_file), "--reference", reference])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --reference" in capsys.readouterr().err
+    assert assembled == []
 
 
 def test_tm_zero_eps_exit2(tmp_path, capsys):

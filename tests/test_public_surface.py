@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "PermittivitySlice",
     "Polarization",
     "ProjectionBreakdownError",
-    "ReferenceRule",
     "ResonanceError",
     "ScatteringMatrix",
     "SectionResult",
@@ -64,4 +63,4 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_solver_config_holds_only_the_user_knobs():
-    assert [f.name for f in fields(arcwa.SolverConfig)] == ["alpha", "reference_rule", "order"]
+    assert [f.name for f in fields(arcwa.SolverConfig)] == ["alpha", "order"]

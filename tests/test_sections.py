@@ -180,15 +180,14 @@ def test_estimator_is_max_norm_of_integral_terms(rng):
 
 
 def test_section_with_every_sample_at_the_reference(taper):
-    # All three Simpson samples lie within the sample tolerance of the
-    # midpoint reference, so no deviation is formed at all.
+    # All three Simpson samples lie within 1e-13 of the midpoint reference;
+    # the two end samples are still formed, and their deviations vanish.
     z_l, z_r = 0.5, 0.5 + 1e-13
     ops, basis = taper_section_inputs(taper, z_l, z_r)
     first = first_order_smatrix(taper, z_l, z_r, basis, ops)
     zeroth = zeroth_order_smatrix(basis, z_l, z_r)
-    assert first.est_error == 0.0
-    for name in ("T_LR", "R_R", "R_L", "T_RL"):
-        assert np.array_equal(getattr(first.smat, name), getattr(zeroth, name))
+    assert first.est_error <= 1e-12
+    assert blocks_diff(first.smat, zeroth) <= 1e-12
 
 
 def loop_first_order(spec, z_l, z_r, basis, ref_ops):
@@ -226,9 +225,8 @@ def loop_first_order(spec, z_l, z_r, basis, ref_ops):
     core=st.builds(complex, st.floats(2.0, 13.0), st.floats(0.0, 0.5)),
     z_l=st.floats(0.0, 0.9),
     fraction=st.floats(1e-3, 1.0),
-    endpoint=st.booleans(),
 )
-def test_first_order_matches_three_sample_loop_bit_for_bit(polarization, order, widths, core, z_l, fraction, endpoint):
+def test_first_order_matches_three_sample_loop_bit_for_bit(polarization, order, widths, core, z_l, fraction):
     doc = (
         TAPER_DOC.replace("polarization: TE", f"polarization: {polarization}")
         .replace("truncation_order: 3", f"truncation_order: {order}")
@@ -237,8 +235,7 @@ def test_first_order_matches_three_sample_loop_bit_for_bit(polarization, order, 
     )
     spec = parse_structure(doc)
     z_r = z_l + fraction * (1.0 - z_l)
-    z_ref = z_r if endpoint else 0.5 * (z_l + z_r)
-    ref_ops = assemble_operators(slice_at(spec, z_ref), spec)
+    ref_ops = assemble_operators(slice_at(spec, 0.5 * (z_l + z_r)), spec)
     basis = eigen_basis(ref_ops)
     first = first_order_smatrix(spec, z_l, z_r, basis, ref_ops)
     smat, est_error = loop_first_order(spec, z_l, z_r, basis, ref_ops)
@@ -271,8 +268,14 @@ def test_mirrored_profile_swaps_blocks(taper):
 
 def test_reference_outside_section_rejected(taper):
     ops, basis = taper_section_inputs(taper, 0.0, 0.2)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match="not the midpoint"):
         first_order_smatrix(taper, 0.5, 0.8, basis, ops)
+
+
+def test_reference_at_section_end_rejected(taper):
+    ops = assemble_operators(slice_at(taper, 0.8), taper)
+    with pytest.raises(ValueError, match="not the midpoint of section"):
+        first_order_smatrix(taper, 0.5, 0.8, eigen_basis(ops), ops)
 
 
 def test_scattering_matrix_rejects_ragged_blocks():

@@ -13,7 +13,6 @@ from arcwa.geometry import parse_structure
 from arcwa.harness import max_norm_difference
 from arcwa.numerics import max_abs
 from arcwa.solver import (
-    ReferenceRule,
     SolverConfig,
     port_bases,
     solve_adaptive,
@@ -24,33 +23,16 @@ from conftest import TAPER_DOC
 
 
 # README taper at n = 7: (solve, operator assemblies, sections solved, eigendecompositions,
-# eigen_basis calls, guarded factorizations). The calls add the ports: two, or one when the
-# endpoint rule's last basis sits at z_max and serves as the right port. Each interface is one
+# eigen_basis calls, guarded factorizations). The calls add the two ports. Each interface is one
 # factorization: (leaves - 1) between sections plus one per port.
 REUSE_CASES = {
     "midpoint-M3": (lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4)), 163, 121, 81, 83, 82),
-    "endpoint-M2": (
-        lambda spec: solve_adaptive(spec, SolverConfig(alpha=1e-4, reference_rule=ReferenceRule.ENDPOINT)),
-        513,
-        511,
-        256,
-        257,
-        257,
-    ),
     "uniform-N64-order1": (lambda spec: solve_uniform(spec, 64, order=1), 129, 64, 64, 66, 65),
 }
 
 # Fixed partitions at order 0 read no estimate: only the ends and the references are assembled.
 ORDER0_CASES = {
     "uniform-N64-order0-midpoint": (lambda spec: solve_uniform(spec, 64), 66, 64, 64, 66, 65),
-    "uniform-N64-order0-endpoint": (
-        lambda spec: solve_uniform(spec, 64, reference_rule=ReferenceRule.ENDPOINT),
-        65,
-        64,
-        64,
-        65,
-        65,
-    ),
 }
 # Im(eps) = 1e-3 in the core: non-Hermitian operators, so every basis takes the geev route,
 # whose W and V inverses add two factorizations per eigen_basis call.
@@ -170,16 +152,6 @@ def test_adaptive_midpoint_reuse_accounting(taper_spec):
     assert report.sections_solved == 3 * subdivisions + 1
     assert report.total_eig_count == 2 * subdivisions + 1
     assert report.total_eig_count < report.sections_solved
-
-
-def test_adaptive_endpoint_binary_reuse(taper_spec, taper_oracle):
-    config = SolverConfig(alpha=1e-3, reference_rule=ReferenceRule.ENDPOINT)
-    report = solve_adaptive(taper_spec, config)
-    leaves = len(report.sections)
-    subdivisions = leaves - 1
-    assert report.sections_solved == 2 * subdivisions + 1
-    assert report.total_eig_count == subdivisions + 1
-    assert max_norm_difference(report.smat, taper_oracle.smat) <= 1e-3
 
 
 def test_adaptive_tiling_is_exact(taper_spec):
@@ -372,24 +344,23 @@ def test_handed_down_operators_match_fresh_assembly(taper_spec, monkeypatch, cas
     monkeypatch.setattr(sections, "first_order_stack", original)
     assert len(report.sections) > 1
     for z_l, z_r, est_error in report.sections:
-        (_, _, basis, ref_ops, samples), used = solved[(z_l, z_r)]
-        assert sum(ops is ref_ops for ops in samples) == 1
+        (_, _, basis, ref_ops, (left_ops, right_ops)), used = solved[(z_l, z_r)]
+        assert (left_ops.z, right_ops.z) == (z_l, z_r)
         fresh = sections.first_order_smatrix(taper_spec, z_l, z_r, basis, ref_ops)
         assert fresh.est_error == used.est_error == est_error
         for block in ("T_LR", "R_R", "R_L", "T_RL"):
             assert np.array_equal(getattr(fresh.smat, block), getattr(used.smat, block))
 
 
-@pytest.mark.parametrize("rule", ReferenceRule, ids=lambda rule: rule.value)
-def test_boundary_operators_are_freed_with_their_sections(rule):
+def test_boundary_operators_are_freed_with_their_sections():
     """The peak memory of a uniform solve does not grow with its section count: no point outlives its sections."""
     spec = parse_structure(TAPER_DOC.replace("truncation_order: 3", "truncation_order: 10"))
-    solve_uniform(spec, 1, order=1, reference_rule=rule)
+    solve_uniform(spec, 1, order=1)
     peaks = {}
     for n_sections in (16, 128):
         tracemalloc.start()
         try:
-            solve_uniform(spec, n_sections, order=1, reference_rule=rule)
+            solve_uniform(spec, n_sections, order=1)
             peaks[n_sections] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -400,10 +371,9 @@ SINUSOID_DOC = TAPER_DOC.replace(
     "{kind: linear, start: 0.26, end: 0.37}", "{kind: sinusoidal, mean: 0.3, amplitude: 0.05, period_z: 0.7}"
 )
 BATCH_SOLVES = {
-    **{f"adaptive-alpha{alpha:g}": (lambda spec, rule, order, alpha=alpha: solve_adaptive(
-        spec, SolverConfig(alpha=alpha, reference_rule=rule, order=order))) for alpha in (1e-2, 1e-3, 1e-4)},
-    **{f"uniform-N{n}": (lambda spec, rule, order, n=n: solve_uniform(spec, n, order=order, reference_rule=rule))
-       for n in (1, 7, 64)},
+    **{f"adaptive-alpha{alpha:g}": (lambda spec, order, alpha=alpha: solve_adaptive(
+        spec, SolverConfig(alpha=alpha, order=order))) for alpha in (1e-2, 1e-3, 1e-4)},
+    **{f"uniform-N{n}": (lambda spec, order, n=n: solve_uniform(spec, n, order=order)) for n in (1, 7, 64)},
 }
 
 
@@ -418,19 +388,17 @@ def test_batching_is_invisible(monkeypatch, doc, polarization, loss, truncation)
     )
     spec = parse_structure(doc.replace("truncation_order: 3", f"truncation_order: {truncation}"))
     runs = [
-        (name, rule, order)
+        (name, order)
         for name in BATCH_SOLVES
-        for rule in ReferenceRule
         for order in (0, 1)
-        # Deeper adaptive runs cost up to seconds each. At n = 21 alpha = 1e-3 runs only at order 1 under
-        # the midpoint rule, and at alpha = 1e-4 order 0 only swaps the leaves of the order-1 tree.
+        # alpha = 1e-4 costs up to seconds a run, so it runs only at n = 7 and order 1: order 0 only
+        # swaps the leaves of the order-1 tree.
         if not (name == "adaptive-alpha0.0001" and (truncation == 10 or order == 0))
-        and not (truncation == 10 and name == "adaptive-alpha0.001" and (rule, order) != (ReferenceRule.MIDPOINT, 1))
     ]
-    batched = [BATCH_SOLVES[name](spec, rule, order) for name, rule, order in runs]
+    batched = [BATCH_SOLVES[name](spec, order) for name, order in runs]
     monkeypatch.setattr(solver, "_BATCH_ENTRIES", 1)
     for run, report in zip(runs, batched):
-        expected = BATCH_SOLVES[run[0]](spec, *run[1:])
+        expected = BATCH_SOLVES[run[0]](spec, run[1])
         for block in ("T_LR", "R_R", "R_L", "T_RL"):
             assert np.array_equal(getattr(report.smat, block), getattr(expected.smat, block)), run
         assert (report.smat.left_basis_id, report.smat.right_basis_id) == (
@@ -481,9 +449,6 @@ def recorded_joins(monkeypatch):
 
 FOLD_SOLVES = {
     "adaptive-midpoint": lambda spec, alpha: solve_adaptive(spec, SolverConfig(alpha=alpha)),
-    "adaptive-endpoint": lambda spec, alpha: solve_adaptive(
-        spec, SolverConfig(alpha=alpha, reference_rule=ReferenceRule.ENDPOINT)
-    ),
     "uniform-N16-order1": lambda spec, alpha: solve_uniform(spec, 16, order=1),
 }
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcwa.errors import NumericalError
-from arcwa.geometry import PermittivitySlice, Polarization, slice_at
+from arcwa.geometry import PermittivitySlice, Polarization
 from arcwa.modal import eigen_basis, eigen_basis_stack
 from arcwa.operators import assemble_operators, assemble_stack
 from arcwa.sections import first_order_stack
 
-from conftest import uniform_spec, uniform_spec_on
+from conftest import uniform_spec_on
 
 
 @st.composite
@@ -25,22 +25,16 @@ def random_slice(draw, z, lossy, period):
     return PermittivitySlice(z=z, period_x=period, intervals=tuple(zip(bounds, bounds[1:], values)))
 
 
-# Reference positions inside the section [0, 1]: the midpoint and right-end samples are skipped,
-# an interior one keeps all three. One position holds for a whole stack, as in the solver.
-REFERENCE_Z = (0.5, 1.0, 0.25)
-
-
 @st.composite
 def section_stacks(draw):
-    """A transverse period, a reference position and 1-5 sections on [0, 1], each its slices at z = 0,
-    the reference and 1, lossless and lossy mixed."""
+    """A transverse period and 1-5 sections on [0, 1], each its slices at z = 0, the midpoint
+    reference and 1, lossless and lossy mixed."""
     period = draw(st.floats(0.5, 2.0))
-    z_ref = draw(st.sampled_from(REFERENCE_Z))
     stack = []
     for _ in range(draw(st.integers(1, 5))):
         lossy = draw(st.booleans())
-        stack.append({z: draw(random_slice(z, lossy, period)) for z in dict.fromkeys((0.0, z_ref, 1.0))})
-    return period, z_ref, stack
+        stack.append({z: draw(random_slice(z, lossy, period)) for z in (0.0, 0.5, 1.0)})
+    return period, stack
 
 
 def assert_same(stacked, single, names):
@@ -51,10 +45,9 @@ def assert_same(stacked, single, names):
 @settings(max_examples=40, deadline=None)
 @given(drawn=section_stacks(), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
 def test_stacked_kernels_equal_single_calls_bit_for_bit(drawn, order, polarization):
-    # The background is the mid sample of sections whose reference is not the midpoint.
-    period, z_ref, stack = drawn
+    period, stack = drawn
     spec = uniform_spec_on(period, 2.25, polarization=polarization, order=order)
-    slices = [slc for section in stack for slc in section.values()] + [slice_at(spec, 0.5)]
+    slices = [slc for section in stack for slc in section.values()]
     ops = assemble_stack(slices, spec)
     for slc, stacked in zip(slices, ops):
         assert_same(stacked, assemble_operators(slc, spec), ("P", "Q"))
@@ -62,8 +55,7 @@ def test_stacked_kernels_equal_single_calls_bit_for_bit(drawn, order, polarizati
 
     drawn_ops = iter(ops)
     section_ops = [{z: next(drawn_ops) for z in section} for section in stack]
-    background = next(drawn_ops)
-    refs = [by_z[z_ref] for by_z in section_ops]
+    refs = [by_z[0.5] for by_z in section_ops]
     try:
         singles = [eigen_basis(ref) for ref in refs]
     except NumericalError:
@@ -75,11 +67,7 @@ def test_stacked_kernels_equal_single_calls_bit_for_bit(drawn, order, polarizati
         assert_same(stacked, single, ("W", "V", "lam", "W_inv", "V_inv"))
         assert stacked.basis_id == single.basis_id
 
-    # The reference sample is the reference operators themselves.
-    sections = [
-        (0.0, 1.0, basis, by_z[z_ref], (by_z[0.0], by_z.get(0.5, background), by_z[1.0]))
-        for basis, by_z in zip(bases, section_ops)
-    ]
+    sections = [(0.0, 1.0, basis, by_z[0.5], (by_z[0.0], by_z[1.0])) for basis, by_z in zip(bases, section_ops)]
     for section, stacked in zip(sections, first_order_stack(sections)):
         (single,) = first_order_stack([section])
         assert_same(stacked.smat, single.smat, ("T_LR", "R_R", "R_L", "T_RL"))
@@ -88,15 +76,3 @@ def test_stacked_kernels_equal_single_calls_bit_for_bit(drawn, order, polarizati
             single.smat.right_basis_id,
         )
         assert stacked.est_error == single.est_error
-
-
-def test_stack_of_mixed_sample_counts_rejected():
-    """The kernel skips the samples that are the reference operators; a stack must skip as many in each section."""
-    spec = uniform_spec(2.25, 1.0, order=2)
-    ops = assemble_stack([slice_at(spec, z) for z in (0.0, 0.5, 1.0, 0.5)], spec)
-    basis = eigen_basis(ops[1])
-    skips_one = (0.0, 1.0, basis, ops[1], tuple(ops[:3]))
-    skips_none = (0.0, 1.0, basis, ops[1], (ops[0], ops[3], ops[2]))
-    assert len(first_order_stack([skips_one, skips_one])) == 2
-    with pytest.raises(ValueError, match="different numbers of samples"):
-        first_order_stack([skips_one, skips_none])

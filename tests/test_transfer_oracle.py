@@ -20,16 +20,16 @@ from scipy.linalg import expm
 from arcwa.geometry import Polarization, parse_structure, slice_at
 from arcwa.numerics import max_abs
 from arcwa.operators import assemble_operators
-from arcwa.solver import ReferenceRule, port_bases, solve_uniform
+from arcwa.solver import port_bases, solve_uniform
 
 from conftest import TAPER_DOC
 
 
-def transfer_oracle_smatrix(spec, n_sections, reference_rule=ReferenceRule.MIDPOINT):
+def transfer_oracle_smatrix(spec, n_sections):
     """Scattering matrix of the staircase approximation via transfer matrices.
 
-    Uses the same reference slices as solve_uniform so both paths model the
-    identical staircase; the propagation physics comes solely from expm.
+    Uses the same midpoint reference slices as solve_uniform so both paths
+    model the identical staircase; the propagation physics comes solely from expm.
     """
     n = spec.n_harmonics
     span = spec.z_max - spec.z_min
@@ -37,8 +37,7 @@ def transfer_oracle_smatrix(spec, n_sections, reference_rule=ReferenceRule.MIDPO
     for i in range(n_sections):
         z_l = spec.z_min + span * i / n_sections
         z_r = spec.z_min + span * (i + 1) / n_sections
-        z_ref = 0.5 * (z_l + z_r) if reference_rule is ReferenceRule.MIDPOINT else z_r
-        ops = assemble_operators(slice_at(spec, z_ref), spec)
+        ops = assemble_operators(slice_at(spec, 0.5 * (z_l + z_r)), spec)
         zero = np.zeros((n, n), dtype=np.complex128)
         generator = 1j * spec.k0 * (z_r - z_l) * np.block([[zero, ops.P], [ops.Q, zero]])
         total = expm(generator) @ total
@@ -83,14 +82,3 @@ def test_single_uniform_section_matches_transfer_oracle():
     t_ref, r_ref = transfer_oracle_smatrix(spec, 1)
     assert max_abs(report.smat.T_LR - t_ref) <= 1e-8
     assert max_abs(report.smat.R_L - r_ref) <= 1e-8
-
-
-def test_endpoint_staircase_matches_transfer_oracle():
-    doc = TAPER_DOC.replace("z_range_um: [0.0, 1.0]", "z_range_um: [0.0, 0.4]").replace(
-        "end: 0.37", "end: 0.304"
-    )
-    spec = parse_structure(doc)
-    report = solve_uniform(spec, 4, order=0, reference_rule=ReferenceRule.ENDPOINT)
-    t_ref, r_ref = transfer_oracle_smatrix(spec, 4, reference_rule=ReferenceRule.ENDPOINT)
-    assert max_abs(report.smat.T_LR - t_ref) <= 1e-6
-    assert max_abs(report.smat.R_L - r_ref) <= 1e-6
