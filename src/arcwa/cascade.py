@@ -22,7 +22,7 @@ back, for incidence from either side at once:
 
     L [B_a | B_b] = [R_L K - Y T_LR' | T_RL],    L = H - R_L G.
 
-That is one guarded LU factorization with 2n right-hand sides; then
+That is one guarded inverse of L, applied to the 2n right-hand sides; then
 T_LR = T_LR (K + G B_a), R_R = R_R + T_LR G B_b, R_L = R_L' + T_RL' B_a
 and T_RL = T_RL' B_b. Where the reprojection exists,
 L = (X - R_L Y)(I - R_L^p R_R'), with R_L^p the reprojected reflection,
@@ -73,7 +73,7 @@ def project_left(
     """
     x, y = pp
     lead = x - smat.R_L @ y
-    # One guarded factorization of lead serves both right-hand sides.
+    # One guarded inverse of lead serves both right-hand sides.
     rhs = np.hstack((-(y - smat.R_L @ x), smat.T_RL))
     solved = checked_solve(lead, rhs, ProjectionBreakdownError, "interface projection (X - R_L Y)")
     r_l, t_rl = solved[:, : smat.n], solved[:, smat.n :]
@@ -131,7 +131,7 @@ def join(
 
     Wherever ``star(left, project_left(right, projection_pair(left_basis,
     right_basis), left_basis.basis_id))`` succeeds, the result equals it up
-    to rounding, from one guarded factorization instead of three (see the
+    to rounding, from one guarded inverse instead of three (see the
     module docstring). When the guard refuses the fused system, that
     two-step recipe runs and raises its own error (or returns its result).
     """

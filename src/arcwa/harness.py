@@ -111,14 +111,20 @@ def _fmt(value: float) -> str:
 
 
 def write_smatrix_csv(smat: ScatteringMatrix, stream: TextIO) -> None:
-    """Write the four blocks as `block,row,col,re,im` rows."""
+    """Write the four blocks as `block,row,col,re,im` rows.
+
+    Each block is converted to Python numbers once and written as one string.
+    """
     stream.write("block,row,col,re,im\n")
     for name, attr in _BLOCK_NAMES:
-        block = getattr(smat, attr)
-        for row in range(block.shape[0]):
-            for col in range(block.shape[1]):
-                value = block[row, col]
-                stream.write(f"{name},{row},{col},{float(value.real)!r},{float(value.imag)!r}\n")
+        rows = getattr(smat, attr).tolist()
+        stream.write(
+            "".join(
+                f"{name},{row},{col},{value.real!r},{value.imag!r}\n"
+                for row, values in enumerate(rows)
+                for col, value in enumerate(values)
+            )
+        )
 
 
 def write_sweep_csv(records: Iterable[SweepRecord], stream: TextIO) -> None:

@@ -11,16 +11,18 @@ The square-root branch is fixed to Im(lam) >= 0, with Re(lam) > 0 on the
 real axis. That choice makes every propagation factor exp(j*lam*k0*dz)
 have magnitude <= 1 for dz >= 0, so cascaded sections can never amplify.
 
-Lossless dielectric cross-sections are diagonalized by a Hermitian LAPACK
-solver. In TE, P is the identity and Q is Hermitian: ``heevd`` gives a
-unitary Y, so W^-1 and V^-1 follow from Y^H. In TM, P and Q are Hermitian
-and B = -Q is positive definite: ``hegvd`` solves the pencil
+Lossless dielectric cross-sections are diagonalized by numpy's Hermitian
+eigensolver ``eigh``, one call per stack. In TE, P is the identity and Q
+is Hermitian: ``eigh(Q)`` gives a unitary Y, so W^-1 and V^-1 follow from
+Y^H. In TM, P and Q are Hermitian and B = -Q is positive definite: with
+the Cholesky factor B = L L^H, P Q is similar to the Hermitian
+C = -L^H P L, and Y = L^-H Z for the eigenvectors Z of C solves the pencil
 (-Q P Q, B) with Y^H B Y = I, so W^-1 = D^-1 Y^H B for W = Y D. Either way
 lam^2 is real and no inverse needs a factorization. Every other pair
 (lossy, indefinite or non-finite) goes through the general ``geev``
-eigensolver and LU-factored inverses. Both routes normalize columns alike
-(unit 2-norm, largest entry real) and share the branch, the ordering, the
-cutoff check and the conditioning limit.
+eigensolver and guarded explicit inverses. Both routes normalize columns
+alike (unit 2-norm, largest entry real) and share the branch, the
+ordering, the cutoff check and the conditioning limit.
 
 ``eigen_basis_stack`` builds the bases of a stack of operator pairs at
 once; ``eigen_basis`` is a stack of one.
@@ -32,14 +34,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     CutoffModeError,
     EigendecompositionError,
     NearDefectiveBasisError,
 )
-from .numerics import COND_LIMIT, as_stack, guard_inverses, guarded_solve
+from .numerics import COND_LIMIT, as_stack, guard_inverses, guarded_inverses
 from .operators import OperatorPair
 
 # Effective indices below this magnitude count as cutoff modes.
@@ -119,30 +120,82 @@ def _near_defective(name: str, z: float):
     )
 
 
-def _is_hermitian(a: np.ndarray) -> bool:
-    scale = lapack.zlange("M", a)
-    return bool(np.isfinite(scale)) and lapack.zlange("M", a - a.conj().T) <= _HERMITIAN_RTOL * scale
+def _is_hermitian(a: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: finite and Hermitian, max|A - A^H| <= _HERMITIAN_RTOL max|A|."""
+    with np.errstate(invalid="ignore"):
+        scale = np.abs(a).max(axis=(-2, -1))
+        asym = np.abs(a - a.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    return np.isfinite(scale) & (asym <= _HERMITIAN_RTOL * scale)
 
 
-def _hermitian_eig(ops: OperatorPair) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
-    """Eigenvalues lam^2 and eigenvectors Y of P Q from a Hermitian solver, plus B.
+# The pairs of one Hermitian route: their indices in the stack, lam^2, Y and B.
+_Route = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
 
-    B is -Q for the TM pencil and None for TE, where Y is unitary. Returns
-    None when the operators are not Hermitian, B is not positive definite
-    (its Cholesky factorization fails) or the solver does not converge.
+
+def _hermitian_eig(stack: Sequence[OperatorPair] | OperatorPair) -> list[_Route] | None:
+    """Eigenvalues lam^2 and eigenvectors Y of P Q from a Hermitian solver, plus B, per route.
+
+    TE pairs (P exactly I, Q Hermitian) take ``eigh(Q)``, with unitary Y
+    and no B. TM pairs (P and Q Hermitian, B = -Q positive definite) are
+    reduced with the Cholesky factor B = L L^H: P Q = L^-H C L^H for the
+    Hermitian C = -L^H P L, so ``eigh(C)`` gives Z and Y = L^-H Z, with
+    Y^H B Y = I. Every step is one call per route for the whole stack, and
+    the Hermitian tests are computed for the whole stack too. Returns one
+    route per solver that has pairs, or None when no pair takes one: a pair
+    that is not Hermitian, whose B is not positive definite or whose
+    solver does not converge takes ``geev``. A single pair is a stack of
+    one.
     """
-    p, q = ops.P, ops.Q
-    if not _is_hermitian(q):
-        return None
-    if np.count_nonzero(p) == p.shape[0] and np.all(p.diagonal() == 1.0):  # P is exactly I
-        b = None
-        mu, y, info = lapack.zheevd(q)
-    elif _is_hermitian(p):
-        b = -q
-        mu, y, info = lapack.zhegvd((b @ p) @ q, b, overwrite_a=1)
-    else:
-        return None
-    return (mu, y, b) if info == 0 else None
+    if isinstance(stack, OperatorPair):
+        stack = [stack]
+    n = stack[0].n
+    q = as_stack([ops.Q for ops in stack])
+    p = as_stack([ops.P for ops in stack])
+    hermitian = _is_hermitian(q)
+    te = hermitian & (p == np.eye(n)).all(axis=(-2, -1))
+    tm = hermitian & ~te
+    if tm.any():
+        tm[tm] = _is_hermitian(p[tm])
+    routes = [
+        _solved(solve, q, p, np.flatnonzero(mask)) for solve, mask in ((_te_eig, te), (_tm_eig, tm)) if mask.any()
+    ]
+    return [route for route in routes if route[0].size] or None
+
+
+def _te_eig(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+    """lam^2 and Y of a stack of TE pairs."""
+    mu, y = np.linalg.eigh(q, UPLO="U")
+    return mu, y, None
+
+
+def _tm_eig(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lam^2, Y and B of a stack of TM pairs."""
+    b = -q
+    lower = np.linalg.cholesky(b)
+    upper = lower.conj().swapaxes(-2, -1)
+    mu, z = np.linalg.eigh(-(upper @ p @ lower))
+    return mu, np.linalg.solve(upper, z), b
+
+
+def _solved(solve, q: np.ndarray, p: np.ndarray, index: np.ndarray) -> _Route:
+    """``solve`` on the pairs ``index`` of the stacks q and p, as one call; the pairs it fails on are left out.
+
+    Only when the call raises LinAlgError is each pair tried alone, to find
+    them; each result equals the one of a stack of one, bit for bit.
+    """
+    try:
+        return (index, *solve(q[index], p[index]))
+    except np.linalg.LinAlgError:
+        index = np.array([i for i in index if _solves(solve, q[i : i + 1], p[i : i + 1])], dtype=int)
+        return (index, *solve(q[index], p[index]))
+
+
+def _solves(solve, q: np.ndarray, p: np.ndarray) -> bool:
+    try:
+        solve(q, p)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _hermitian_basis(
@@ -150,9 +203,9 @@ def _hermitian_basis(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """W, W^-1, V and V^-1 from ordered eigenvectors Y of ``_hermitian_eig``, stacked.
 
-    ``y`` is shaped (slices, n, n) with every slice in the column-major
-    order LAPACK returns, so each column norm is summed over contiguous
-    memory exactly as for a single matrix; ``lam`` is (slices, n) and ``b``
+    ``y`` is shaped (slices, n, n) with every slice column-major, so each
+    column norm is summed over contiguous memory exactly as for a single
+    matrix; ``lam`` is (slices, n) and ``b``
     (slices, n, n) or None. W = Y D scales each column to unit 2-norm with
     its largest entry real, as ``geev`` normalizes. With B = I in TE,
     W^-1 = D^-1 Y^H B = G (B W)^H and D^-1 Y^H = G W^H, where G = |D|^-2
@@ -179,7 +232,7 @@ def eigen_basis(ops: OperatorPair) -> ModalBasis:
 
     Hermitian operator pairs (lossless dielectrics, see the module
     docstring) take the Hermitian solver and get their inverses from the
-    eigenvectors; every other pair takes ``geev`` and two guarded LU
+    eigenvectors; every other pair takes ``geev`` and two guarded
     inverses. Eigenvalues are ordered by descending Re(lam), ties broken
     by ascending Im(lam), so identical operator pairs always produce the
     same basis (up to the eigensolver's own determinism). Raises
@@ -195,34 +248,33 @@ def eigen_basis_stack(stack: Sequence[OperatorPair]) -> list[ModalBasis]:
     """``eigen_basis`` for several operator pairs of one size, as one stack.
 
     Each basis equals the one built alone, bit for bit, and owns its arrays.
-    The eigensolver runs once per pair; the branch, the ordering and the
-    Hermitian route's basis matrices are computed for the whole stack, and
-    the ``geev`` route's inverses stay one guarded factorization per pair.
-    Errors are raised stage by stage: eigensolvers and cutoff checks in
-    stack order, then the Hermitian route's guards (every W of a stack, then
-    every V), then the ``geev`` route's factorizations. For a single pair
-    that is the order ``eigen_basis`` describes.
+    The Hermitian routes solve all their pairs in one call per step; the
+    ``geev`` route runs once per pair, and its inverses stay guarded per
+    pair. The branch, the ordering and the Hermitian route's basis matrices
+    are computed for the whole stack. Errors are raised stage by stage:
+    ``geev`` eigensolvers and cutoff checks in stack order, then the
+    Hermitian route's guards (every W of a route, then every V), then the
+    ``geev`` route's inverses. For a single pair that is the order
+    ``eigen_basis`` describes.
     """
-    solved = []
-    # Indices of the Hermitian-route pairs: TE (no B) and TM.
-    routes: dict[bool, list[int]] = {False: [], True: []}
-    for i, ops in enumerate(stack):
-        hermitian = _hermitian_eig(ops)
-        if hermitian is None:
-            pq = ops.P @ ops.Q
-            if not np.all(np.isfinite(pq)):
-                raise ValueError("operator product contains non-finite entries")
-            try:
-                eigvals, eigvecs = np.linalg.eig(pq)
-            except np.linalg.LinAlgError as exc:
-                n = pq.shape[0]
-                raise EigendecompositionError(f"eigensolver failed on a {n}x{n} operator: {exc}") from exc
-            solved.append((eigvals, eigvecs, None))
-        else:
-            solved.append(hermitian)
-            routes[hermitian[2] is not None].append(i)
+    n = stack[0].n
+    routes = _hermitian_eig(stack) or []
+    eigvals = np.empty((len(stack), n), dtype=np.complex128)
+    geev = np.ones(len(stack), dtype=bool)
+    for index, mu, _, _ in routes:
+        eigvals[index] = mu
+        geev[index] = False
+    eigvecs = {}
+    for i in np.flatnonzero(geev):
+        pq = stack[i].P @ stack[i].Q
+        if not np.all(np.isfinite(pq)):
+            raise ValueError("operator product contains non-finite entries")
+        try:
+            eigvals[i], eigvecs[i] = np.linalg.eig(pq)
+        except np.linalg.LinAlgError as exc:
+            raise EigendecompositionError(f"eigensolver failed on a {n}x{n} operator: {exc}") from exc
 
-    lam = _principal_branch(np.sqrt(np.array([eigvals for eigvals, _, _ in solved], dtype=np.complex128)))
+    lam = _principal_branch(np.sqrt(eigvals))
     order = np.lexsort((lam.imag, -lam.real), axis=-1)
     lam = lam[np.arange(len(stack))[:, None], order]
 
@@ -236,32 +288,28 @@ def eigen_basis_stack(stack: Sequence[OperatorPair]) -> list[ModalBasis]:
             )
 
     bases: list[ModalBasis] = [None] * len(stack)  # type: ignore[list-item]
-    # Hermitian-route bases, one stack for TE and one for TM; the guards
-    # screen every W of a stack, then every V.
-    for with_b, group in routes.items():
-        if not group:
-            continue
-        # Each slice stays column-major: rows of Y^T are the columns of Y.
-        y = as_stack([solved[i][1].T[order[i]] for i in group]).transpose(0, 2, 1)
-        b = as_stack([solved[i][2] for i in group]) if with_b else None
-        lam_group = lam if len(group) == len(stack) else lam[group]
-        w, w_inv, v, v_inv = _hermitian_basis(y, lam_group, b)
-        guard_inverses(w, w_inv, [_near_defective("W", stack[i].z) for i in group])
-        guard_inverses(v, v_inv, [_near_defective("V", stack[i].z) for i in group])
-        for k, i in enumerate(group):
+    # Hermitian-route bases, one stack per route; the guards screen every W
+    # of a route, then every V.
+    for index, _, y, b in routes:
+        # Columns in mode order, each slice column-major (rows of Y^T are the columns of Y), as
+        # ``_hermitian_basis`` expects.
+        y = y.swapaxes(-2, -1)[np.arange(index.size)[:, None], order[index]].swapaxes(-2, -1)
+        lam_route = lam[index]
+        w, w_inv, v, v_inv = _hermitian_basis(y, lam_route, b)
+        guard_inverses(w, w_inv, [_near_defective("W", stack[i].z) for i in index])
+        guard_inverses(v, v_inv, [_near_defective("V", stack[i].z) for i in index])
+        for k, i in enumerate(index):
             ops = stack[i]
             # Copies, in the same memory order: a view would keep the whole stack alive with this basis.
-            w_k, v_k, w_inv_k, v_inv_k, lam_k = (np.copy(a[k]) for a in (w, v, w_inv, v_inv, lam_group))
+            w_k, v_k, w_inv_k, v_inv_k, lam_k = (np.copy(a[k]) for a in (w, v, w_inv, v_inv, lam_route))
             bases[i] = ModalBasis(W=w_k, V=v_k, lam=lam_k, z_ref=ops.z, k0=ops.k0, W_inv=w_inv_k, V_inv=v_inv_k)
 
-    for i, (ops, lam_i, (_, eigvecs, _)) in enumerate(zip(stack, lam, solved)):
-        if bases[i] is not None:
-            continue
-        w = eigvecs[:, order[i]]
-        eye = np.eye(lam.shape[-1])
-        w_inv = guarded_solve(w, eye, _near_defective("W", ops.z))
+    for i in np.flatnonzero(geev):
+        ops, lam_i = stack[i], lam[i]
+        w = eigvecs[i][:, order[i]]
+        w_inv = guarded_inverses(w[None], [_near_defective("W", ops.z)])[0]
         v = ops.Q @ (w / lam_i[None, :])
-        v_inv = guarded_solve(v, eye, _near_defective("V", ops.z))
+        v_inv = guarded_inverses(v[None], [_near_defective("V", ops.z)])[0]
         bases[i] = ModalBasis(W=w, V=v, lam=np.copy(lam_i), z_ref=ops.z, k0=ops.k0, W_inv=w_inv, V_inv=v_inv)
     return bases
 

@@ -6,23 +6,18 @@ same thing in operator assembly, basis construction, reprojection and
 Redheffer composition.
 
 The guard refuses a matrix whose 2-norm condition number exceeds
-COND_LIMIT, but it starts from the LU factorization that the solve needs
-anyway. LAPACK ``getrf`` factors the matrix and ``gecon`` estimates the
-reciprocal 1-norm condition number ``rcond`` from the factors. The 1- and
-2-norm condition numbers of an n x n matrix differ by at most a factor n,
-and the estimate is a lower bound on the 1-norm one that is almost never
-off by a factor 10, so a matrix with ``10 n / rcond <= COND_LIMIT`` passes
-on the estimate alone. Every other matrix (inside that band, singular or
+COND_LIMIT, but it starts from an explicit inverse: one the caller
+already has (the Hermitian eigenbases of ``modal`` come with theirs), or
+one ``np.linalg.inv`` computes for a whole stack at once. The exact 1-norm
+condition number ||A||_1 ||A^-1||_1 is then a few sums away, and the 1-
+and 2-norm condition numbers of an n x n matrix differ by at most a
+factor n, so a matrix with ``10 n ||A||_1 ||A^-1||_1 <= COND_LIMIT``
+passes on that screen alone; the factor 10 absorbs the rounding of the
+computed inverse. Every other matrix (inside that band, singular or
 non-finite) gets the exact SVD-based ``condition_number``, which gives the
 verdict and the value reported in the error. Accept/reject decisions and
-messages are therefore those of the exact 2-norm test, at the cost of one
-factorization that the solve then reuses.
-
-An inverse that is already known (the Hermitian eigenbases of ``modal``
-come with theirs) needs no factorization: ``guard_inverses`` screens a
-stack of such matrices with the exact 1-norm condition number
-||A||_1 ||A^-1||_1 and the same margin, and hands every other matrix to
-the same exact 2-norm test.
+messages are therefore those of the exact 2-norm test, and a solve is the
+guarded inverse times the right-hand side.
 """
 
 from __future__ import annotations
@@ -30,16 +25,15 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NumericalError
 
 # Condition-number threshold beyond which an inversion is refused.
 COND_LIMIT = 1e12
 
-# Safety factor on the LAPACK 1-norm estimate in the screen, on top of
-# the factor n between the 1- and 2-norm condition numbers.
-_ESTIMATE_MARGIN = 10.0
+# Safety factor in the screen, on top of the factor n between the 1- and
+# 2-norm condition numbers.
+_SCREEN_MARGIN = 10.0
 
 
 def condition_number(a: np.ndarray) -> float:
@@ -50,22 +44,9 @@ def condition_number(a: np.ndarray) -> float:
         return float("inf")
 
 
-def guarded_solve(
-    a: np.ndarray, b: np.ndarray, reject: Callable[[float], NumericalError]
-) -> np.ndarray:
-    """Solve ``a x = b`` with one LU factorization of ``a``, guarded by COND_LIMIT.
-
-    ``reject`` receives the exact 2-norm condition number of a refused
-    matrix and returns the exception to raise.
-    """
-    getrf, gecon, getrs, lange = lapack.get_lapack_funcs(("getrf", "gecon", "getrs", "lange"), (a, b))
-    lu, piv, info = getrf(a)
-    screened = info == 0 and gecon(lu, lange("1", a))[0] >= _ESTIMATE_MARGIN * a.shape[0] / COND_LIMIT
-    if not screened:
-        cond = condition_number(a)
-        if info != 0 or not np.isfinite(cond) or cond > COND_LIMIT:
-            raise reject(cond)
-    return getrs(lu, piv, b)[0]
+def refusal(error_cls: type[NumericalError], what: str) -> Callable[[float], NumericalError]:
+    """A ``reject`` that names ``what`` and its condition number in an ``error_cls``."""
+    return lambda cond: error_cls(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
 
 
 def guard_inverses(
@@ -73,27 +54,66 @@ def guard_inverses(
 ) -> None:
     """Raise ``reject(cond)`` for the first matrix of a stack (matrices, n, n) that fails COND_LIMIT.
 
-    ``a_inv`` holds their known inverses, ``rejects`` one ``reject`` each.
-    A matrix with ``10 n ||a||_1 ||a_inv||_1 <= COND_LIMIT`` passes on the
+    ``a_inv`` holds their inverses, ``rejects`` one ``reject`` each. A
+    matrix with ``10 n ||a||_1 ||a_inv||_1 <= COND_LIMIT`` passes on the
     screen; any other one (inside that band, singular or non-finite) gets
-    the exact 2-norm ``condition_number``, which ``reject`` receives.
+    the exact 2-norm ``condition_number``, which ``reject`` receives. A
+    matrix whose inverse is not finite never passes.
     """
-    lange = lapack.get_lapack_funcs("lange", (a, a_inv))
-    n = a.shape[-1]
-    for a_k, inv_k, reject in zip(a, a_inv, rejects):
-        if not _ESTIMATE_MARGIN * n * lange("1", a_k) * lange("1", inv_k) <= COND_LIMIT:
-            cond = condition_number(a_k)
-            if not np.isfinite(cond) or cond > COND_LIMIT:
-                raise reject(cond)
+    with np.errstate(over="ignore"):
+        norms = zip(_norm1(a).tolist(), _norm1(a_inv).tolist())
+    limit = COND_LIMIT / (_SCREEN_MARGIN * a.shape[-1])
+    # In Python floats a product of 0 and inf, or one that overflows, fails the screen without a warning.
+    for k, (norm_a, norm_inv) in enumerate(norms):
+        if not norm_a * norm_inv <= limit:
+            cond = condition_number(a[k])
+            if not cond <= COND_LIMIT or not np.all(np.isfinite(a_inv[k])):
+                raise rejects[k](cond)
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """1-norm (largest column sum of magnitudes) of each matrix of a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def guarded_inverses(a: np.ndarray, rejects: Sequence[Callable[[float], NumericalError]]) -> np.ndarray:
+    """Inverses of a stack (matrices, n, n), from one ``np.linalg.inv``, after ``guard_inverses``.
+
+    Each inverse equals the one of a stack of one, bit for bit. Only when
+    a matrix of the stack is exactly singular is each matrix inverted
+    alone; the singular ones get a NaN inverse, which fails the guard.
+    """
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        a_inv = np.array([_inverse_or_nan(a_k) for a_k in a])
+    guard_inverses(a, a_inv, rejects)
+    return a_inv
+
+
+def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(a[None])[0]
+    except np.linalg.LinAlgError:
+        return np.full(a.shape, np.nan, dtype=np.result_type(a, 1.0))
+
+
+def guarded_solve(
+    a: np.ndarray, b: np.ndarray, reject: Callable[[float], NumericalError]
+) -> np.ndarray:
+    """Solve ``a x = b`` as ``a^-1 b``, with ``a^-1`` from ``guarded_inverses``.
+
+    ``reject`` receives the exact 2-norm condition number of a refused
+    matrix and returns the exception to raise.
+    """
+    return guarded_inverses(a[None], [reject])[0] @ b
 
 
 def checked_solve(
     a: np.ndarray, b: np.ndarray, error_cls: type[NumericalError], what: str
 ) -> np.ndarray:
     """Solve ``a x = b`` after verifying ``a`` is well-conditioned."""
-    return guarded_solve(
-        a, b, lambda cond: error_cls(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    )
+    return guarded_solve(a, b, refusal(error_cls, what))
 
 
 def as_stack(arrays: Sequence[np.ndarray]) -> np.ndarray:

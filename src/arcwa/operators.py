@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import SingularOperatorError
 from .geometry import PermittivitySlice, Polarization, StructureSpec
-from .numerics import as_stack, checked_solve
+from .numerics import guarded_inverses, refusal
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,9 @@ def _assemble_group(slices: list[PermittivitySlice], spec: StructureSpec) -> lis
     """One stack of slices that share an interval count.
 
     The 1/eps coefficients are computed only for TM, the one filling that
-    uses them; its two Toeplitz inverses stay one guarded factorization per
-    slice, all Toeplitz(eps) ones first.
+    uses them. Its two Toeplitz stacks are inverted by one
+    ``guarded_inverses`` call each, Toeplitz(eps) first, so the first
+    slice in stack order whose matrix fails the guard raises.
     """
     order = spec.truncation_order
     # (x0, x1, eps) of every interval, shaped (slices, intervals, 3).
@@ -172,13 +173,15 @@ def _assemble_group(slices: list[PermittivitySlice], spec: StructureSpec) -> lis
         shift = np.diag(kt**2).astype(np.complex128)
         q = [t - shift for t in eps_toeplitz]
     else:
-        eye = np.eye(n)
-        eps_inv = as_stack([checked_solve(t, eye, SingularOperatorError, "Toeplitz(eps)") for t in eps_toeplitz])
-        eye_c = np.eye(n, dtype=np.complex128)
-        p = [kt[:, None] * e * kt[None, :] - eye_c for e in eps_inv]
+        def inverses(toeplitz: np.ndarray, what: str) -> np.ndarray:
+            return guarded_inverses(toeplitz, [refusal(SingularOperatorError, what)] * len(slices))
+
+        eye = np.eye(n, dtype=np.complex128)
+        p = [kt[:, None] * e * kt[None, :] - eye for e in inverses(eps_toeplitz, "Toeplitz(eps)")]
         inverse_values = [[1.0 / eps for _, _, eps in slc.intervals] for slc in slices]
         inv_toeplitz = _toeplitz_from(_piecewise_coefficients(slices, inverse_values, table), order)
-        q = [-checked_solve(t, eye, SingularOperatorError, "Toeplitz(1/eps)") for t in inv_toeplitz]
+        # Each Q negates its own entry, so no pair's Q is a view of the stack.
+        q = [-e for e in inverses(inv_toeplitz, "Toeplitz(1/eps)")]
 
     return [
         OperatorPair(P=p_i, Q=q_i, z=slc.z, k0=spec.k0)

@@ -5,7 +5,7 @@ section in the eigenbasis of its reference point and trisects it whenever
 its estimated error reaches the user bound alpha. Accepted sections are
 folded strictly left to right, in z order: each section boundary is one
 ``cascade.join``, which writes field continuity between the two bases and
-composes the scattering matrices with a single guarded factorization. The
+composes the scattering matrices with a single guarded inverse. The
 star product is associative, so this plain cascade is as valid a grouping
 as any other.
 
@@ -25,8 +25,9 @@ The engine works on a frontier: a stack of the open sections in z order,
 leftmost on top. Each round takes the B leftmost of them as one batch, B =
 max(1, 4096 // n^2) for n modes (83 at n = 7, 9 at n = 21, 1 from n = 47
 up): their points that lack operators are assembled as one stack, their
-fresh reference points are decomposed as one stack (one eigensolver call
-per section) and their first-order matrices are evaluated as one stack.
+fresh reference points are decomposed as one stack (one Hermitian
+eigensolver call per stack, or one ``geev`` call per lossy section) and
+their first-order matrices are evaluated as one stack.
 Then, in z order, each section is accepted or refined, and the children of
 a refined section go back on top. A batch shares each kernel call's fixed
 cost, most of a section's cost at n = 7 and much of it at n = 21. Root
@@ -39,7 +40,7 @@ the depth-first order and raises the error that order meets first.
 
 The final scattering matrix is re-expressed in the bases of the two end
 points by two more joins, with an identity matrix in each port basis, so a
-solve with L leaves performs (L - 1) + 2 interface factorizations. Those
+solve with L leaves performs (L - 1) + 2 guarded interface inverses. Those
 "port" bases depend only on the structure and basis ids hash basis
 content, so results of different methods, resolutions and solves compare
 entry by entry. Each solve decomposes its own end points (nothing is

@@ -1,16 +1,21 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import csv
+import io
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from arcwa import cli
+from arcwa import cli, harness
 from arcwa import operators as operators_mod
 from arcwa.geometry import Polarization
+from arcwa.sections import ScatteringMatrix
 
 from conftest import CONSTANT_DOC, TAPER_DOC
 
@@ -333,10 +338,6 @@ def test_validate_detects_tm_sign_flip(monkeypatch, capsys):
 
 
 def test_module_entry_point(taper_file, tmp_path):
-    import os
-    import subprocess
-    import sys
-
     # The child finds arcwa where this process found it, installed or not.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = tmp_path / "cli.csv"
@@ -446,3 +447,66 @@ def test_document_beyond_memory_exit2_naming_truncation_order(tmp_path, capsys):
     code = cli.main(["solve", "--structure", str(path), "--alpha", "1e-2"])
     assert code == 2
     assert "truncation_order" in capsys.readouterr().err
+
+
+# Run in a child process with every scipy import blocked: prints the exit codes of ``argv_sets`` and
+# the scipy modules loaded.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from arcwa import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "scipy" and module is not None)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """The runtime needs only numpy and PyYAML: solve, uniform and validate run with scipy unimportable."""
+    argv_sets = []
+    for polarization in ("TE", "TM"):
+        path = tmp_path / f"taper-{polarization}.spec"
+        path.write_text(TAPER_DOC.replace("polarization: TE", f"polarization: {polarization}"))
+        for command in (["solve", "--alpha", "1e-2"], ["uniform", "--sections", "4", "--order", "1"]):
+            out = tmp_path / f"{command[0]}-{polarization}.csv"
+            argv_sets.append([*command, "--structure", str(path), "--out", str(out)])
+    argv_sets.append(["validate"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argv_sets)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0] * len(argv_sets), "scipy": []}
+
+
+def per_entry_csv(smat):
+    """The writer that ``write_smatrix_csv`` replaced: one numpy scalar per row."""
+    out = io.StringIO()
+    out.write("block,row,col,re,im\n")
+    for name, attr in (("TLR", "T_LR"), ("RR", "R_R"), ("RL", "R_L"), ("TRL", "T_RL")):
+        block = getattr(smat, attr)
+        for row in range(block.shape[0]):
+            for col in range(block.shape[1]):
+                value = block[row, col]
+                out.write(f"{name},{row},{col},{float(value.real)!r},{float(value.imag)!r}\n")
+    return out.getvalue()
+
+
+def test_smatrix_csv_matches_the_per_entry_writer_byte_for_byte():
+    specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-310, 1e300, -1e-300, 0.1, 1.0 / 3.0]
+    rng = np.random.default_rng(3)
+    blocks = []
+    for _ in range(4):
+        values = rng.choice(specials, size=(2, 5, 5)) * rng.choice([1.0, -1.0], size=(2, 5, 5))
+        block = np.empty((5, 5), dtype=np.complex128)
+        block.real, block.imag = values
+        blocks.append(block)
+    # A real block too, and an entry built from signed zeros.
+    blocks[1] = blocks[1].real.copy()
+    blocks[2][0, 0] = complex(-0.0, -0.0)
+    smat = ScatteringMatrix(*blocks, left_basis_id=1, right_basis_id=2)
+    out = io.StringIO()
+    harness.write_smatrix_csv(smat, out)
+    assert out.getvalue() == per_entry_csv(smat)
+    assert "-0.0" in out.getvalue() and "nan" in out.getvalue() and "5e-324" in out.getvalue()

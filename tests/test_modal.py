@@ -366,3 +366,15 @@ def test_stacked_bases_own_their_arrays(polarization, loss):
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def test_pair_whose_b_is_not_positive_definite_leaves_its_stack_for_geev():
+    """A Hermitian TM pair whose -Q is indefinite takes geev; its stack's other pairs keep the Hermitian route."""
+    spec = uniform_spec(2.25, 1.0, polarization=Polarization.TM, order=3)
+    lossless = assemble_operators(uniform_slice(complex(4.0, 0.0)), spec)
+    indefinite = ops_from(np.diag(np.linspace(2.0, 3.0, lossless.n)), np.eye(lossless.n), z=1.0)
+    assert modal._hermitian_eig(lossless) is not None and modal._hermitian_eig(indefinite) is None
+    stack = [lossless, indefinite, lossless]
+    for stacked, single in zip(eigen_basis_stack(stack), [eigen_basis(ops) for ops in stack]):
+        for name in ("W", "V", "lam", "W_inv", "V_inv"):
+            assert np.array_equal(getattr(stacked, name), getattr(single, name)), name

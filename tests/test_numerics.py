@@ -1,10 +1,12 @@
-"""Conditioning guards: LU and explicit-inverse screens plus exact 2-norm verdict."""
+"""Conditioning guards: the explicit-inverse screen plus exact 2-norm verdict."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from arcwa.errors import ResonanceError, SingularOperatorError
-from arcwa.numerics import COND_LIMIT, checked_solve, guard_inverses
+from arcwa.errors import NumericalError, ResonanceError, SingularOperatorError
+from arcwa.numerics import COND_LIMIT, checked_solve, guard_inverses, guarded_inverses, refusal
 
 SIZES = (2, 7, 21, 51)
 # 2-norm condition numbers from 1 to 1e14, dense around COND_LIMIT.
@@ -131,3 +133,50 @@ def test_real_matrix_with_complex_right_hand_side():
     x = checked_solve(a, b, ResonanceError, "solve")
     assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-15)
     assert checked_solve(a, np.eye(2), SingularOperatorError, "inverse").dtype == np.float64
+
+
+def bad_matrices(n):
+    """Singular and non-finite matrices of size n: zero, rank one, a NaN entry and an inf entry."""
+    nan, inf = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
+    nan[0, -1], inf[-1, 0] = np.nan, np.inf
+    return [np.zeros((n, n), dtype=complex), np.ones((n, n), dtype=complex), nan, inf]
+
+
+def single_outcome(a, reject):
+    """What a stack of one gives for ``a``: its inverse, or the error it raises."""
+    try:
+        return guarded_inverses(a[None], [reject])[0]
+    except NumericalError as exc:
+        return exc
+
+
+def test_stacked_inverses_raise_the_first_failure_and_equal_single_calls():
+    """The verdict family, shuffled into stacks with singular and non-finite matrices inserted."""
+    rng = np.random.default_rng(11)
+    family = list(guard_cases())
+    stacks, raised = 0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in SIZES:
+            matrices = [a for a in family if a.shape[0] == n] + 2 * bad_matrices(n)
+            for chunk in np.array_split(rng.permutation(len(matrices)), len(matrices) // 9):
+                stack = np.array([matrices[i] for i in chunk])
+                rejects = [refusal(SingularOperatorError, f"entry {k}") for k in range(len(stack))]
+                singles = [single_outcome(a, reject) for a, reject in zip(stack, rejects)]
+                failed = [k for k, outcome in enumerate(singles) if isinstance(outcome, NumericalError)]
+                if failed:
+                    first = singles[failed[0]]
+                    with pytest.raises(type(first)) as err:
+                        guarded_inverses(stack, rejects)
+                    assert str(err.value) == str(first)
+                    raised += 1
+                passed = [k for k in range(len(stack)) if k not in failed]
+                inverses = guarded_inverses(stack[passed], [rejects[k] for k in passed])
+                for k, inverse in zip(passed, inverses):
+                    assert inverse.tobytes() == singles[k].tobytes()
+                stacks += 1
+        # A known inverse of inf, as for the zero matrix, fails the screen without a warning too.
+        with pytest.raises(SingularOperatorError):
+            guard_inverses(np.zeros((1, 3, 3)), np.full((1, 3, 3), np.inf), [refusal(SingularOperatorError, "zero")])
+    # Both kinds of stack occur.
+    assert 0 < raised < stacks

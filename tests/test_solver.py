@@ -312,10 +312,11 @@ def test_operator_and_guard_counters(taper_spec, monkeypatch, case):
     assembled = counted_entries(monkeypatch, operators, "assemble_stack")
     decomposed = counted_entries(monkeypatch, modal, "eigen_basis_stack")
     exact_conds = counted(monkeypatch, numerics, "condition_number")
-    factored = counted(monkeypatch, numerics, "guarded_solve")
+    # One entry per guarded matrix that the guard inverts (not per call).
+    factored = counted_entries(monkeypatch, numerics, "guarded_inverses")
     # Modules that imported the guard by name share the same count.
-    for module in (modal, cascade):
-        monkeypatch.setattr(module, "guarded_solve", numerics.guarded_solve)
+    for module in (modal, operators):
+        monkeypatch.setattr(module, "guarded_inverses", numerics.guarded_inverses)
     report = solve(taper_spec)
     assert len({slc.z for slc in assembled}) == len(assembled)
     assert len(assembled) == assemblies
