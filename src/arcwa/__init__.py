@@ -43,13 +43,7 @@ from .modal import (
     reconstruct_fields,
 )
 from .operators import OperatorPair, assemble_operators
-from .sections import (
-    ScatteringMatrix,
-    SectionResult,
-    delta_ab,
-    first_order_smatrix,
-    zeroth_order_smatrix,
-)
+from .sections import ScatteringMatrix, SectionResult, zeroth_order_smatrix
 from .solver import (
     SolveReport,
     SolverConfig,
@@ -88,9 +82,7 @@ __all__ = [
     "WaveState",
     "airy_slab_coefficients",
     "assemble_operators",
-    "delta_ab",
     "eigen_basis",
-    "first_order_smatrix",
     "max_norm_difference",
     "mode_coefficients",
     "parse_structure",

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import BasisMismatchError, NumericalError, ProjectionBreakdownError, ResonanceError
 from .modal import ModalBasis
-from .numerics import checked_solve, guarded_solve
+from .numerics import guarded_solve, refusal
 from .sections import ScatteringMatrix
 
 
@@ -75,7 +75,7 @@ def project_left(
     lead = x - smat.R_L @ y
     # One guarded inverse of lead serves both right-hand sides.
     rhs = np.hstack((-(y - smat.R_L @ x), smat.T_RL))
-    solved = checked_solve(lead, rhs, ProjectionBreakdownError, "interface projection (X - R_L Y)")
+    solved = guarded_solve(lead, rhs, refusal(ProjectionBreakdownError, "interface projection (X - R_L Y)"))
     r_l, t_rl = solved[:, : smat.n], solved[:, smat.n :]
     t_lr_y = smat.T_LR @ y
     t_lr = smat.T_LR @ x + t_lr_y @ r_l
@@ -108,8 +108,8 @@ def star(s_left: ScatteringMatrix, s_right: ScatteringMatrix) -> ScatteringMatri
     if s_left.n != s_right.n:
         raise ValueError(f"block sizes differ: {s_left.n} vs {s_right.n}")
     eye = np.eye(s_left.n, dtype=np.complex128)
-    g = checked_solve(eye - s_left.R_R @ s_right.R_L, eye, ResonanceError, "Redheffer (I - R_R R_L)")
-    h = checked_solve(eye - s_right.R_L @ s_left.R_R, eye, ResonanceError, "Redheffer (I - R_L R_R)")
+    g = guarded_solve(eye - s_left.R_R @ s_right.R_L, eye, refusal(ResonanceError, "Redheffer (I - R_R R_L)"))
+    h = guarded_solve(eye - s_right.R_L @ s_left.R_R, eye, refusal(ResonanceError, "Redheffer (I - R_L R_R)"))
     return ScatteringMatrix(
         T_LR=s_right.T_LR @ g @ s_left.T_LR,
         R_R=s_right.R_R + s_right.T_LR @ s_left.R_R @ h @ s_right.T_RL,

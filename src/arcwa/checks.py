@@ -202,7 +202,8 @@ def _check_constant_section_orders() -> tuple[bool, str]:
     spec = uniform_spec(6.25, 0.8, order=2)
     ops = operators.assemble_operators(uniform_slice(6.25, z=0.4), spec)
     basis = modal.eigen_basis(ops)
-    first = sections.first_order_smatrix(spec, 0.0, 0.8, basis, ops)
+    ends = tuple(operators.assemble_stack([uniform_slice(6.25, z=z) for z in (0.0, 0.8)], spec))
+    (first,) = sections.first_order_stack([(0.0, 0.8, basis, ops, ends)])
     zeroth = sections.zeroth_order_smatrix(basis, 0.0, 0.8)
     worst = max(max_norm_difference(first.smat, zeroth), first.est_error)
     return worst < 1e-12, f"order-0/order-1 gap {worst:.2e}"

@@ -111,9 +111,12 @@ class PiecewiseLinearProfile:
 
     The ``constant`` and ``linear`` kinds are two-point profiles through
     (z_min, start) and (z_max, end), with start = end for a constant.
+    ``bounds`` covers z in [z_start, z_end], by default every z.
     """
 
     points: tuple[tuple[float, float], ...]
+    z_start: float = -math.inf
+    z_end: float = math.inf
 
     def at(self, z: float) -> float:
         pts = self.points
@@ -128,7 +131,8 @@ class PiecewiseLinearProfile:
         return pts[-1][1]
 
     def bounds(self) -> tuple[float, float]:
-        values = [v for _, v in self.points]
+        inside = [v for z, v in self.points if self.z_start < z < self.z_end]
+        values = [self.at(self.z_start), self.at(self.z_end), *inside]
         return (min(values), max(values))
 
 
@@ -313,7 +317,7 @@ def _parse_profile(node, z_min: float, z_max: float, what: str) -> Profile:
     for (za, _), (zb, _) in zip(points, points[1:]):
         if not zb > za:
             raise _semantic(f"{what}: piecewise_linear breakpoints must be strictly increasing in z")
-    return PiecewiseLinearProfile(tuple(points))
+    return PiecewiseLinearProfile(tuple(points), z_min, z_max)
 
 
 def _check_tm_eps(eps: complex, polarization: Polarization, what: str) -> None:

@@ -132,7 +132,7 @@ def _is_hermitian(a: np.ndarray) -> np.ndarray:
 _Route = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
 
 
-def _hermitian_eig(stack: Sequence[OperatorPair] | OperatorPair) -> list[_Route] | None:
+def _hermitian_eig(stack: Sequence[OperatorPair]) -> list[_Route] | None:
     """Eigenvalues lam^2 and eigenvectors Y of P Q from a Hermitian solver, plus B, per route.
 
     TE pairs (P exactly I, Q Hermitian) take ``eigh(Q)``, with unitary Y
@@ -143,11 +143,8 @@ def _hermitian_eig(stack: Sequence[OperatorPair] | OperatorPair) -> list[_Route]
     the Hermitian tests are computed for the whole stack too. Returns one
     route per solver that has pairs, or None when no pair takes one: a pair
     that is not Hermitian, whose B is not positive definite or whose
-    solver does not converge takes ``geev``. A single pair is a stack of
-    one.
+    solver does not converge takes ``geev``.
     """
-    if isinstance(stack, OperatorPair):
-        stack = [stack]
     n = stack[0].n
     q = as_stack([ops.Q for ops in stack])
     p = as_stack([ops.P for ops in stack])

@@ -109,13 +109,6 @@ def guarded_solve(
     return guarded_inverses(a[None], [reject])[0] @ b
 
 
-def checked_solve(
-    a: np.ndarray, b: np.ndarray, error_cls: type[NumericalError], what: str
-) -> np.ndarray:
-    """Solve ``a x = b`` after verifying ``a`` is well-conditioned."""
-    return guarded_solve(a, b, refusal(error_cls, what))
-
-
 def as_stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Equal-shaped arrays stacked along a new first axis; a stack of one is a view, not a copy."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)

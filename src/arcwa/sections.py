@@ -11,11 +11,12 @@ varying inside the section through the deviation matrices
 integrated against propagation phases that, by the branch rule, never
 exceed unit magnitude. The reference is the section's midpoint. The
 integrals are evaluated with a 3-point Simpson rule sampling z_L, the
-midpoint and z_R; the midpoint sample has exactly zero deviation, so only
-the two end samples are formed, each with weight (z_R - z_L) / 6. TE
-operators share one identity P, so their P term is skipped; every other
-deviation forms both terms, and a P equal to the reference P gives a dP of
-exact zeros.
+midpoint and z_R; the midpoint sample has exactly zero deviation, so each
+integral is the two end samples, each with weight (z_R - z_L) / 6, and
+the only phase factor is e = exp(j lam k0 (z_R - z_L)), which is also the
+zeroth-order transmission. TE operators share one identity P, so their P
+term is skipped; every other deviation forms both terms, and a P equal to
+the reference P gives a dP of exact zeros.
 
 The four integral terms double as the section's error estimate: they are
 exactly the difference between the first- and zeroth-order matrices, and
@@ -24,27 +25,21 @@ against the user's error bound during adaptive subdivision.
 
 The solver evaluates sections in stacks (``first_order_stack``, with the
 deviations of ``delta_stack``) from the operators it assembled for every
-sample; ``first_order_smatrix`` and ``delta_ab`` are stacks of one, and
-every entry of a stack equals its single call. ``first_order_smatrix``
-assembles the two end samples itself.
+sample; every entry of a stack equals the same section solved alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import geometry, operators
-from .geometry import StructureSpec
 from .modal import ModalBasis, propagation_factor
 from .numerics import as_stack
-from .operators import OperatorPair
 
-# first_order_smatrix accepts a basis within this times max(span, 1) of the section's midpoint:
-# the middle third of a split section keeps its parent's middle z, which can be an ulp off its own.
-_SAMPLE_RTOL = 1e-12
+if TYPE_CHECKING:
+    from .operators import OperatorPair
 
 
 @dataclass(frozen=True)
@@ -87,27 +82,19 @@ class SectionResult:
 _Deltas = tuple[np.ndarray, np.ndarray]
 
 # A section to solve: (z_L, z_R, midpoint basis, midpoint operators, the operators at z_L and z_R).
-_Section = tuple[float, float, ModalBasis, OperatorPair, tuple[OperatorPair, OperatorPair]]
-
-
-def delta_ab(slice_ops: OperatorPair, ref_ops: OperatorPair, basis: ModalBasis) -> _Deltas:
-    """Deviations (dA, dB) of sampled operators from the reference, in the reference basis.
-
-    A stack of one ``delta_stack``.
-    """
-    d_a, d_b = delta_stack([slice_ops], [ref_ops], [basis])
-    return d_a[0], d_b[0]
+_Section = tuple[float, float, ModalBasis, "OperatorPair", tuple["OperatorPair", "OperatorPair"]]
 
 
 def delta_stack(
     slice_ops: Sequence[OperatorPair], ref_ops: Sequence[OperatorPair], bases: Sequence[ModalBasis]
 ) -> _Deltas:
-    """``delta_ab`` for G (sample, reference, basis) triples, stacked as (G, n, n).
+    """Deviations (dA, dB) of G sampled operators from their references, in the reference bases.
 
-    Each deviation equals the one computed alone. TE operators share one
-    read-only identity P, so a stack whose samples all hold their
-    reference's P object skips the P term; any other stack forms dP for
-    every entry, which is exact zeros where P equals the reference P.
+    Stacked as (G, n, n); each deviation equals the one computed alone.
+    TE operators share one read-only identity P, so a stack whose samples
+    all hold their reference's P object skips the P term; any other stack
+    forms dP for every entry, which is exact zeros where P equals the
+    reference P.
     """
     for s, r, b in zip(slice_ops, ref_ops, bases):
         if s.P.shape != r.P.shape or r.P.shape != b.W.shape:
@@ -139,91 +126,56 @@ def zeroth_order_smatrix(basis: ModalBasis, z_L: float, z_R: float) -> Scatterin
 
 
 def _first_order_terms(
-    lam_k0: np.ndarray, k0: list[float], deltas: list[_Deltas], dz: np.ndarray, weights: np.ndarray
+    phases: np.ndarray, k0: list[float], span: np.ndarray, ends: tuple[_Deltas, _Deltas]
 ) -> np.ndarray:
-    """Simpson sums of the four first-order integral terms of G sections with S samples each.
+    """The four first-order integral terms of G sections, from their two end samples.
 
-    ``lam_k0`` holds j * lam * k0 per section, shaped (G, n), and ``k0``
-    the G wavenumbers; ``deltas`` holds S deviation pairs, each stacked as
-    (G, n, n); ``dz`` holds each sample's distances to z_R and from z_L,
-    shaped (S, G, 2, 1), and ``weights`` is (S, G). Returns [[T_LR, T_RL],
-    [R_R, R_L]] per section, shaped (G, 2, 2, n, n). Each term carries its
-    prefactor (+- j k0 / 2), so the blocks are exactly the first-order
-    corrections (and the error-estimator difference matrices). One exp
-    gives every sample's propagation factors; each section's weighted
-    terms are summed in sample order.
+    ``phases`` holds e = exp(j * lam * k0 * (z_R - z_L)) per section,
+    shaped (G, n), ``k0`` the G wavenumbers and ``span`` the G lengths
+    z_R - z_L; ``ends`` holds the deviation pairs of the z_L and the z_R
+    samples, each stacked as (G, n, n). At z_L the phase towards z_R is e
+    and the phase from z_L is 1; at z_R it is the other way round. So,
+    with the Simpson weight w = span / 6 of either end,
+
+        T_LR = (e dA_L + dA_R e^T) w,   T_RL = (dA_L e^T + e dA_R) w,
+        R_R = -(e dB_L e^T + dB_R) w,   R_L = -(dB_L + e dB_R e^T) w,
+
+    each entrywise and times j k0 / 2. Returns [[T_LR, T_RL], [R_R, R_L]]
+    per section, shaped (G, 2, 2, n, n): exactly the first-order
+    corrections, and the error-estimator difference matrices.
     """
-    sections, n = lam_k0.shape
-    # exp(j * lam * k0 * dz) towards z_R and from z_L, shaped (S, G, 2, n).
-    phases = np.exp(lam_k0[:, None, :] * dz)
-    # Each deviation enters two blocks, so it is weighted by a stacked pair
-    # of phase vectors: dA with (to_right, from_left) on the left and
-    # (from_left, to_right) on the right gives T_LR and T_RL, dB with the
-    # same pair on both sides gives R_R and R_L. Samples stay a Python loop:
-    # (samples, 4, n, n) temporaries cost ~190 page faults per section at
-    # n = 51, while stacks of two n x n matrices are reused from the heap.
-    terms = np.zeros((sections, 2, 2, n, n), dtype=np.complex128)
-    transmit, reflect = terms[:, 0], terms[:, 1]
-    columns, rows = phases[..., None], phases[:, :, :, None, :]
-    swapped = phases[:, :, ::-1, None, :]
-    for column, row, row_swapped, wk, (d_a, d_b) in zip(columns, rows, swapped, weights[..., None, None, None], deltas):
-        term = column * d_a[:, None]
-        term *= row_swapped
-        term *= wk
-        transmit += term
-        term = column * d_b[:, None]
-        term *= row
-        term *= wk
-        reflect -= term
-    terms *= np.array([0.5j * k for k in k0])[:, None, None, None, None]
+    (a_l, b_l), (a_r, b_r) = ends
+    size, n = phases.shape
+    column, row = phases[:, :, None], phases[:, None, :]
+    w = (span / 6.0)[:, None, None]
+    terms = np.empty((size, 2, 2, n, n), dtype=np.complex128)
+    (t_lr, t_rl), (r_r, r_l) = terms.transpose(1, 2, 0, 3, 4)
+    np.add((column * a_l) * w, (a_r * row) * w, out=t_lr)
+    np.add((a_l * row) * w, (column * a_r) * w, out=t_rl)
+    np.add(((column * b_l) * row) * w, b_r * w, out=r_r)
+    np.add(b_l * w, ((column * b_r) * row) * w, out=r_l)
+    # The transmission terms carry + j k0 / 2, the reflection terms - j k0 / 2.
+    terms *= np.array([(0.5j * k, -0.5j * k) for k in k0])[:, :, None, None, None]
     return terms
 
 
-def first_order_smatrix(
-    spec: StructureSpec,
-    z_L: float,
-    z_R: float,
-    basis: ModalBasis,
-    ref_ops: OperatorPair,
-) -> SectionResult:
-    """Solve one section to first perturbation order in the basis of its midpoint.
-
-    ``basis`` and ``ref_ops`` must be the midpoint's, within _SAMPLE_RTOL
-    times max(z_R - z_L, 1). The two end samples are assembled here as one
-    stack. A stack of one ``first_order_stack``.
-    """
-    if not z_R > z_L:
-        raise ValueError(f"z_R = {z_R:g} must be > z_L = {z_L:g}")
-    middle = 0.5 * (z_L + z_R)
-    if not abs(basis.z_ref - middle) <= _SAMPLE_RTOL * max(z_R - z_L, 1.0):
-        raise ValueError(f"basis reference z = {basis.z_ref:g} is not the midpoint of section [{z_L:g}, {z_R:g}]")
-    ends = operators.assemble_stack([geometry.slice_at(spec, z) for z in (z_L, z_R)], spec)
-    return first_order_stack([(z_L, z_R, basis, ref_ops, tuple(ends))])[0]
-
-
 def first_order_stack(sections: Sequence[_Section]) -> list[SectionResult]:
-    """``first_order_smatrix`` for several sections, as one stack, from the end-sample operators given.
+    """Solve G sections to first perturbation order, as one stack, from the end-sample operators given.
 
-    Each result equals the one solved alone, bit for bit. Each S-matrix's
-    four blocks are views of one buffer of the stack.
+    Each section is solved in the basis of its midpoint, whose operators
+    it carries. Each result equals the one solved alone, bit for bit.
+    Each S-matrix's four blocks are views of one buffer of the stack.
     """
     z_l, z_r, bases, refs, ends = zip(*sections)
     k0 = [b.k0 for b in bases]
-    lam_k0 = 1j * as_stack([b.lam for b in bases]) * np.array(k0)[:, None]
-    # The z_L sample, then the z_R one: deviations, distances to z_R and from z_L, and Simpson weights.
-    deltas = [delta_stack([pair[k] for pair in ends], refs, bases) for k in range(2)]
     span = np.array(z_r) - np.array(z_l)
-    zero = np.zeros_like(span)
-    dz = np.array([[span, zero], [zero, span]]).transpose(0, 2, 1)
-    weights = np.array([span / 6.0, span / 6.0])
-    terms = _first_order_terms(lam_k0, k0, deltas, dz[..., None], weights)
+    phases = np.exp(1j * as_stack([b.lam for b in bases]) * np.array(k0)[:, None] * span[:, None])
+    deltas = tuple(delta_stack([pair[k] for pair in ends], refs, bases) for k in range(2))
+    terms = _first_order_terms(phases, k0, span, deltas)
     est_error = np.abs(terms).max(axis=(1, 2, 3, 4)).tolist()
-    # The zeroth-order matrix adds only the diagonal transmission; the
-    # four blocks of a section share its slot of the terms' buffer.
-    size, n = lam_k0.shape
-    diagonal = np.zeros((size, 1, n * n), dtype=np.complex128)
-    diagonal[:, 0, :: n + 1] = np.exp(lam_k0 * span[:, None])
-    terms[:, 0] += diagonal.reshape(size, 1, n, n)
+    # The zeroth-order matrix adds only the diagonal transmission e to T_LR and T_RL.
+    size, n = phases.shape
+    terms.reshape(size, 4, n * n)[:, :2, :: n + 1] += phases[:, None]
     return [
         SectionResult(ScatteringMatrix(t_lr, r_r, r_l, t_rl, basis.basis_id, basis.basis_id), est)
         for basis, ((t_lr, t_rl), (r_r, r_l)), est in zip(bases, terms, est_error)

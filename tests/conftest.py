@@ -13,10 +13,11 @@ from arcwa.checks import (  # noqa: F401 - re-exported to the tests
     uniform_slice,
     uniform_spec,
 )
-from arcwa.geometry import StructureSpec, parse_structure
+from arcwa.geometry import StructureSpec, parse_structure, slice_at
 from arcwa.modal import ModalBasis
 from arcwa.numerics import max_abs
-from arcwa.sections import ScatteringMatrix
+from arcwa.operators import OperatorPair, assemble_stack
+from arcwa.sections import ScatteringMatrix, SectionResult, first_order_stack
 from arcwa.solver import solve_uniform
 
 
@@ -87,6 +88,14 @@ def random_basis(rng: np.random.Generator, n: int, k0: float = 2.0 * np.pi / 1.5
         W_inv=np.linalg.inv(w),
         V_inv=np.linalg.inv(v),
     )
+
+
+def first_order_section(
+    spec: StructureSpec, z_l: float, z_r: float, basis: ModalBasis, ref_ops: OperatorPair
+) -> SectionResult:
+    """Section [z_l, z_r] solved by ``first_order_stack``, with its two end samples assembled here."""
+    ends = tuple(assemble_stack([slice_at(spec, z) for z in (z_l, z_r)], spec))
+    return first_order_stack([(z_l, z_r, basis, ref_ops, ends)])[0]
 
 
 def blocks_diff(s1: ScatteringMatrix, s2: ScatteringMatrix) -> float:

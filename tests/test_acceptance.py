@@ -17,12 +17,13 @@ from arcwa.harness import max_norm_difference
 from arcwa.modal import eigen_basis, mode_coefficients, reconstruct_fields
 from arcwa.numerics import max_abs
 from arcwa.operators import assemble_operators
-from arcwa.sections import first_order_smatrix, zeroth_order_smatrix
+from arcwa.sections import zeroth_order_smatrix
 from arcwa.solver import SolverConfig, solve_adaptive, solve_uniform
 
 from conftest import (
     CONSTANT_DOC,
     blocks_diff,
+    first_order_section,
     identity_smatrix,
     random_basis,
     random_passive_smatrix,
@@ -46,7 +47,7 @@ def test_criterion_1_zero_variation_equivalence():
         spec = parse_structure(doc)
         ops = assemble_operators(slice_at(spec, 0.5), spec)
         basis = eigen_basis(ops)
-        first = first_order_smatrix(spec, spec.z_min, spec.z_max, basis, ops)
+        first = first_order_section(spec, spec.z_min, spec.z_max, basis, ops)
         zeroth = zeroth_order_smatrix(basis, spec.z_min, spec.z_max)
         rel = blocks_diff(first.smat, zeroth) / smat_scale(zeroth)
         worst = max(worst, rel)
@@ -219,7 +220,7 @@ def test_criterion_8_estimator_construction_identity(taper_spec):
         mid = 0.5 * (z_l + z_r)
         ops = assemble_operators(slice_at(taper_spec, mid), taper_spec)
         basis = eigen_basis(ops)
-        first = first_order_smatrix(taper_spec, z_l, z_r, basis, ops)
+        first = first_order_section(taper_spec, z_l, z_r, basis, ops)
         zeroth = zeroth_order_smatrix(basis, z_l, z_r)
         gap = blocks_diff(first.smat, zeroth)
         rel = abs(first.est_error - gap) / max(gap, 1e-300)

@@ -113,6 +113,18 @@ def test_piecewise_breakpoints_must_increase():
         parse_structure(doc)
 
 
+@pytest.mark.parametrize(
+    "points",
+    ["[[-1.0, -0.5], [0.0, 0.2], [1.0, 0.3]]", "[[0.0, 0.2], [1.0, 0.3], [2.0, 1.5]]"],
+    ids=["negative-before-z_min", "wide-after-z_max"],
+)
+def test_piecewise_bounds_ignore_breakpoints_outside_z_range(points):
+    # The width stays in [0.2, 0.3] on z in [0, 1]; values beyond the range never reach a slice.
+    doc = TAPER_DOC.replace("{kind: linear, start: 0.26, end: 0.37}", f"{{kind: piecewise_linear, points: {points}}}")
+    width = parse_structure(doc).regions[0].width
+    assert width.bounds() == pytest.approx((0.2, 0.3), abs=1e-15)
+
+
 def test_constant_profile_slices_identical():
     spec = parse_structure(CONSTANT_DOC)
     s1 = slice_at(spec, 0.1)

@@ -247,7 +247,7 @@ def sorted_squares(lam):
 @given(slc=slices(lossy=False), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
 def test_hermitian_route_matches_geev_on_lossless_slices(slc, order, polarization):
     ops = assemble_operators(slc, uniform_spec_on(slc.period_x, polarization=polarization, order=order))
-    assert modal._hermitian_eig(ops) is not None
+    assert modal._hermitian_eig([ops]) is not None
     try:
         reference = geev_eigen_basis(ops)
     except CutoffModeError:
@@ -291,7 +291,7 @@ def test_lossy_slices_keep_the_geev_route_bit_for_bit(slc, order, polarization):
 )
 def test_errors_are_the_same_on_both_routes(p, q, error):
     ops = ops_from(p, q)
-    assert modal._hermitian_eig(ops) is not None
+    assert modal._hermitian_eig([ops]) is not None
     with pytest.raises(error) as geev_err:
         geev_eigen_basis(ops)
     with pytest.raises(error) as err:
@@ -310,7 +310,7 @@ def test_errors_are_the_same_on_both_routes(p, q, error):
 )
 def test_other_operator_pairs_take_the_geev_route(p, q):
     ops = ops_from(p, q)
-    assert modal._hermitian_eig(ops) is None
+    assert modal._hermitian_eig([ops]) is None
 
 
 # geev returns these mathematically real lam^2 with dust of ~1e-17 max|lam^2| off the real axis:
@@ -373,7 +373,7 @@ def test_pair_whose_b_is_not_positive_definite_leaves_its_stack_for_geev():
     spec = uniform_spec(2.25, 1.0, polarization=Polarization.TM, order=3)
     lossless = assemble_operators(uniform_slice(complex(4.0, 0.0)), spec)
     indefinite = ops_from(np.diag(np.linspace(2.0, 3.0, lossless.n)), np.eye(lossless.n), z=1.0)
-    assert modal._hermitian_eig(lossless) is not None and modal._hermitian_eig(indefinite) is None
+    assert modal._hermitian_eig([lossless]) is not None and modal._hermitian_eig([indefinite]) is None
     stack = [lossless, indefinite, lossless]
     for stacked, single in zip(eigen_basis_stack(stack), [eigen_basis(ops) for ops in stack]):
         for name in ("W", "V", "lam", "W_inv", "V_inv"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arcwa.errors import NumericalError, ResonanceError, SingularOperatorError
-from arcwa.numerics import COND_LIMIT, checked_solve, guard_inverses, guarded_inverses, refusal
+from arcwa.numerics import COND_LIMIT, guard_inverses, guarded_inverses, guarded_solve, refusal
 
 SIZES = (2, 7, 21, 51)
 # 2-norm condition numbers from 1 to 1e14, dense around COND_LIMIT.
@@ -61,15 +61,15 @@ def test_verdicts_and_messages_follow_the_exact_2norm_condition_number():
             rejected += 1
             message = f"Redheffer (I - R_R R_L): condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
             with pytest.raises(ResonanceError) as solve_err:
-                checked_solve(a, b, ResonanceError, "Redheffer (I - R_R R_L)")
+                guarded_solve(a, b, refusal(ResonanceError, "Redheffer (I - R_R R_L)"))
             assert str(solve_err.value) == message
             with pytest.raises(SingularOperatorError) as inv_err:
-                checked_solve(a, np.eye(n), SingularOperatorError, "Toeplitz(eps)")
+                guarded_solve(a, np.eye(n), refusal(SingularOperatorError, "Toeplitz(eps)"))
             assert str(inv_err.value) == message.replace("Redheffer (I - R_R R_L)", "Toeplitz(eps)")
         else:
-            x = checked_solve(a, b, ResonanceError, "solve")
+            x = guarded_solve(a, b, refusal(ResonanceError, "solve"))
             assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x)
-            inv = checked_solve(a, np.eye(n), SingularOperatorError, "inverse")
+            inv = guarded_solve(a, np.eye(n), refusal(SingularOperatorError, "inverse"))
             assert np.linalg.norm(a @ inv - np.eye(n)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(inv)
     # Both verdicts occur.
     assert 0 < rejected < len(SIZES) * CONDITIONS.size * len(KINDS)
@@ -122,17 +122,17 @@ def test_explicit_inverse_screen_rejects_singular_and_non_finite_inputs(a, a_inv
 )
 def test_singular_and_non_finite_inputs_rejected(a):
     with pytest.raises(ResonanceError, match="condition number .* exceeds"):
-        checked_solve(a, np.ones(a.shape[0]), ResonanceError, "solve")
+        guarded_solve(a, np.ones(a.shape[0]), refusal(ResonanceError, "solve"))
     with pytest.raises(SingularOperatorError, match="condition number .* exceeds"):
-        checked_solve(a, np.eye(a.shape[0]), SingularOperatorError, "inverse")
+        guarded_solve(a, np.eye(a.shape[0]), refusal(SingularOperatorError, "inverse"))
 
 
 def test_real_matrix_with_complex_right_hand_side():
     a = np.array([[2.0, 1.0], [0.0, 3.0]])
     b = np.array([1.0, 2.0j])
-    x = checked_solve(a, b, ResonanceError, "solve")
+    x = guarded_solve(a, b, refusal(ResonanceError, "solve"))
     assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-15)
-    assert checked_solve(a, np.eye(2), SingularOperatorError, "inverse").dtype == np.float64
+    assert guarded_solve(a, np.eye(2), refusal(SingularOperatorError, "inverse")).dtype == np.float64
 
 
 def bad_matrices(n):

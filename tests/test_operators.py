@@ -10,7 +10,7 @@ from scipy.linalg import toeplitz
 
 from arcwa.errors import SingularOperatorError
 from arcwa.geometry import PermittivitySlice, Polarization
-from arcwa.numerics import checked_solve
+from arcwa.numerics import guarded_solve, refusal
 from arcwa.operators import _phase_table, _piecewise_coefficients, _toeplitz_from, assemble_operators, assemble_stack
 
 from conftest import owning_buffer, uniform_slice, uniform_spec, uniform_spec_on
@@ -269,10 +269,10 @@ def loop_operators(slc, spec):
     n = 2 * order + 1
     if spec.polarization is Polarization.TE:
         return np.eye(n, dtype=np.complex128), eps_toeplitz - np.diag(kt**2).astype(np.complex128)
-    eps_inv = checked_solve(eps_toeplitz, np.eye(n), SingularOperatorError, "Toeplitz(eps)")
+    eps_inv = guarded_solve(eps_toeplitz, np.eye(n), refusal(SingularOperatorError, "Toeplitz(eps)"))
     p = kt[:, None] * eps_inv * kt[None, :] - np.eye(n, dtype=np.complex128)
     inv_toeplitz = loop_toeplitz(loop_coefficients(inverted, slc.period_x, order), order)
-    return p, -checked_solve(inv_toeplitz, np.eye(n), SingularOperatorError, "Toeplitz(1/eps)")
+    return p, -guarded_solve(inv_toeplitz, np.eye(n), refusal(SingularOperatorError, "Toeplitz(1/eps)"))
 
 
 @st.composite

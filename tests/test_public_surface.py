@@ -32,9 +32,7 @@ PUBLIC_NAMES = [
     "WaveState",
     "airy_slab_coefficients",
     "assemble_operators",
-    "delta_ab",
     "eigen_basis",
-    "first_order_smatrix",
     "max_norm_difference",
     "mode_coefficients",
     "parse_structure",

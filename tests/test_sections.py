@@ -10,17 +10,12 @@ from arcwa.geometry import parse_structure, slice_at
 from arcwa.modal import eigen_basis, propagation_factor
 from arcwa.numerics import max_abs
 from arcwa.operators import OperatorPair, assemble_operators
-from arcwa.sections import (
-    _first_order_terms,
-    delta_ab,
-    first_order_smatrix,
-    zeroth_order_smatrix,
-)
+from arcwa.sections import _first_order_terms, delta_stack, zeroth_order_smatrix
 from arcwa.cascade import star
 from arcwa.solver import solve_uniform
 from arcwa.harness import max_norm_difference
 
-from conftest import CONSTANT_DOC, TAPER_DOC, blocks_diff, uniform_slice, uniform_spec
+from conftest import CONSTANT_DOC, TAPER_DOC, blocks_diff, first_order_section, uniform_slice, uniform_spec
 
 
 def taper_section_inputs(spec, z_l, z_r):
@@ -37,7 +32,7 @@ def taper():
 def test_delta_zero_for_identical_operators(constant_spec):
     ops = assemble_operators(slice_at(constant_spec, 0.5), constant_spec)
     basis = eigen_basis(ops)
-    d_a, d_b = delta_ab(ops, ops, basis)
+    (d_a,), (d_b,) = delta_stack([ops], [ops], [basis])
     assert max_abs(d_a) == 0.0
     assert max_abs(d_b) == 0.0
 
@@ -48,7 +43,7 @@ def test_delta_q_only_identity(rng):
     basis = eigen_basis(ops)
     dq = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     bumped = OperatorPair(P=ops.P, Q=ops.Q + dq, z=0.0, k0=ops.k0)
-    d_a, d_b = delta_ab(bumped, ops, basis)
+    (d_a,), (d_b,) = delta_stack([bumped], [ops], [basis])
     expected = basis.V_inv @ dq @ basis.W
     assert_allclose(d_a, expected, atol=1e-12)
     assert_allclose(d_b, -expected, atol=1e-12)
@@ -61,7 +56,7 @@ def test_delta_sum_difference_identities(rng):
     dp = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     dq = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     bumped = OperatorPair(P=ops.P + dp, Q=ops.Q + dq, z=0.0, k0=ops.k0)
-    d_a, d_b = delta_ab(bumped, ops, basis)
+    (d_a,), (d_b,) = delta_stack([bumped], [ops], [basis])
     assert_allclose(d_a + d_b, 2.0 * basis.W_inv @ dp @ basis.V, atol=1e-12)
     assert_allclose(d_a - d_b, 2.0 * basis.V_inv @ dq @ basis.W, atol=1e-12)
 
@@ -96,7 +91,7 @@ def test_first_order_equals_zeroth_for_constant(polarization):
     spec = parse_structure(CONSTANT_DOC.replace("polarization: TE", f"polarization: {polarization}"))
     ops = assemble_operators(slice_at(spec, 0.5), spec)
     basis = eigen_basis(ops)
-    first = first_order_smatrix(spec, 0.0, 1.0, basis, ops)
+    first = first_order_section(spec, 0.0, 1.0, basis, ops)
     zeroth = zeroth_order_smatrix(basis, 0.0, 1.0)
     assert blocks_diff(first.smat, zeroth) == 0.0
     assert first.est_error == 0.0
@@ -108,7 +103,7 @@ def test_short_section_limit(taper):
     norms = []
     for length in (0.02, 0.01, 0.005):
         ops, basis = taper_section_inputs(taper, z0 - length / 2, z0 + length / 2)
-        res = first_order_smatrix(taper, z0 - length / 2, z0 + length / 2, basis, ops)
+        res = first_order_section(taper, z0 - length / 2, z0 + length / 2, basis, ops)
         norms.append(max(max_abs(res.smat.R_L), max_abs(res.smat.R_R)))
         phase_scale = np.max(np.abs(basis.lam)) * basis.k0 * length
         assert max_abs(res.smat.T_LR - np.eye(basis.n)) <= 2.0 * phase_scale
@@ -159,17 +154,14 @@ def test_estimator_is_max_norm_of_integral_terms(rng):
             rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)),
             rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)),
         )
-        for _ in range(3)
+        for _ in range(2)
     ]
-    sample_z = [0.0, 0.5, 1.0]
-    weights = np.array([[1.0 / 6.0], [4.0 / 6.0], [1.0 / 6.0]])
 
     def section_terms(deltas):
-        # Stacks of one section: deviations (1, n, n) per sample, distances to z_R and from z_L.
-        dz = np.array([(1.0 - z, z - 0.0) for z in sample_z]).reshape(3, 1, 2, 1)
-        lam_k0 = 1j * basis.lam[None] * basis.k0
-        stacked = [(d_a[None], d_b[None]) for d_a, d_b in deltas]
-        return _first_order_terms(lam_k0, [basis.k0], stacked, dz, weights)[0]
+        # A stack of one unit-length section: the z_L and z_R samples' deviations, each (1, n, n).
+        phases = np.exp(1j * basis.lam[None] * basis.k0)
+        ends = tuple((d_a[None], d_b[None]) for d_a, d_b in deltas)
+        return _first_order_terms(phases, [basis.k0], np.array([1.0]), ends)[0]
 
     terms = section_terms(deltas)
     eps = max_abs(terms)
@@ -184,7 +176,7 @@ def test_section_with_every_sample_at_the_reference(taper):
     # the two end samples are still formed, and their deviations vanish.
     z_l, z_r = 0.5, 0.5 + 1e-13
     ops, basis = taper_section_inputs(taper, z_l, z_r)
-    first = first_order_smatrix(taper, z_l, z_r, basis, ops)
+    first = first_order_section(taper, z_l, z_r, basis, ops)
     zeroth = zeroth_order_smatrix(basis, z_l, z_r)
     assert first.est_error <= 1e-12
     assert blocks_diff(first.smat, zeroth) <= 1e-12
@@ -237,7 +229,7 @@ def test_first_order_matches_three_sample_loop_bit_for_bit(polarization, order, 
     z_r = z_l + fraction * (1.0 - z_l)
     ref_ops = assemble_operators(slice_at(spec, 0.5 * (z_l + z_r)), spec)
     basis = eigen_basis(ref_ops)
-    first = first_order_smatrix(spec, z_l, z_r, basis, ref_ops)
+    first = first_order_section(spec, z_l, z_r, basis, ref_ops)
     smat, est_error = loop_first_order(spec, z_l, z_r, basis, ref_ops)
     for name, block in smat.items():
         assert np.array_equal(getattr(first.smat, name), block)
@@ -247,7 +239,7 @@ def test_first_order_matches_three_sample_loop_bit_for_bit(polarization, order, 
 def test_estimator_equals_order_gap(taper):
     for z_l, z_r in ((0.0, 0.25), (0.25, 0.75), (0.4, 1.0)):
         ops, basis = taper_section_inputs(taper, z_l, z_r)
-        first = first_order_smatrix(taper, z_l, z_r, basis, ops)
+        first = first_order_section(taper, z_l, z_r, basis, ops)
         zeroth = zeroth_order_smatrix(basis, z_l, z_r)
         gap = blocks_diff(first.smat, zeroth)
         assert first.est_error == pytest.approx(gap, rel=1e-12)
@@ -258,24 +250,12 @@ def test_mirrored_profile_swaps_blocks(taper):
     mirrored = parse_structure(TAPER_DOC.replace("start: 0.26, end: 0.37", "start: 0.37, end: 0.26"))
     ops_f, basis_f = taper_section_inputs(taper, 0.0, 1.0)
     # Midpoint slices coincide, so both sections share the same reference basis.
-    forward = first_order_smatrix(taper, 0.0, 1.0, basis_f, ops_f).smat
-    backward = first_order_smatrix(mirrored, 0.0, 1.0, basis_f, ops_f).smat
+    forward = first_order_section(taper, 0.0, 1.0, basis_f, ops_f).smat
+    backward = first_order_section(mirrored, 0.0, 1.0, basis_f, ops_f).smat
     assert max_abs(forward.T_LR - backward.T_RL) <= 1e-12
     assert max_abs(forward.T_RL - backward.T_LR) <= 1e-12
     assert max_abs(forward.R_L - backward.R_R) <= 1e-12
     assert max_abs(forward.R_R - backward.R_L) <= 1e-12
-
-
-def test_reference_outside_section_rejected(taper):
-    ops, basis = taper_section_inputs(taper, 0.0, 0.2)
-    with pytest.raises(ValueError, match="not the midpoint"):
-        first_order_smatrix(taper, 0.5, 0.8, basis, ops)
-
-
-def test_reference_at_section_end_rejected(taper):
-    ops = assemble_operators(slice_at(taper, 0.8), taper)
-    with pytest.raises(ValueError, match="not the midpoint of section"):
-        first_order_smatrix(taper, 0.5, 0.8, eigen_basis(ops), ops)
 
 
 def test_scattering_matrix_rejects_ragged_blocks():

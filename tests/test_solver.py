@@ -19,7 +19,7 @@ from arcwa.solver import (
     solve_uniform,
 )
 
-from conftest import TAPER_DOC
+from conftest import TAPER_DOC, first_order_section
 
 
 # README taper at n = 7: (solve, operator assemblies, sections solved, eigendecompositions,
@@ -347,7 +347,8 @@ def test_handed_down_operators_match_fresh_assembly(taper_spec, monkeypatch, cas
     for z_l, z_r, est_error in report.sections:
         (_, _, basis, ref_ops, (left_ops, right_ops)), used = solved[(z_l, z_r)]
         assert (left_ops.z, right_ops.z) == (z_l, z_r)
-        fresh = sections.first_order_smatrix(taper_spec, z_l, z_r, basis, ref_ops)
+        assert abs(basis.z_ref - (z_l + z_r) / 2) <= 1e-12 * max(z_r - z_l, 1)
+        fresh = first_order_section(taper_spec, z_l, z_r, basis, ref_ops)
         assert fresh.est_error == used.est_error == est_error
         for block in ("T_LR", "R_R", "R_L", "T_RL"):
             assert np.array_equal(getattr(fresh.smat, block), getattr(used.smat, block))
