@@ -8,8 +8,6 @@ order in the cross-sectional variation and adaptively subdivides the
 structure until a per-section error estimate meets a user bound.
 """
 
-from .cascade import project_left, projection_pair, star
-from .checks import airy_slab_coefficients, run_checks
 from .errors import (
     ArcwaError,
     BasisMismatchError,
@@ -25,32 +23,11 @@ from .errors import (
     SpecSyntaxError,
     StructureError,
 )
-from .geometry import (
-    MaterialRegion,
-    PermittivitySlice,
-    Polarization,
-    StructureSpec,
-    parse_structure,
-    slice_at,
-)
+from .geometry import MaterialRegion, Polarization, StructureSpec, parse_structure
 from .harness import SweepRecord, max_norm_difference, run_sweep, write_smatrix_csv, write_sweep_csv
-from .modal import (
-    ModalBasis,
-    WaveState,
-    eigen_basis,
-    mode_coefficients,
-    propagation_factor,
-    reconstruct_fields,
-)
-from .operators import OperatorPair, assemble_operators
-from .sections import ScatteringMatrix, SectionResult, zeroth_order_smatrix
-from .solver import (
-    SolveReport,
-    SolverConfig,
-    port_bases,
-    solve_adaptive,
-    solve_uniform,
-)
+from .modal import ModalBasis, WaveState, mode_coefficients, reconstruct_fields
+from .sections import ScatteringMatrix
+from .solver import SolveReport, SolverConfig, port_bases, solve_adaptive, solve_uniform
 
 __version__ = "0.1.0"
 
@@ -64,13 +41,10 @@ __all__ = [
     "ModalBasis",
     "NearDefectiveBasisError",
     "NumericalError",
-    "OperatorPair",
-    "PermittivitySlice",
     "Polarization",
     "ProjectionBreakdownError",
     "ResonanceError",
     "ScatteringMatrix",
-    "SectionResult",
     "SingularOperatorError",
     "SolveReport",
     "SolverConfig",
@@ -80,24 +54,14 @@ __all__ = [
     "StructureSpec",
     "SweepRecord",
     "WaveState",
-    "airy_slab_coefficients",
-    "assemble_operators",
-    "eigen_basis",
     "max_norm_difference",
     "mode_coefficients",
     "parse_structure",
     "port_bases",
-    "project_left",
-    "projection_pair",
-    "propagation_factor",
     "reconstruct_fields",
-    "run_checks",
     "run_sweep",
-    "slice_at",
     "solve_adaptive",
     "solve_uniform",
-    "star",
     "write_smatrix_csv",
     "write_sweep_csv",
-    "zeroth_order_smatrix",
 ]

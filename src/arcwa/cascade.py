@@ -53,7 +53,7 @@ def projection_pair(from_basis: ModalBasis, to_basis: ModalBasis) -> tuple[np.nd
 
     ``to_basis`` plays the role of the section being reprojected (basis i),
     ``from_basis`` its left neighbour (basis i-1). Both bases passed the
-    cond(W) and cond(V) guards when ``eigen_basis`` built them.
+    cond(W) and cond(V) guards when ``eigen_basis_stack`` built them.
     """
     if from_basis.n != to_basis.n:
         raise ValueError(f"basis dimensions differ: {from_basis.n} vs {to_basis.n}")

@@ -65,7 +65,12 @@ def uniform_spec(
 
 def uniform_slice(eps: complex, z: float = 0.0) -> PermittivitySlice:
     """Cross-section of a uniform medium on the unit transverse period."""
-    return PermittivitySlice(z=z, period_x=1.0, intervals=((0.0, 1.0, complex(eps)),))
+    return PermittivitySlice(z=z, intervals=((0.0, 1.0, complex(eps)),))
+
+
+def uniform_basis(eps: complex, spec: StructureSpec) -> modal.ModalBasis:
+    """Modal basis of a uniform medium, assembled for ``spec``."""
+    return modal.eigen_basis_stack(operators.assemble_stack([uniform_slice(eps)], spec))[0]
 
 
 def random_passive_smatrix(rng: np.random.Generator, n: int, left_id: int, right_id: int) -> sections.ScatteringMatrix:
@@ -110,8 +115,8 @@ def slab_sandwich_smatrix(
     identify modes.
     """
     spec = uniform_spec(eps_slab, thickness_um, wavelength_um, polarization, order)
-    vac_basis = modal.eigen_basis(operators.assemble_operators(uniform_slice(1.0), spec))
-    slab_basis = modal.eigen_basis(operators.assemble_operators(uniform_slice(eps_slab), spec))
+    vac_basis = uniform_basis(1.0, spec)
+    slab_basis = uniform_basis(eps_slab, spec)
 
     vacuum = sections.zeroth_order_smatrix(vac_basis, 0.0, 0.0)
     s_slab = sections.zeroth_order_smatrix(slab_basis, 0.0, thickness_um)
@@ -127,7 +132,7 @@ def slab_sandwich_smatrix(
 
 def _check_vacuum_te_spectrum() -> tuple[bool, str]:
     spec = uniform_spec(1.0, 1.0, order=3)
-    ops = operators.assemble_operators(uniform_slice(1.0), spec)
+    (ops,) = operators.assemble_stack([uniform_slice(1.0)], spec)
     m = np.arange(-3, 4)
     expected = np.sort(1.0 - (m * 1.55) ** 2)
     got = np.sort(np.linalg.eigvals(ops.P @ ops.Q).real)
@@ -137,7 +142,7 @@ def _check_vacuum_te_spectrum() -> tuple[bool, str]:
 
 def _check_vacuum_tm_unit_index() -> tuple[bool, str]:
     spec = uniform_spec(1.0, 1.0, polarization=Polarization.TM)
-    ops = operators.assemble_operators(uniform_slice(1.0), spec)
+    (ops,) = operators.assemble_stack([uniform_slice(1.0)], spec)
     err = abs((ops.P @ ops.Q)[0, 0] - 1.0)
     return err < 1e-12, f"|PQ - 1| = {err:.2e}"
 
@@ -161,9 +166,7 @@ def _check_slab_airy(polarization: Polarization) -> tuple[bool, str]:
 
 def _check_mode_roundtrip() -> tuple[bool, str]:
     rng = np.random.default_rng(20240811)
-    spec = uniform_spec(2.25, 1.0, order=2)
-    ops = operators.assemble_operators(uniform_slice(2.25), spec)
-    basis = modal.eigen_basis(ops)
+    basis = uniform_basis(2.25, uniform_spec(2.25, 1.0, order=2))
     worst = 0.0
     for _ in range(20):
         e = rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
@@ -186,9 +189,7 @@ def _check_star_identity() -> tuple[bool, str]:
 
 
 def _check_projection_identity() -> tuple[bool, str]:
-    spec = uniform_spec(2.25, 1.0, order=2)
-    ops = operators.assemble_operators(uniform_slice(2.25), spec)
-    basis = modal.eigen_basis(ops)
+    basis = uniform_basis(2.25, uniform_spec(2.25, 1.0, order=2))
     x, y = cascade.projection_pair(basis, basis)
     err = max(max_abs(x - np.eye(basis.n)), max_abs(y))
     rng = np.random.default_rng(11)
@@ -200,10 +201,9 @@ def _check_projection_identity() -> tuple[bool, str]:
 
 def _check_constant_section_orders() -> tuple[bool, str]:
     spec = uniform_spec(6.25, 0.8, order=2)
-    ops = operators.assemble_operators(uniform_slice(6.25, z=0.4), spec)
-    basis = modal.eigen_basis(ops)
-    ends = tuple(operators.assemble_stack([uniform_slice(6.25, z=z) for z in (0.0, 0.8)], spec))
-    (first,) = sections.first_order_stack([(0.0, 0.8, basis, ops, ends)])
+    ops, *ends = operators.assemble_stack([uniform_slice(6.25, z=z) for z in (0.4, 0.0, 0.8)], spec)
+    (basis,) = modal.eigen_basis_stack([ops])
+    (first,) = sections.first_order_stack([(0.0, 0.8, basis, ops, tuple(ends))])
     zeroth = sections.zeroth_order_smatrix(basis, 0.0, 0.8)
     worst = max(max_norm_difference(first.smat, zeroth), first.est_error)
     return worst < 1e-12, f"order-0/order-1 gap {worst:.2e}"

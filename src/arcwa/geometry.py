@@ -1,8 +1,8 @@
 """Structure descriptions: parametric permittivity profiles on a periodic line.
 
 A structure is a stack of material regions living on a transverse periodic
-domain [0, period_x]. Each region is an interval whose center and width may
-vary along the propagation axis z through one of three profile classes:
+domain [0, period_x_um]. Each region is an interval whose center and width
+may vary along the propagation axis z through one of three profile classes:
 piecewise-linear (the ``constant`` and ``linear`` kinds are two-point
 piecewise-linear profiles over the z range), exponential and sinusoidal.
 ``slice_at`` evaluates the stack at one z into an exact piecewise-constant
@@ -124,8 +124,9 @@ class PiecewiseLinearProfile:
             return pts[0][1]
         if z >= pts[-1][0]:
             return pts[-1][1]
+        # A breakpoint starts its segment, where t = 0 returns its own value exactly.
         for (z0, v0), (z1, v1) in zip(pts, pts[1:]):
-            if z <= z1:
+            if z < z1:
                 t = (z - z0) / (z1 - z0)
                 return v0 + (v1 - v0) * t
         return pts[-1][1]
@@ -185,11 +186,10 @@ class PermittivitySlice:
     """Exact piecewise-constant eps(x) at one z.
 
     ``intervals`` are (x_start, x_end, eps), disjoint, sorted, and covering
-    [0, period_x] exactly once.
+    the spec's transverse period [0, period_x_um] exactly once.
     """
 
     z: float
-    period_x: float
     intervals: tuple[tuple[float, float, complex], ...]
 
 
@@ -505,4 +505,4 @@ def slice_at(spec: StructureSpec, z: float) -> PermittivitySlice:
             merged[-1] = (merged[-1][0], e, v)
         else:
             merged.append((s, e, v))
-    return PermittivitySlice(z=z, period_x=period, intervals=tuple(merged))
+    return PermittivitySlice(z=z, intervals=tuple(merged))

@@ -23,9 +23,6 @@ lam^2 is real and no inverse needs a factorization. Every other pair
 eigensolver and guarded explicit inverses. Both routes normalize columns
 alike (unit 2-norm, largest entry real) and share the branch, the
 ordering, the cutoff check and the conditioning limit.
-
-``eigen_basis_stack`` builds the bases of a stack of operator pairs at
-once; ``eigen_basis`` is a stack of one.
 """
 
 from __future__ import annotations
@@ -224,35 +221,28 @@ def _hermitian_basis(
     return w, bw.conj().transpose(0, 2, 1) * g[:, :, None], bw / -lam[:, None, :], w_h * (-lam * g)[:, :, None]
 
 
-def eigen_basis(ops: OperatorPair) -> ModalBasis:
-    """Diagonalize P Q and build the modal basis at ops.z.
+def eigen_basis_stack(stack: Sequence[OperatorPair]) -> list[ModalBasis]:
+    """Diagonalize P Q and build the modal basis at ops.z, for several operator pairs of one size.
 
     Hermitian operator pairs (lossless dielectrics, see the module
     docstring) take the Hermitian solver and get their inverses from the
     eigenvectors; every other pair takes ``geev`` and two guarded
     inverses. Eigenvalues are ordered by descending Re(lam), ties broken
     by ascending Im(lam), so identical operator pairs always produce the
-    same basis (up to the eigensolver's own determinism). Raises
-    CutoffModeError when an effective index sits below LAMBDA_CUTOFF and
-    NearDefectiveBasisError when cond(W) or cond(V) exceeds the shared
-    conditioning limit; both are checked once here, on either route. A
-    stack of one ``eigen_basis_stack``.
-    """
-    return eigen_basis_stack([ops])[0]
+    same basis (up to the eigensolver's own determinism). Each basis
+    equals the one built in a stack of one, bit for bit, and owns its
+    arrays. The Hermitian routes solve all their pairs in one call per
+    step; the ``geev`` route runs once per pair, and its inverses stay
+    guarded per pair. The branch, the ordering and the Hermitian route's
+    basis matrices are computed for the whole stack.
 
-
-def eigen_basis_stack(stack: Sequence[OperatorPair]) -> list[ModalBasis]:
-    """``eigen_basis`` for several operator pairs of one size, as one stack.
-
-    Each basis equals the one built alone, bit for bit, and owns its arrays.
-    The Hermitian routes solve all their pairs in one call per step; the
-    ``geev`` route runs once per pair, and its inverses stay guarded per
-    pair. The branch, the ordering and the Hermitian route's basis matrices
-    are computed for the whole stack. Errors are raised stage by stage:
-    ``geev`` eigensolvers and cutoff checks in stack order, then the
-    Hermitian route's guards (every W of a route, then every V), then the
-    ``geev`` route's inverses. For a single pair that is the order
-    ``eigen_basis`` describes.
+    Raises CutoffModeError when an effective index sits below
+    LAMBDA_CUTOFF and NearDefectiveBasisError when cond(W) or cond(V)
+    exceeds the shared conditioning limit, on either route. Errors are
+    raised stage by stage: ``geev`` eigensolvers and cutoff checks in
+    stack order, then the Hermitian route's guards (every W of a route,
+    then every V), then the ``geev`` route's inverses. For a single pair
+    that is: eigensolver, cutoff, cond(W), cond(V).
     """
     n = stack[0].n
     routes = _hermitian_eig(stack) or []

@@ -17,15 +17,12 @@ Concrete fillings, normal incidence, nonmagnetic media:
 where E = Toeplitz(eps coefficients), K = diag(m * wavelength / period).
 The coefficients are exact for the piecewise-constant slice; eps and 1/eps
 share one table of interval phases, computed with a single exp for a whole
-stack of slices that share an interval count. Every slice lies on the
-spec's transverse period, the one the wavevectors K are taken on.
+stack of slices that share an interval count. Both the coefficients and
+the wavevectors K are taken on the spec's transverse period.
 The TM sign fold makes vacuum satisfy P*Q = I, matching TE; the inverse
 rule for Q keeps TM convergence correct across material steps. Both
 fillings are pinned by the vacuum spectrum check and the analytic slab
 oracle in the validation suite.
-
-``assemble_stack`` assembles a stack of slices at once;
-``assemble_operators`` is a stack of one.
 """
 
 from __future__ import annotations
@@ -72,15 +69,15 @@ def _phase_table(bounds: np.ndarray, period: float, order: int) -> tuple[np.ndar
 
 
 def _piecewise_coefficients(
-    slices: Sequence[PermittivitySlice], values: np.ndarray, table: tuple[np.ndarray, np.ndarray]
+    slices: Sequence[PermittivitySlice], values: np.ndarray, table: tuple[np.ndarray, np.ndarray], period: float
 ) -> np.ndarray:
     """Closed-form Fourier coefficients of piecewise-constant functions, one row per slice.
 
     Slice i's function takes ``values[i, k]`` on its interval k;
     c_m = (1/period) * integral f(x) exp(-2j*pi*m*x/period) dx, evaluated
-    exactly per interval from the slices' ``_phase_table``; m runs over
-    [-2*order, 2*order]. Each slice's intervals are summed in order, one
-    at a time.
+    exactly per interval from the slices' ``_phase_table`` on the same
+    ``period``; m runs over [-2*order, 2*order]. Each slice's intervals are
+    summed in order, one at a time.
     """
     diff, rate = table
     values = np.asarray(values)
@@ -93,7 +90,7 @@ def _piecewise_coefficients(
     for slc, vals in zip(slices, values.tolist()):
         total = 0j
         for (x0, x1, _), value in zip(slc.intervals, vals):
-            total += value * (x1 - x0) / slc.period_x
+            total += value * (x1 - x0) / period
         c0.append([total])
     half = rate.size // 2
     return np.concatenate((nonzero[:, :half], c0, nonzero[:, half:]), axis=1)
@@ -116,33 +113,20 @@ def _toeplitz_from(coeffs: np.ndarray, order: int) -> np.ndarray:
     return coeffs.take(center + index[:, None] - index, axis=-1)
 
 
-def assemble_operators(slc: PermittivitySlice, spec: StructureSpec) -> OperatorPair:
-    """Build the dense P, Q pair of a slice for the spec's polarization.
-
-    Pure function; raises SingularOperatorError (with a condition estimate)
-    if a permittivity Toeplitz matrix cannot be inverted, which requires a
-    pathological eps distribution. A stack of one ``assemble_stack``.
-    """
-    return assemble_stack([slc], spec)[0]
-
-
 def assemble_stack(slices: Sequence[PermittivitySlice], spec: StructureSpec) -> list[OperatorPair]:
-    """``assemble_operators`` for several slices of one spec, computed as stacks.
+    """The dense P, Q pairs of slices of one spec, for its polarization, computed as stacks.
 
-    Each pair equals the one assembled alone, bit for bit. Slices that
-    share an interval count form one stack; slices with different interval
-    counts never share a coefficient sum. Each pair owns its matrices, so
-    it keeps no other pair's alive, except that every TE pair holds the
-    same read-only identity as P. A slice on another transverse period
-    than the spec's raises ValueError.
+    Pure function. Each pair equals the one assembled in a stack of one,
+    bit for bit. Slices that share an interval count form one stack;
+    slices with different interval counts never share a coefficient sum.
+    Each pair owns its matrices, so it keeps no other pair's alive, except
+    that every TE pair holds the same read-only identity as P. Raises
+    SingularOperatorError (with a condition estimate) if a permittivity
+    Toeplitz matrix cannot be inverted, which requires a pathological eps
+    distribution.
     """
     groups: dict[int, list[int]] = {}
     for i, slc in enumerate(slices):
-        if slc.period_x != spec.period_x_um:
-            raise ValueError(
-                f"slice at z = {slc.z:g} lies on period_x = {slc.period_x!r}, "
-                f"but the spec's period_x_um is {spec.period_x_um!r}"
-            )
         groups.setdefault(len(slc.intervals), []).append(i)
     pairs: list[OperatorPair] = [None] * len(slices)  # type: ignore[list-item]
     for group in groups.values():
@@ -162,10 +146,11 @@ def _assemble_group(slices: list[PermittivitySlice], spec: StructureSpec) -> lis
     order = spec.truncation_order
     # (x0, x1, eps) of every interval, shaped (slices, intervals, 3).
     intervals = np.array([slc.intervals for slc in slices])
-    table = _phase_table(intervals[..., :2].real, spec.period_x_um, order)
-    eps_toeplitz = _toeplitz_from(_piecewise_coefficients(slices, intervals[..., 2], table), order)
+    period = spec.period_x_um
+    table = _phase_table(intervals[..., :2].real, period, order)
+    eps_toeplitz = _toeplitz_from(_piecewise_coefficients(slices, intervals[..., 2], table, period), order)
     m = np.arange(-order, order + 1, dtype=np.float64)
-    kt = m * spec.wavelength_um / spec.period_x_um  # transverse wavevector / k0
+    kt = m * spec.wavelength_um / period  # transverse wavevector / k0
     n = 2 * order + 1
 
     if spec.polarization is Polarization.TE:
@@ -179,7 +164,7 @@ def _assemble_group(slices: list[PermittivitySlice], spec: StructureSpec) -> lis
         eye = np.eye(n, dtype=np.complex128)
         p = [kt[:, None] * e * kt[None, :] - eye for e in inverses(eps_toeplitz, "Toeplitz(eps)")]
         inverse_values = [[1.0 / eps for _, _, eps in slc.intervals] for slc in slices]
-        inv_toeplitz = _toeplitz_from(_piecewise_coefficients(slices, inverse_values, table), order)
+        inv_toeplitz = _toeplitz_from(_piecewise_coefficients(slices, inverse_values, table, period), order)
         # Each Q negates its own entry, so no pair's Q is a view of the stack.
         q = [-e for e in inverses(inv_toeplitz, "Toeplitz(1/eps)")]
 

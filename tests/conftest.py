@@ -1,4 +1,4 @@
-"""Shared fixtures: reference structures and random-matrix helpers."""
+"""Shared fixtures: reference structures, random-matrix helpers and strategies."""
 
 from __future__ import annotations
 
@@ -6,15 +6,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from arcwa.cascade import project_left, projection_pair, star
 from arcwa.checks import (  # noqa: F401 - re-exported to the tests
     identity_smatrix,
     random_passive_smatrix,
+    uniform_basis,
     uniform_slice,
     uniform_spec,
 )
-from arcwa.geometry import StructureSpec, parse_structure, slice_at
-from arcwa.modal import ModalBasis
+from arcwa.geometry import PermittivitySlice, StructureSpec, parse_structure, slice_at
+from arcwa.modal import ModalBasis, eigen_basis_stack
 from arcwa.numerics import max_abs
 from arcwa.operators import OperatorPair, assemble_stack
 from arcwa.sections import ScatteringMatrix, SectionResult, first_order_stack
@@ -22,8 +25,32 @@ from arcwa.solver import solve_uniform
 
 
 def uniform_spec_on(period: float, eps: complex = 1.0, **kwargs) -> StructureSpec:
-    """``uniform_spec`` of unit thickness on the transverse period ``period``: a spec assembles only slices on its own."""
+    """``uniform_spec`` of unit thickness on the transverse period ``period``, the one its slices are assembled on."""
     return dataclasses.replace(uniform_spec(eps, 1.0, **kwargs), period_x_um=period)
+
+
+# Stacks of one, for the tests that assemble or decompose a single slice or pair.
+def assemble_operators(slc: PermittivitySlice, spec: StructureSpec) -> OperatorPair:
+    return assemble_stack([slc], spec)[0]
+
+
+def eigen_basis(ops: OperatorPair) -> ModalBasis:
+    return eigen_basis_stack([ops])[0]
+
+
+def two_step_join(left, left_basis, right, right_basis):
+    """Reproject the right matrix onto the left basis, then star the two: what ``cascade.join`` fuses."""
+    return star(left, project_left(right, projection_pair(left_basis, right_basis), left_basis.basis_id))
+
+
+@st.composite
+def random_slice(draw, period: float, loss=st.just(0.0), z: float = 0.0) -> PermittivitySlice:
+    """A slice of 1-6 intervals on [0, period] with Re(eps) in [1, 13] and Im(eps) drawn from ``loss``."""
+    k = draw(st.integers(1, 6))
+    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=k - 1, max_size=k - 1, unique=True))
+    bounds = [0.0, *(period * cut for cut in sorted(cuts)), period]
+    values = draw(st.lists(st.builds(complex, st.floats(1.0, 13.0), loss), min_size=k, max_size=k))
+    return PermittivitySlice(z=z, intervals=tuple(zip(bounds, bounds[1:], values)))
 
 
 def owning_buffer(a: np.ndarray) -> np.ndarray:

@@ -14,15 +14,16 @@ from arcwa.cascade import projection_pair, project_left, star
 from arcwa.checks import airy_slab_coefficients, slab_sandwich_smatrix
 from arcwa.geometry import Polarization, parse_structure, slice_at
 from arcwa.harness import max_norm_difference
-from arcwa.modal import eigen_basis, mode_coefficients, reconstruct_fields
+from arcwa.modal import mode_coefficients, reconstruct_fields
 from arcwa.numerics import max_abs
-from arcwa.operators import assemble_operators
 from arcwa.sections import zeroth_order_smatrix
 from arcwa.solver import SolverConfig, solve_adaptive, solve_uniform
 
 from conftest import (
     CONSTANT_DOC,
+    assemble_operators,
     blocks_diff,
+    eigen_basis,
     first_order_section,
     identity_smatrix,
     random_basis,

@@ -12,9 +12,8 @@ from arcwa.cascade import join, project_left, projection_pair, star
 from arcwa.checks import airy_slab_coefficients, slab_sandwich_smatrix
 from arcwa.errors import BasisMismatchError, ProjectionBreakdownError, ResonanceError
 from arcwa.geometry import Polarization
-from arcwa.modal import ModalBasis, eigen_basis
+from arcwa.modal import ModalBasis
 from arcwa.numerics import max_abs
-from arcwa.operators import assemble_operators
 from arcwa.sections import ScatteringMatrix, zeroth_order_smatrix
 
 from conftest import (
@@ -23,14 +22,15 @@ from conftest import (
     random_basis,
     random_passive_smatrix,
     smat_scale,
-    uniform_slice,
+    two_step_join,
+    uniform_basis,
     uniform_spec,
 )
 
 
 def medium_basis(eps, order=0, wavelength=1.55, polarization=Polarization.TE):
     spec = uniform_spec(eps, 1.0, wavelength=wavelength, polarization=polarization, order=order)
-    return eigen_basis(assemble_operators(uniform_slice(eps), spec))
+    return uniform_basis(eps, spec)
 
 
 def continuity_residual(b_from, b_to, pp, rng):
@@ -164,11 +164,6 @@ def test_star_rejects_mismatched_bases(rng):
         star(s1, s2)
 
 
-def two_step(left, left_basis, right, right_basis):
-    """Reproject ``right`` onto ``left_basis``, then star: the recipe ``join`` fuses."""
-    return star(left, project_left(right, projection_pair(left_basis, right_basis), left_basis.basis_id))
-
-
 def unit_basis(n):
     """W = V = I exactly, so a pair of these projects with X = I and Y = 0 exactly."""
     eye = np.eye(n, dtype=np.complex128)
@@ -183,7 +178,7 @@ def test_join_matches_projection_then_star(seed, n):
     left_basis, right_basis = random_basis(rng, n), random_basis(rng, n)
     left = random_passive_smatrix(rng, n, 1, left_basis.basis_id)
     right = random_passive_smatrix(rng, n, right_basis.basis_id, 2)
-    expected = two_step(left, left_basis, right, right_basis)
+    expected = two_step_join(left, left_basis, right, right_basis)
     joined = join(left, left_basis, right, right_basis)
     # The reprojected blocks grow with the interface's conditioning; compare relative to them.
     assert blocks_diff(joined, expected) <= 1e-12 * max(1.0, smat_scale(expected))
@@ -207,7 +202,7 @@ def test_join_refuses_a_singular_projection_like_the_two_step_recipe(rng):
     right = random_passive_smatrix(rng, n, right_basis.basis_id, 2)
     right = with_singular_projection(rng, left_basis, right, right_basis)
     with pytest.raises(ProjectionBreakdownError) as expected:
-        two_step(left, left_basis, right, right_basis)
+        two_step_join(left, left_basis, right, right_basis)
     with pytest.raises(ProjectionBreakdownError) as refused:
         join(left, left_basis, right, right_basis)
     assert str(refused.value) == str(expected.value)
@@ -221,7 +216,7 @@ def test_join_composes_where_the_reprojection_alone_breaks_down(rng):
     right = random_passive_smatrix(rng, n, right_basis.basis_id, 2)
     right = with_singular_projection(rng, left_basis, right, right_basis)
     with pytest.raises(ProjectionBreakdownError):
-        two_step(left, left_basis, right, right_basis)
+        two_step_join(left, left_basis, right, right_basis)
     joined = join(left, left_basis, right, right_basis)
 
     # Direct solve for the waves at the plane: a', b' in basis i-1 and a, b in basis i.
@@ -251,7 +246,7 @@ def test_join_refuses_a_resonance_like_the_two_step_recipe(rng):
     left = replace(random_passive_smatrix(rng, n, 1, basis.basis_id), R_R=np.diag([1.0, 0.3, 0.2]).astype(complex))
     right = replace(random_passive_smatrix(rng, n, basis.basis_id, 2), R_L=np.diag([1.0, -0.1, 0.4]).astype(complex))
     with pytest.raises(ResonanceError) as expected:
-        two_step(left, basis, right, basis)
+        two_step_join(left, basis, right, basis)
     with pytest.raises(ResonanceError) as refused:
         join(left, basis, right, basis)
     assert str(refused.value) == str(expected.value)
@@ -262,7 +257,7 @@ def test_join_rejects_mismatched_bases(rng):
     left = random_passive_smatrix(rng, 3, 1, right_basis.basis_id)
     right = random_passive_smatrix(rng, 3, right_basis.basis_id, 2)
     with pytest.raises(BasisMismatchError, match="basis") as expected:
-        two_step(left, left_basis, right, right_basis)
+        two_step_join(left, left_basis, right, right_basis)
     with pytest.raises(BasisMismatchError) as refused:
         join(left, left_basis, right, right_basis)
     assert str(refused.value) == str(expected.value)

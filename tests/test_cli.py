@@ -320,17 +320,15 @@ def test_validate_list(capsys):
 
 def test_validate_detects_tm_sign_flip(monkeypatch, capsys):
     """Mutation check: a TM assembly sign error must fail the slab oracle."""
-    original = operators_mod.assemble_operators
+    original = operators_mod.assemble_stack
 
-    def flipped(slc, spec):
-        ops = original(slc, spec)
+    def flipped(slices, spec):
+        pairs = original(slices, spec)
         if spec.polarization is Polarization.TM:
-            return operators_mod.OperatorPair(
-                P=ops.P, Q=-ops.Q, z=ops.z, k0=ops.k0
-            )
-        return ops
+            return [operators_mod.OperatorPair(P=ops.P, Q=-ops.Q, z=ops.z, k0=ops.k0) for ops in pairs]
+        return pairs
 
-    monkeypatch.setattr(operators_mod, "assemble_operators", flipped)
+    monkeypatch.setattr(operators_mod, "assemble_stack", flipped)
     code = cli.main(["validate"])
     out = capsys.readouterr().out
     assert code == 3

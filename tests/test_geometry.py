@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arcwa.errors import SpecSemanticError, SpecSyntaxError
 from arcwa.geometry import (
@@ -123,6 +125,18 @@ def test_piecewise_bounds_ignore_breakpoints_outside_z_range(points):
     doc = TAPER_DOC.replace("{kind: linear, start: 0.26, end: 0.37}", f"{{kind: piecewise_linear, points: {points}}}")
     width = parse_structure(doc).regions[0].width
     assert width.bounds() == pytest.approx((0.2, 0.3), abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@example(points=[(-1.0, -0.5), (0.0, 0.2), (1.0, 0.3)])
+@given(
+    points=st.lists(
+        st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=2, max_size=6, unique_by=lambda p: p[0]
+    ).map(sorted)
+)
+def test_piecewise_profile_returns_every_breakpoint_value_exactly(points):
+    profile = PiecewiseLinearProfile(tuple(points))
+    assert [profile.at(z) for z, _ in points] == [value for _, value in points]
 
 
 def test_constant_profile_slices_identical():

@@ -14,16 +14,23 @@ from arcwa.geometry import PermittivitySlice, Polarization
 from arcwa.modal import (
     LAMBDA_CUTOFF,
     ModalBasis,
-    eigen_basis,
     eigen_basis_stack,
     mode_coefficients,
     propagation_factor,
     reconstruct_fields,
 )
 from arcwa.numerics import guarded_solve
-from arcwa.operators import OperatorPair, assemble_operators
+from arcwa.operators import OperatorPair
 
-from conftest import owning_buffer, uniform_slice, uniform_spec, uniform_spec_on
+from conftest import (
+    assemble_operators,
+    eigen_basis,
+    owning_buffer,
+    random_slice,
+    uniform_slice,
+    uniform_spec,
+    uniform_spec_on,
+)
 
 K0 = 2.0 * np.pi / 1.55
 
@@ -207,18 +214,6 @@ def geev_eigen_basis(ops):
     return ModalBasis(W=w, V=v, lam=lam, z_ref=ops.z, k0=ops.k0, W_inv=w_inv, V_inv=v_inv)
 
 
-@st.composite
-def slices(draw, lossy):
-    """Slices of 1-6 intervals with eps in [1, 13]; lossy ones get Im(eps) in (0, 1]."""
-    period = draw(st.floats(0.5, 2.0))
-    k = draw(st.integers(1, 6))
-    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=k - 1, max_size=k - 1, unique=True))
-    bounds = [0.0, *(period * cut for cut in sorted(cuts)), period]
-    loss = st.floats(1e-6, 1.0) if lossy else st.just(0.0)
-    values = draw(st.lists(st.builds(complex, st.floats(1.0, 13.0), loss), min_size=k, max_size=k))
-    return PermittivitySlice(z=0.0, period_x=period, intervals=tuple(zip(bounds, bounds[1:], values)))
-
-
 def residuals(ops, basis):
     """max|PQW - W Lam^2| / max|PQ|, max|W W^-1 - I| and max|V V^-1 - I|."""
     pq = ops.P @ ops.Q
@@ -244,9 +239,12 @@ def sorted_squares(lam):
 
 
 @settings(max_examples=40, deadline=None)
-@given(slc=slices(lossy=False), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
-def test_hermitian_route_matches_geev_on_lossless_slices(slc, order, polarization):
-    ops = assemble_operators(slc, uniform_spec_on(slc.period_x, polarization=polarization, order=order))
+@given(
+    period=st.floats(0.5, 2.0), data=st.data(), order=st.integers(0, 25), polarization=st.sampled_from(Polarization)
+)
+def test_hermitian_route_matches_geev_on_lossless_slices(period, data, order, polarization):
+    slc = data.draw(random_slice(period))
+    ops = assemble_operators(slc, uniform_spec_on(period, polarization=polarization, order=order))
     assert modal._hermitian_eig([ops]) is not None
     try:
         reference = geev_eigen_basis(ops)
@@ -271,9 +269,12 @@ def test_hermitian_route_matches_geev_on_lossless_slices(slc, order, polarizatio
 
 
 @settings(max_examples=25, deadline=None)
-@given(slc=slices(lossy=True), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
-def test_lossy_slices_keep_the_geev_route_bit_for_bit(slc, order, polarization):
-    ops = assemble_operators(slc, uniform_spec_on(slc.period_x, polarization=polarization, order=order))
+@given(
+    period=st.floats(0.5, 2.0), data=st.data(), order=st.integers(0, 25), polarization=st.sampled_from(Polarization)
+)
+def test_lossy_slices_keep_the_geev_route_bit_for_bit(period, data, order, polarization):
+    slc = data.draw(random_slice(period, loss=st.floats(1e-6, 1.0)))
+    ops = assemble_operators(slc, uniform_spec_on(period, polarization=polarization, order=order))
     basis, reference = eigen_basis(ops), geev_eigen_basis(ops)
     for name in ("W", "V", "lam", "W_inv", "V_inv"):
         assert np.array_equal(getattr(basis, name), getattr(reference, name))
@@ -325,7 +326,7 @@ GEEV_DUST_SLICES = {
 @pytest.mark.parametrize("case", GEEV_DUST_SLICES.values(), ids=GEEV_DUST_SLICES.keys())
 def test_geev_dust_leaves_roots_on_their_axes(monkeypatch, case):
     polarization, order, intervals = case
-    slc = PermittivitySlice(z=0.0, period_x=1.0, intervals=tuple((a, b, complex(e)) for a, b, e in intervals))
+    slc = PermittivitySlice(z=0.0, intervals=tuple((a, b, complex(e)) for a, b, e in intervals))
     ops = assemble_operators(slc, uniform_spec(1.0, 1.0, polarization=polarization, order=order))
     hermitian = eigen_basis(ops)
     monkeypatch.setattr(modal, "_hermitian_eig", lambda ops: None)

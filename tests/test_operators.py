@@ -11,38 +11,39 @@ from scipy.linalg import toeplitz
 from arcwa.errors import SingularOperatorError
 from arcwa.geometry import PermittivitySlice, Polarization
 from arcwa.numerics import guarded_solve, refusal
-from arcwa.operators import _phase_table, _piecewise_coefficients, _toeplitz_from, assemble_operators, assemble_stack
+from arcwa.operators import _phase_table, _piecewise_coefficients, _toeplitz_from, assemble_stack
 
-from conftest import owning_buffer, uniform_slice, uniform_spec, uniform_spec_on
+from conftest import assemble_operators, owning_buffer, random_slice, uniform_slice, uniform_spec, uniform_spec_on
 
 
-def eps_coefficients(slc, order):
+def eps_coefficients(slc, order, period=1.0):
     """Fourier coefficients of eps(x) and 1/eps(x), m in [-2*order, 2*order], as assembly computes them."""
-    table = _phase_table(np.array([[(x0, x1) for x0, x1, _ in slc.intervals]]), slc.period_x, order)
+    table = _phase_table(np.array([[(x0, x1) for x0, x1, _ in slc.intervals]]), period, order)
     values = [eps for _, _, eps in slc.intervals]
     inverse = [1.0 / eps for eps in values]
-    return _piecewise_coefficients([slc], [values], table)[0], _piecewise_coefficients([slc], [inverse], table)[0]
+    return tuple(_piecewise_coefficients([slc], [v], table, period)[0] for v in (values, inverse))
 
 
-def step_slice(period=1.0, x0=0.0, x1=0.5, eps_in=4.0, eps_out=1.0):
+def step_slice(x0=0.0, x1=0.5, eps_in=4.0, eps_out=1.0):
+    """A step of eps_in over [x0, x1] in eps_out, on the unit period."""
     intervals = []
     if x0 > 0.0:
         intervals.append((0.0, x0, complex(eps_out)))
     intervals.append((x0, x1, complex(eps_in)))
-    if x1 < period:
-        intervals.append((x1, period, complex(eps_out)))
-    return PermittivitySlice(z=0.0, period_x=period, intervals=tuple(intervals))
+    if x1 < 1.0:
+        intervals.append((x1, 1.0, complex(eps_out)))
+    return PermittivitySlice(z=0.0, intervals=tuple(intervals))
 
 
 def fft_oracle(slc, order, inverse=False):
-    """Exact coefficients from FFT of cell samples on a breakpoint-aligned grid.
+    """Exact coefficients from FFT of cell samples on a breakpoint-aligned grid of the unit period.
 
     Valid when every interval boundary falls on a grid edge; the per-cell
     sinc factor turns the midpoint-sample DFT into the exact integral of
     the piecewise-constant function.
     """
     n = 1 << 14
-    period = slc.period_x
+    period = 1.0
     values = np.empty(n, dtype=np.complex128)
     for x0, x1, eps in slc.intervals:
         i0 = int(round(x0 / period * n))
@@ -56,8 +57,8 @@ def fft_oracle(slc, order, inverse=False):
 
 
 def quad_oracle(slc, order, inverse=False):
-    """Adaptive quadrature of the Fourier integrals, split at breakpoints."""
-    period = slc.period_x
+    """Adaptive quadrature of the Fourier integrals on the unit period, split at breakpoints."""
+    period = 1.0
     breaks = sorted({b for x0, x1, _ in slc.intervals for b in (x0, x1)})
 
     def eps_at(x):
@@ -118,7 +119,7 @@ def test_random_slice_against_quad_oracle(rng):
     intervals = tuple(
         (bounds[i], bounds[i + 1], complex(eps_values[i])) for i in range(4)
     )
-    slc = PermittivitySlice(z=0.0, period_x=1.0, intervals=intervals)
+    slc = PermittivitySlice(z=0.0, intervals=intervals)
     coeffs, coeffs_inv = eps_coefficients(slc, order=2)
     assert_allclose(coeffs, quad_oracle(slc, 2), atol=1e-9)
     assert_allclose(coeffs_inv, quad_oracle(slc, 2, inverse=True), atol=1e-9)
@@ -129,7 +130,6 @@ def test_mirror_slice_conjugate_coefficients():
     slc = step_slice(x0=0.2, x1=0.55)
     mirrored = PermittivitySlice(
         z=0.0,
-        period_x=1.0,
         intervals=tuple(
             sorted(((1.0 - x1, 1.0 - x0, eps) for x0, x1, eps in slc.intervals))
         ),
@@ -211,9 +211,7 @@ def test_tm_uses_inverse_rule():
 
 def test_singular_toeplitz_reported():
     # Zero-average permittivity makes Toeplitz(eps) singular at order 0.
-    slc = PermittivitySlice(
-        z=0.0, period_x=1.0, intervals=((0.0, 0.5, 1.0 + 0j), (0.5, 1.0, -1.0 + 0j))
-    )
+    slc = PermittivitySlice(z=0.0, intervals=((0.0, 0.5, 1.0 + 0j), (0.5, 1.0, -1.0 + 0j)))
     spec = uniform_spec(1.0, 1.0, polarization=Polarization.TM, order=0)
     with pytest.raises(SingularOperatorError, match="condition"):
         assemble_operators(slc, spec)
@@ -226,16 +224,6 @@ def test_operator_metadata():
     assert ops.z == 0.4
     assert ops.n == 5
     assert ops.k0 == pytest.approx(spec.k0)
-
-
-def test_slice_on_another_period_rejected():
-    """The coefficients would be taken on the slice's period and the wavevectors on the spec's."""
-    spec = uniform_spec(2.25, 1.0, order=2)
-    slc = step_slice(period=2.0, x0=0.5, x1=1.5)
-    with pytest.raises(ValueError, match=r"period_x = 2\.0, but the spec's period_x_um is 1\.0"):
-        assemble_operators(slc, spec)
-    with pytest.raises(ValueError, match="period_x"):
-        assemble_stack([uniform_slice(2.25), slc], spec)
 
 
 def loop_coefficients(intervals, period, order):
@@ -262,47 +250,35 @@ def loop_toeplitz(coeffs, order):
 
 def loop_operators(slc, spec):
     """Reference: P and Q assembled from the per-interval loop."""
-    order = spec.truncation_order
+    order, period = spec.truncation_order, spec.period_x_um
     inverted = tuple((x0, x1, 1.0 / eps) for x0, x1, eps in slc.intervals)
-    eps_toeplitz = loop_toeplitz(loop_coefficients(slc.intervals, slc.period_x, order), order)
-    kt = np.arange(-order, order + 1, dtype=np.float64) * spec.wavelength_um / spec.period_x_um
+    eps_toeplitz = loop_toeplitz(loop_coefficients(slc.intervals, period, order), order)
+    kt = np.arange(-order, order + 1, dtype=np.float64) * spec.wavelength_um / period
     n = 2 * order + 1
     if spec.polarization is Polarization.TE:
         return np.eye(n, dtype=np.complex128), eps_toeplitz - np.diag(kt**2).astype(np.complex128)
     eps_inv = guarded_solve(eps_toeplitz, np.eye(n), refusal(SingularOperatorError, "Toeplitz(eps)"))
     p = kt[:, None] * eps_inv * kt[None, :] - np.eye(n, dtype=np.complex128)
-    inv_toeplitz = loop_toeplitz(loop_coefficients(inverted, slc.period_x, order), order)
+    inv_toeplitz = loop_toeplitz(loop_coefficients(inverted, period, order), order)
     return p, -guarded_solve(inv_toeplitz, np.eye(n), refusal(SingularOperatorError, "Toeplitz(1/eps)"))
 
 
-@st.composite
-def lossy_slices(draw):
-    """Slices of 1-6 intervals with passive complex eps."""
-    period = draw(st.floats(0.5, 2.0))
-    k = draw(st.integers(1, 6))
-    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=k - 1, max_size=k - 1, unique=True))
-    bounds = [0.0, *(period * cut for cut in sorted(cuts)), period]
-    values = draw(
-        st.lists(
-            st.builds(complex, st.floats(1.0, 13.0), st.floats(0.0, 1.0)), min_size=k, max_size=k
-        )
-    )
-    intervals = tuple((bounds[i], bounds[i + 1], values[i]) for i in range(k))
-    return PermittivitySlice(z=0.0, period_x=period, intervals=intervals)
-
-
 @settings(max_examples=50, deadline=None)
-@given(slc=lossy_slices(), order=st.integers(0, 25), polarization=st.sampled_from(Polarization))
-def test_assembly_matches_interval_loop_bit_for_bit(slc, order, polarization):
-    spec = uniform_spec_on(slc.period_x, polarization=polarization, order=order)
+@given(
+    period=st.floats(0.5, 2.0), data=st.data(), order=st.integers(0, 25), polarization=st.sampled_from(Polarization)
+)
+def test_assembly_matches_interval_loop_bit_for_bit(period, data, order, polarization):
+    """On slices with passive complex eps, Im(eps) in [0, 1], as well as lossless ones."""
+    slc = data.draw(random_slice(period, loss=st.floats(0.0, 1.0)))
+    spec = uniform_spec_on(period, polarization=polarization, order=order)
     ops = assemble_operators(slc, spec)
     p, q = loop_operators(slc, spec)
     assert np.array_equal(ops.P, p)
     assert np.array_equal(ops.Q, q)
-    coeffs, coeffs_inv = eps_coefficients(slc, order)
+    coeffs, coeffs_inv = eps_coefficients(slc, order, period)
     inverted = tuple((x0, x1, 1.0 / eps) for x0, x1, eps in slc.intervals)
-    assert np.array_equal(coeffs, loop_coefficients(slc.intervals, slc.period_x, order))
-    assert np.array_equal(coeffs_inv, loop_coefficients(inverted, slc.period_x, order))
+    assert np.array_equal(coeffs, loop_coefficients(slc.intervals, period, order))
+    assert np.array_equal(coeffs_inv, loop_coefficients(inverted, period, order))
 
 
 @pytest.mark.parametrize("polarization", Polarization)

@@ -14,13 +14,10 @@ PUBLIC_NAMES = [
     "ModalBasis",
     "NearDefectiveBasisError",
     "NumericalError",
-    "OperatorPair",
-    "PermittivitySlice",
     "Polarization",
     "ProjectionBreakdownError",
     "ResonanceError",
     "ScatteringMatrix",
-    "SectionResult",
     "SingularOperatorError",
     "SolveReport",
     "SolverConfig",
@@ -30,26 +27,16 @@ PUBLIC_NAMES = [
     "StructureSpec",
     "SweepRecord",
     "WaveState",
-    "airy_slab_coefficients",
-    "assemble_operators",
-    "eigen_basis",
     "max_norm_difference",
     "mode_coefficients",
     "parse_structure",
     "port_bases",
-    "project_left",
-    "projection_pair",
-    "propagation_factor",
     "reconstruct_fields",
-    "run_checks",
     "run_sweep",
-    "slice_at",
     "solve_adaptive",
     "solve_uniform",
-    "star",
     "write_smatrix_csv",
     "write_sweep_csv",
-    "zeroth_order_smatrix",
 ]
 
 

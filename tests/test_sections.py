@@ -7,15 +7,24 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from arcwa.geometry import parse_structure, slice_at
-from arcwa.modal import eigen_basis, propagation_factor
+from arcwa.modal import propagation_factor
 from arcwa.numerics import max_abs
-from arcwa.operators import OperatorPair, assemble_operators
+from arcwa.operators import OperatorPair
 from arcwa.sections import _first_order_terms, delta_stack, zeroth_order_smatrix
 from arcwa.cascade import star
 from arcwa.solver import solve_uniform
 from arcwa.harness import max_norm_difference
 
-from conftest import CONSTANT_DOC, TAPER_DOC, blocks_diff, first_order_section, uniform_slice, uniform_spec
+from conftest import (
+    CONSTANT_DOC,
+    TAPER_DOC,
+    assemble_operators,
+    blocks_diff,
+    eigen_basis,
+    first_order_section,
+    uniform_slice,
+    uniform_spec,
+)
 
 
 def taper_section_inputs(spec, z_l, z_r):

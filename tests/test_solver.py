@@ -19,7 +19,7 @@ from arcwa.solver import (
     solve_uniform,
 )
 
-from conftest import TAPER_DOC, first_order_section
+from conftest import TAPER_DOC, first_order_section, two_step_join
 
 
 # README taper at n = 7: (solve, operator assemblies, sections solved, eigendecompositions,
@@ -519,12 +519,6 @@ def test_lossy_smatrix_is_the_geev_route_bit_for_bit(monkeypatch):
     geev_report = solve_adaptive(spec, SolverConfig(alpha=1e-3))
     assert np.array_equal(full_smatrix(report.smat), full_smatrix(geev_report.smat))
     assert report.smat.left_basis_id == geev_report.smat.left_basis_id
-
-
-def two_step_join(left, left_basis, right, right_basis):
-    """Reproject the right matrix onto the left basis, then star the two: what ``cascade.join`` fuses."""
-    pp = cascade.projection_pair(left_basis, right_basis)
-    return cascade.star(left, cascade.project_left(right, pp, left_basis.basis_id))
 
 
 JOIN_CASES = {

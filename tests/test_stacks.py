@@ -6,34 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcwa.errors import NumericalError
-from arcwa.geometry import PermittivitySlice, Polarization
-from arcwa.modal import eigen_basis, eigen_basis_stack
-from arcwa.operators import assemble_operators, assemble_stack
+from arcwa.geometry import Polarization
+from arcwa.modal import eigen_basis_stack
+from arcwa.operators import assemble_stack
 from arcwa.sections import first_order_stack
 
-from conftest import uniform_spec_on
-
-
-@st.composite
-def random_slice(draw, z, lossy, period):
-    """A slice of 1-6 intervals with eps in [1, 13]; lossy ones get Im(eps) in (0, 1]."""
-    k = draw(st.integers(1, 6))
-    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=k - 1, max_size=k - 1, unique=True))
-    bounds = [0.0, *(period * cut for cut in sorted(cuts)), period]
-    loss = st.floats(1e-6, 1.0) if lossy else st.just(0.0)
-    values = draw(st.lists(st.builds(complex, st.floats(1.0, 13.0), loss), min_size=k, max_size=k))
-    return PermittivitySlice(z=z, period_x=period, intervals=tuple(zip(bounds, bounds[1:], values)))
+from conftest import assemble_operators, eigen_basis, random_slice, uniform_spec_on
 
 
 @st.composite
 def section_stacks(draw):
     """A transverse period and 1-5 sections on [0, 1], each its slices at z = 0, the midpoint
-    reference and 1, lossless and lossy mixed."""
+    reference and 1, lossless and lossy mixed; lossy slices get Im(eps) in [1e-6, 1]."""
     period = draw(st.floats(0.5, 2.0))
     stack = []
     for _ in range(draw(st.integers(1, 5))):
-        lossy = draw(st.booleans())
-        stack.append({z: draw(random_slice(z, lossy, period)) for z in (0.0, 0.5, 1.0)})
+        loss = st.floats(1e-6, 1.0) if draw(st.booleans()) else st.just(0.0)
+        stack.append({z: draw(random_slice(period, loss, z)) for z in (0.0, 0.5, 1.0)})
     return period, stack
 
 

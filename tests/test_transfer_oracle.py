@@ -19,10 +19,9 @@ from scipy.linalg import expm
 
 from arcwa.geometry import Polarization, parse_structure, slice_at
 from arcwa.numerics import max_abs
-from arcwa.operators import assemble_operators
 from arcwa.solver import port_bases, solve_uniform
 
-from conftest import TAPER_DOC
+from conftest import TAPER_DOC, assemble_operators
 
 
 def transfer_oracle_smatrix(spec, n_sections):
