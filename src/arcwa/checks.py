@@ -4,7 +4,7 @@ Each check compares a pipeline result against a value known in closed form
 (vacuum spectra, two-interface slab formulas) or against an exact identity
 (round trips, the star identity element). Together they pin every sign
 convention in the operator assembly, the modal branch rule, the interface
-projection and the composition order. The uniform-medium, random and identity
+projection and the composition order. The uniform-medium and random
 scattering-matrix helpers are shared with the test suite.
 """
 
@@ -81,13 +81,6 @@ def random_passive_smatrix(rng: np.random.Generator, n: int, left_id: int, right
         return scale * raw / np.linalg.norm(raw, 2)
 
     return sections.ScatteringMatrix(block(0.9), block(0.3), block(0.3), block(0.9), left_id, right_id)
-
-
-def identity_smatrix(n: int, basis_id: int) -> sections.ScatteringMatrix:
-    """Identity element of the star product: unit transmission, no reflection."""
-    eye = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    return sections.ScatteringMatrix(eye, zero, zero.copy(), eye.copy(), basis_id, basis_id)
 
 
 @dataclass(frozen=True)
@@ -181,7 +174,7 @@ def _check_star_identity() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     n = 5
     s = random_passive_smatrix(rng, n, 0, 0)
-    ident = identity_smatrix(n, 0)
+    ident = sections.identity_smatrix(n, 0)
     left = cascade.star(s, ident)
     right = cascade.star(ident, s)
     worst = max(max_norm_difference(left, s), max_norm_difference(right, s))

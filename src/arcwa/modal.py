@@ -20,9 +20,10 @@ C = -L^H P L, and Y = L^-H Z for the eigenvectors Z of C solves the pencil
 (-Q P Q, B) with Y^H B Y = I, so W^-1 = D^-1 Y^H B for W = Y D. Either way
 lam^2 is real and no inverse needs a factorization. Every other pair
 (lossy, indefinite or non-finite) goes through the general ``geev``
-eigensolver and guarded explicit inverses. Both routes normalize columns
-alike (unit 2-norm, largest entry real) and share the branch, the
-ordering, the cutoff check and the conditioning limit.
+eigensolver, one call per stack, and guarded explicit inverses. Both
+routes normalize columns alike (unit 2-norm, largest entry real) and
+share the branch, the ordering, the cutoff check and the conditioning
+limit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     EigendecompositionError,
     NearDefectiveBasisError,
 )
-from .numerics import COND_LIMIT, as_stack, guard_inverses, guarded_inverses
+from .numerics import COND_LIMIT, as_stack, guard_inverses, guarded_inverses, per_item
 from .operators import OperatorPair
 
 # Effective indices below this magnitude count as cutoff modes.
@@ -129,31 +130,33 @@ def _is_hermitian(a: np.ndarray) -> np.ndarray:
 _Route = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
 
 
-def _hermitian_eig(stack: Sequence[OperatorPair]) -> list[_Route] | None:
+def _hermitian_eig(q: np.ndarray, p: np.ndarray) -> list[_Route]:
     """Eigenvalues lam^2 and eigenvectors Y of P Q from a Hermitian solver, plus B, per route.
 
-    TE pairs (P exactly I, Q Hermitian) take ``eigh(Q)``, with unitary Y
-    and no B. TM pairs (P and Q Hermitian, B = -Q positive definite) are
-    reduced with the Cholesky factor B = L L^H: P Q = L^-H C L^H for the
-    Hermitian C = -L^H P L, so ``eigh(C)`` gives Z and Y = L^-H Z, with
-    Y^H B Y = I. Every step is one call per route for the whole stack, and
-    the Hermitian tests are computed for the whole stack too. Returns one
-    route per solver that has pairs, or None when no pair takes one: a pair
-    that is not Hermitian, whose B is not positive definite or whose
-    solver does not converge takes ``geev``.
+    ``q`` and ``p`` stack the Q and P of the operator pairs. TE pairs (P
+    exactly I, Q Hermitian) take ``eigh(Q)``, with unitary Y and no B. TM
+    pairs (P and Q Hermitian, B = -Q positive definite) are reduced with
+    the Cholesky factor B = L L^H: P Q = L^-H C L^H for the Hermitian
+    C = -L^H P L, so ``eigh(C)`` gives Z and Y = L^-H Z, with Y^H B Y = I.
+    Every step is one call per route for the whole stack, and the
+    Hermitian tests are computed for the whole stack too. Returns one
+    route per solver that has pairs: a pair that is not Hermitian, whose B
+    is not positive definite or whose solver does not converge is in none
+    and takes ``geev``.
     """
-    n = stack[0].n
-    q = as_stack([ops.Q for ops in stack])
-    p = as_stack([ops.P for ops in stack])
     hermitian = _is_hermitian(q)
-    te = hermitian & (p == np.eye(n)).all(axis=(-2, -1))
+    te = hermitian & (p == np.eye(q.shape[-1])).all(axis=(-2, -1))
     tm = hermitian & ~te
     if tm.any():
         tm[tm] = _is_hermitian(p[tm])
-    routes = [
-        _solved(solve, q, p, np.flatnonzero(mask)) for solve, mask in ((_te_eig, te), (_tm_eig, tm)) if mask.any()
-    ]
-    return [route for route in routes if route[0].size] or None
+    routes = []
+    for solve, mask in ((_te_eig, te), (_tm_eig, tm)):
+        index = np.flatnonzero(mask)
+        if index.size:
+            solved, result, _ = per_item(solve, q[index], p[index])
+            if solved.size:
+                routes.append((index[solved], *result))
+    return routes
 
 
 def _te_eig(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
@@ -169,27 +172,6 @@ def _tm_eig(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     upper = lower.conj().swapaxes(-2, -1)
     mu, z = np.linalg.eigh(-(upper @ p @ lower))
     return mu, np.linalg.solve(upper, z), b
-
-
-def _solved(solve, q: np.ndarray, p: np.ndarray, index: np.ndarray) -> _Route:
-    """``solve`` on the pairs ``index`` of the stacks q and p, as one call; the pairs it fails on are left out.
-
-    Only when the call raises LinAlgError is each pair tried alone, to find
-    them; each result equals the one of a stack of one, bit for bit.
-    """
-    try:
-        return (index, *solve(q[index], p[index]))
-    except np.linalg.LinAlgError:
-        index = np.array([i for i in index if _solves(solve, q[i : i + 1], p[i : i + 1])], dtype=int)
-        return (index, *solve(q[index], p[index]))
-
-
-def _solves(solve, q: np.ndarray, p: np.ndarray) -> bool:
-    try:
-        solve(q, p)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _hermitian_basis(
@@ -231,39 +213,46 @@ def eigen_basis_stack(stack: Sequence[OperatorPair]) -> list[ModalBasis]:
     by ascending Im(lam), so identical operator pairs always produce the
     same basis (up to the eigensolver's own determinism). Each basis
     equals the one built in a stack of one, bit for bit, and owns its
-    arrays. The Hermitian routes solve all their pairs in one call per
-    step; the ``geev`` route runs once per pair, and its inverses stay
-    guarded per pair. The branch, the ordering and the Hermitian route's
+    arrays. Each route solves all its pairs in one call per step: the
+    ``geev`` pairs take one ``geev`` call, then one ``guarded_inverses``
+    call for every W and one for every V. The branch, the ordering and the
     basis matrices are computed for the whole stack.
 
-    Raises CutoffModeError when an effective index sits below
-    LAMBDA_CUTOFF and NearDefectiveBasisError when cond(W) or cond(V)
-    exceeds the shared conditioning limit, on either route. Errors are
-    raised stage by stage: ``geev`` eigensolvers and cutoff checks in
-    stack order, then the Hermitian route's guards (every W of a route,
-    then every V), then the ``geev`` route's inverses. For a single pair
+    Raises ValueError when a ``geev`` pair's product P Q has a non-finite
+    entry, EigendecompositionError when ``geev`` fails on a pair,
+    CutoffModeError when an effective index sits below LAMBDA_CUTOFF and
+    NearDefectiveBasisError when cond(W) or cond(V) exceeds the shared
+    conditioning limit, on either route. Errors are raised stage by stage:
+    the ``geev`` eigensolver (the first failing pair in stack order), the
+    cutoff checks in stack order, then each route's guards, every W of the
+    route followed by every V, Hermitian routes first. For a single pair
     that is: eigensolver, cutoff, cond(W), cond(V).
     """
-    n = stack[0].n
-    routes = _hermitian_eig(stack) or []
-    eigvals = np.empty((len(stack), n), dtype=np.complex128)
-    geev = np.ones(len(stack), dtype=bool)
+    if not stack:
+        return []
+    size, n = len(stack), stack[0].n
+    q = as_stack([ops.Q for ops in stack])
+    p = as_stack([ops.P for ops in stack])
+    routes = _hermitian_eig(q, p)
+    eigvals = np.empty((size, n), dtype=np.complex128)
+    geev = np.ones(size, dtype=bool)
     for index, mu, _, _ in routes:
         eigvals[index] = mu
         geev[index] = False
-    eigvecs = {}
-    for i in np.flatnonzero(geev):
-        pq = stack[i].P @ stack[i].Q
-        if not np.all(np.isfinite(pq)):
-            raise ValueError("operator product contains non-finite entries")
-        try:
-            eigvals[i], eigvecs[i] = np.linalg.eig(pq)
-        except np.linalg.LinAlgError as exc:
-            raise EigendecompositionError(f"eigensolver failed on a {n}x{n} operator: {exc}") from exc
+    geev = np.flatnonzero(geev)
+    if geev.size:
+        pq = p[geev] @ q[geev]
+        solved, result, error = per_item(np.linalg.eig, pq)
+        if error is not None:
+            first = np.setdiff1d(np.arange(geev.size), solved)[0]
+            if not np.all(np.isfinite(pq[first])):
+                raise ValueError("operator product contains non-finite entries")
+            raise EigendecompositionError(f"eigensolver failed on a {n}x{n} operator: {error}") from error
+        eigvals[geev], eigvecs = result
 
     lam = _principal_branch(np.sqrt(eigvals))
     order = np.lexsort((lam.imag, -lam.real), axis=-1)
-    lam = lam[np.arange(len(stack))[:, None], order]
+    lam = lam[np.arange(size)[:, None], order]
 
     small = np.abs(lam) < LAMBDA_CUTOFF
     for ops, lam_i, small_i in zip(stack, lam, small) if small.any() else ():
@@ -274,30 +263,31 @@ def eigen_basis_stack(stack: Sequence[OperatorPair]) -> list[ModalBasis]:
                 "add a small material loss (e.g. Im(eps) ~ 1e-6) to move the mode off cutoff"
             )
 
-    bases: list[ModalBasis] = [None] * len(stack)  # type: ignore[list-item]
-    # Hermitian-route bases, one stack per route; the guards screen every W
-    # of a route, then every V.
+    # W, V, W^-1 and V^-1 of each route, stacked; the guards screen every W of a route, then every V.
+    built = []
     for index, _, y, b in routes:
         # Columns in mode order, each slice column-major (rows of Y^T are the columns of Y), as
         # ``_hermitian_basis`` expects.
         y = y.swapaxes(-2, -1)[np.arange(index.size)[:, None], order[index]].swapaxes(-2, -1)
-        lam_route = lam[index]
-        w, w_inv, v, v_inv = _hermitian_basis(y, lam_route, b)
+        w, w_inv, v, v_inv = _hermitian_basis(y, lam[index], b)
         guard_inverses(w, w_inv, [_near_defective("W", stack[i].z) for i in index])
         guard_inverses(v, v_inv, [_near_defective("V", stack[i].z) for i in index])
-        for k, i in enumerate(index):
-            ops = stack[i]
-            # Copies, in the same memory order: a view would keep the whole stack alive with this basis.
-            w_k, v_k, w_inv_k, v_inv_k, lam_k = (np.copy(a[k]) for a in (w, v, w_inv, v_inv, lam_route))
-            bases[i] = ModalBasis(W=w_k, V=v_k, lam=lam_k, z_ref=ops.z, k0=ops.k0, W_inv=w_inv_k, V_inv=v_inv_k)
+        built.append((index, w, v, w_inv, v_inv))
+    if geev.size:
+        w = np.take_along_axis(eigvecs, order[geev][:, None, :], axis=-1)
+        w_inv = guarded_inverses(w, [_near_defective("W", stack[i].z) for i in geev])
+        v = q[geev] @ (w / lam[geev][:, None, :])
+        built.append((geev, w, v, w_inv, guarded_inverses(v, [_near_defective("V", stack[i].z) for i in geev])))
 
-    for i in np.flatnonzero(geev):
-        ops, lam_i = stack[i], lam[i]
-        w = eigvecs[i][:, order[i]]
-        w_inv = guarded_inverses(w[None], [_near_defective("W", ops.z)])[0]
-        v = ops.Q @ (w / lam_i[None, :])
-        v_inv = guarded_inverses(v[None], [_near_defective("V", ops.z)])[0]
-        bases[i] = ModalBasis(W=w, V=v, lam=np.copy(lam_i), z_ref=ops.z, k0=ops.k0, W_inv=w_inv, V_inv=v_inv)
+    bases: list[ModalBasis] = [None] * size  # type: ignore[list-item]
+    for index, *arrays in built:
+        for k, i in enumerate(index):
+            # Copies, in the same memory order: a view would keep the whole stack alive with this basis.
+            w_k, v_k, w_inv_k, v_inv_k = (np.copy(a[k]) for a in arrays)
+            ops = stack[i]
+            bases[i] = ModalBasis(
+                W=w_k, V=v_k, lam=np.copy(lam[i]), z_ref=ops.z, k0=ops.k0, W_inv=w_inv_k, V_inv=v_inv_k
+            )
     return bases
 
 

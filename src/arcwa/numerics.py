@@ -22,7 +22,7 @@ guarded inverse times the right-hand side.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -76,26 +76,44 @@ def _norm1(a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
+def per_item(
+    solve: Callable[..., Any], *stacks: np.ndarray
+) -> tuple[np.ndarray, Any, np.linalg.LinAlgError | None]:
+    """``solve`` on equal-length stacks as one call; each item alone only if that call raises LinAlgError.
+
+    Returns the indices of the items ``solve`` succeeds on, the result of
+    one call on those items and the LinAlgError of the first item that
+    fails (None when none does). Each item's result equals the one of a
+    stack of one, bit for bit.
+    """
+    try:
+        return np.arange(len(stacks[0])), solve(*stacks), None
+    except np.linalg.LinAlgError:
+        pass
+    solved, error = [], None
+    for i in range(len(stacks[0])):
+        try:
+            solve(*(s[i : i + 1] for s in stacks))
+            solved.append(i)
+        except np.linalg.LinAlgError as exc:
+            error = error or exc
+    index = np.array(solved, dtype=int)
+    return index, solve(*(s[index] for s in stacks)), error
+
+
 def guarded_inverses(a: np.ndarray, rejects: Sequence[Callable[[float], NumericalError]]) -> np.ndarray:
     """Inverses of a stack (matrices, n, n), from one ``np.linalg.inv``, after ``guard_inverses``.
 
-    Each inverse equals the one of a stack of one, bit for bit. Only when
-    a matrix of the stack is exactly singular is each matrix inverted
-    alone; the singular ones get a NaN inverse, which fails the guard.
+    Each inverse equals the one of a stack of one, bit for bit. An exactly
+    singular matrix gets a NaN inverse, which fails the guard.
     """
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        a_inv = np.array([_inverse_or_nan(a_k) for a_k in a])
+    solved, a_inv, error = per_item(np.linalg.inv, a)
+    if error is not None:
+        inverses = np.full(a.shape, np.nan, dtype=np.result_type(a, 1.0))
+        inverses[solved] = a_inv
+        a_inv = inverses
     guard_inverses(a, a_inv, rejects)
     return a_inv
-
-
-def _inverse_or_nan(a: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(a[None])[0]
-    except np.linalg.LinAlgError:
-        return np.full(a.shape, np.nan, dtype=np.result_type(a, 1.0))
 
 
 def guarded_solve(

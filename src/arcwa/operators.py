@@ -17,8 +17,8 @@ Concrete fillings, normal incidence, nonmagnetic media:
 where E = Toeplitz(eps coefficients), K = diag(m * wavelength / period).
 The coefficients are exact for the piecewise-constant slice; eps and 1/eps
 share one table of interval phases, computed with a single exp for a whole
-stack of slices that share an interval count. Both the coefficients and
-the wavevectors K are taken on the spec's transverse period.
+stack of slices. Both the coefficients and the wavevectors K are taken on
+the spec's transverse period.
 The TM sign fold makes vacuum satisfy P*Q = I, matching TE; the inverse
 rule for Q keeps TM convergence correct across material steps. Both
 fillings are pinned by the vacuum spectrum check and the analytic slab
@@ -69,11 +69,12 @@ def _phase_table(bounds: np.ndarray, period: float, order: int) -> tuple[np.ndar
 
 
 def _piecewise_coefficients(
-    slices: Sequence[PermittivitySlice], values: np.ndarray, table: tuple[np.ndarray, np.ndarray], period: float
+    rows: Sequence[Sequence[tuple]], values: np.ndarray, table: tuple[np.ndarray, np.ndarray], period: float
 ) -> np.ndarray:
     """Closed-form Fourier coefficients of piecewise-constant functions, one row per slice.
 
-    Slice i's function takes ``values[i, k]`` on its interval k;
+    Slice i's function takes ``values[i, k]`` on its interval k, the
+    (x0, x1, _) of ``rows[i][k]``;
     c_m = (1/period) * integral f(x) exp(-2j*pi*m*x/period) dx, evaluated
     exactly per interval from the slices' ``_phase_table`` on the same
     ``period``; m runs over [-2*order, 2*order]. Each slice's intervals are
@@ -82,14 +83,14 @@ def _piecewise_coefficients(
     diff, rate = table
     values = np.asarray(values)
     terms = values[:, :, None] * diff / rate
-    nonzero = np.zeros((len(slices), rate.size), dtype=np.complex128)
+    nonzero = np.zeros((len(values), rate.size), dtype=np.complex128)
     for term in terms.swapaxes(0, 1):
         nonzero += term
     # The m = 0 coefficient is summed in Python complex arithmetic.
     c0 = []
-    for slc, vals in zip(slices, values.tolist()):
+    for row, vals in zip(rows, values.tolist()):
         total = 0j
-        for (x0, x1, _), value in zip(slc.intervals, vals):
+        for (x0, x1, _), value in zip(row, vals):
             total += value * (x1 - x0) / period
         c0.append([total])
     half = rate.size // 2
@@ -117,38 +118,29 @@ def assemble_stack(slices: Sequence[PermittivitySlice], spec: StructureSpec) -> 
     """The dense P, Q pairs of slices of one spec, for its polarization, computed as stacks.
 
     Pure function. Each pair equals the one assembled in a stack of one,
-    bit for bit. Slices that share an interval count form one stack;
-    slices with different interval counts never share a coefficient sum.
-    Each pair owns its matrices, so it keeps no other pair's alive, except
-    that every TE pair holds the same read-only identity as P. Raises
-    SingularOperatorError (with a condition estimate) if a permittivity
-    Toeplitz matrix cannot be inverted, which requires a pathological eps
-    distribution.
+    bit for bit. Every slice is padded to the stack's largest interval
+    count with empty intervals (period, period, 1.0): their phase
+    differences and widths are exact zeros, and they come after the
+    slice's own intervals in each coefficient sum. Each pair owns its
+    matrices, so it keeps no other pair's alive, except that every TE pair
+    holds the same read-only identity as P. The 1/eps coefficients are
+    computed only for TM, the one filling that uses them. Its two Toeplitz
+    stacks are inverted by one ``guarded_inverses`` call each,
+    Toeplitz(eps) first, so the first slice in stack order whose matrix
+    fails the guard raises SingularOperatorError (with a condition
+    estimate), which requires a pathological eps distribution.
     """
-    groups: dict[int, list[int]] = {}
-    for i, slc in enumerate(slices):
-        groups.setdefault(len(slc.intervals), []).append(i)
-    pairs: list[OperatorPair] = [None] * len(slices)  # type: ignore[list-item]
-    for group in groups.values():
-        for i, pair in zip(group, _assemble_group([slices[i] for i in group], spec)):
-            pairs[i] = pair
-    return pairs
-
-
-def _assemble_group(slices: list[PermittivitySlice], spec: StructureSpec) -> list[OperatorPair]:
-    """One stack of slices that share an interval count.
-
-    The 1/eps coefficients are computed only for TM, the one filling that
-    uses them. Its two Toeplitz stacks are inverted by one
-    ``guarded_inverses`` call each, Toeplitz(eps) first, so the first
-    slice in stack order whose matrix fails the guard raises.
-    """
+    if not slices:
+        return []
     order = spec.truncation_order
-    # (x0, x1, eps) of every interval, shaped (slices, intervals, 3).
-    intervals = np.array([slc.intervals for slc in slices])
     period = spec.period_x_um
+    width = max(len(slc.intervals) for slc in slices)
+    pad = ((period, period, 1.0),)
+    # (x0, x1, eps) of every interval, padded.
+    rows = [tuple(slc.intervals) + pad * (width - len(slc.intervals)) for slc in slices]
+    intervals = np.array(rows)  # shaped (slices, intervals, 3)
     table = _phase_table(intervals[..., :2].real, period, order)
-    eps_toeplitz = _toeplitz_from(_piecewise_coefficients(slices, intervals[..., 2], table, period), order)
+    eps_toeplitz = _toeplitz_from(_piecewise_coefficients(rows, intervals[..., 2], table, period), order)
     m = np.arange(-order, order + 1, dtype=np.float64)
     kt = m * spec.wavelength_um / period  # transverse wavevector / k0
     n = 2 * order + 1
@@ -163,8 +155,8 @@ def _assemble_group(slices: list[PermittivitySlice], spec: StructureSpec) -> lis
 
         eye = np.eye(n, dtype=np.complex128)
         p = [kt[:, None] * e * kt[None, :] - eye for e in inverses(eps_toeplitz, "Toeplitz(eps)")]
-        inverse_values = [[1.0 / eps for _, _, eps in slc.intervals] for slc in slices]
-        inv_toeplitz = _toeplitz_from(_piecewise_coefficients(slices, inverse_values, table, period), order)
+        inverse_values = [[1.0 / eps for _, _, eps in row] for row in rows]
+        inv_toeplitz = _toeplitz_from(_piecewise_coefficients(rows, inverse_values, table, period), order)
         # Each Q negates its own entry, so no pair's Q is a view of the stack.
         q = [-e for e in inverses(inv_toeplitz, "Toeplitz(1/eps)")]
 

@@ -70,6 +70,13 @@ class ScatteringMatrix:
         return int(self.T_LR.shape[0])
 
 
+def identity_smatrix(n: int, basis_id: int) -> ScatteringMatrix:
+    """Identity element of the star product in one basis: unit transmission, no reflection."""
+    eye = np.eye(n, dtype=np.complex128)
+    zero = np.zeros((n, n), dtype=np.complex128)
+    return ScatteringMatrix(eye, zero, zero.copy(), eye.copy(), basis_id, basis_id)
+
+
 @dataclass(frozen=True)
 class SectionResult:
     """A first-order section: scattering matrix and error estimate."""
@@ -166,6 +173,8 @@ def first_order_stack(sections: Sequence[_Section]) -> list[SectionResult]:
     it carries. Each result equals the one solved alone, bit for bit.
     Each S-matrix's four blocks are views of one buffer of the stack.
     """
+    if not sections:
+        return []
     z_l, z_r, bases, refs, ends = zip(*sections)
     k0 = [b.k0 for b in bases]
     span = np.array(z_r) - np.array(z_l)

@@ -26,7 +26,7 @@ leftmost on top. Each round takes the B leftmost of them as one batch, B =
 max(1, 4096 // n^2) for n modes (83 at n = 7, 9 at n = 21, 1 from n = 47
 up): their points that lack operators are assembled as one stack, their
 fresh reference points are decomposed as one stack (one Hermitian
-eigensolver call per stack, or one ``geev`` call per lossy section) and
+eigensolver call per route, and one ``geev`` call for the lossy ones) and
 their first-order matrices are evaluated as one stack.
 Then, in z order, each section is accepted or refined, and the children of
 a refined section go back on top. A batch shares each kernel call's fixed
@@ -146,15 +146,14 @@ _Accepted = tuple[_Point, ScatteringMatrix, ModalBasis, _Leaf]
 def _assemble(spec: StructureSpec, points: Iterable[_Point]) -> None:
     """Give the points that lack operators theirs, each point once, as one stack."""
     missing = [p for p in dict.fromkeys(points) if p.ops is None]
-    stack = operators.assemble_stack([geometry.slice_at(spec, p.z) for p in missing], spec) if missing else []
-    for point, ops in zip(missing, stack):
+    for point, ops in zip(missing, operators.assemble_stack([geometry.slice_at(spec, p.z) for p in missing], spec)):
         point.ops = ops
 
 
 def _decompose(points: Sequence[_Point]) -> int:
     """Give the points that lack a basis theirs, as one stack; returns how many were decomposed."""
     missing = [p for p in points if p.basis is None]
-    for point, basis in zip(missing, modal.eigen_basis_stack([p.ops for p in missing]) if missing else []):
+    for point, basis in zip(missing, modal.eigen_basis_stack([p.ops for p in missing])):
         point.basis = basis
     return len(missing)
 
@@ -165,10 +164,6 @@ def port_bases(spec: StructureSpec) -> tuple[ModalBasis, ModalBasis]:
     _assemble(spec, ends)
     _decompose(ends)
     return ends[0].basis, ends[1].basis
-
-
-def _identity(basis: ModalBasis) -> ScatteringMatrix:
-    return sections.zeroth_order_smatrix(basis, basis.z_ref, basis.z_ref)
 
 
 def _sections(points: Iterator[_Point], depth: int) -> Iterator[_Open]:
@@ -299,9 +294,9 @@ def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> 
     smat, first, last, leaves, counters = folded
     _decompose(ends)
     left, right = ends
-    smat = cascade.join(_identity(left.basis), left.basis, smat, first)
+    smat = cascade.join(sections.identity_smatrix(left.basis.n, left.basis.basis_id), left.basis, smat, first)
     return SolveReport(
-        smat=cascade.join(smat, last, _identity(right.basis), right.basis),
+        smat=cascade.join(smat, last, sections.identity_smatrix(right.basis.n, right.basis.basis_id), right.basis),
         sections=tuple(leaves),
         total_eig_count=counters["eig"],
         total_wall_time=time.perf_counter() - started,

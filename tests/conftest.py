@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from arcwa.cascade import project_left, projection_pair, star
 from arcwa.checks import (  # noqa: F401 - re-exported to the tests
-    identity_smatrix,
     random_passive_smatrix,
     uniform_basis,
     uniform_slice,
@@ -20,7 +19,7 @@ from arcwa.geometry import PermittivitySlice, StructureSpec, parse_structure, sl
 from arcwa.modal import ModalBasis, eigen_basis_stack
 from arcwa.numerics import max_abs
 from arcwa.operators import OperatorPair, assemble_stack
-from arcwa.sections import ScatteringMatrix, SectionResult, first_order_stack
+from arcwa.sections import ScatteringMatrix, SectionResult, first_order_stack, identity_smatrix  # noqa: F401
 from arcwa.solver import solve_uniform
 
 

@@ -35,6 +35,11 @@ from conftest import (
 K0 = 2.0 * np.pi / 1.55
 
 
+def hermitian_eig(ops):
+    """``modal._hermitian_eig`` on a stack of one; None when the pair takes no Hermitian route."""
+    return modal._hermitian_eig(ops.Q[None], ops.P[None]) or None
+
+
 def ops_from(p, q, z=0.0, k0=K0):
     return OperatorPair(
         P=np.asarray(p, dtype=np.complex128),
@@ -245,7 +250,7 @@ def sorted_squares(lam):
 def test_hermitian_route_matches_geev_on_lossless_slices(period, data, order, polarization):
     slc = data.draw(random_slice(period))
     ops = assemble_operators(slc, uniform_spec_on(period, polarization=polarization, order=order))
-    assert modal._hermitian_eig([ops]) is not None
+    assert hermitian_eig(ops) is not None
     try:
         reference = geev_eigen_basis(ops)
     except CutoffModeError:
@@ -292,7 +297,7 @@ def test_lossy_slices_keep_the_geev_route_bit_for_bit(period, data, order, polar
 )
 def test_errors_are_the_same_on_both_routes(p, q, error):
     ops = ops_from(p, q)
-    assert modal._hermitian_eig([ops]) is not None
+    assert hermitian_eig(ops) is not None
     with pytest.raises(error) as geev_err:
         geev_eigen_basis(ops)
     with pytest.raises(error) as err:
@@ -311,7 +316,7 @@ def test_errors_are_the_same_on_both_routes(p, q, error):
 )
 def test_other_operator_pairs_take_the_geev_route(p, q):
     ops = ops_from(p, q)
-    assert modal._hermitian_eig([ops]) is None
+    assert hermitian_eig(ops) is None
 
 
 # geev returns these mathematically real lam^2 with dust of ~1e-17 max|lam^2| off the real axis:
@@ -329,7 +334,7 @@ def test_geev_dust_leaves_roots_on_their_axes(monkeypatch, case):
     slc = PermittivitySlice(z=0.0, intervals=tuple((a, b, complex(e)) for a, b, e in intervals))
     ops = assemble_operators(slc, uniform_spec(1.0, 1.0, polarization=polarization, order=order))
     hermitian = eigen_basis(ops)
-    monkeypatch.setattr(modal, "_hermitian_eig", lambda ops: None)
+    monkeypatch.setattr(modal, "_hermitian_eig", lambda q, p: [])
     lam = eigen_basis(ops).lam
     assert np.all(((lam.imag == 0.0) & (lam.real > 0.0)) | ((lam.real == 0.0) & (lam.imag > 0.0)))
     # Same modes in the same order as the Hermitian route, up to the eigensolvers' rounding.
@@ -369,12 +374,59 @@ def test_stacked_bases_own_their_arrays(polarization, loss):
             assert not np.shares_memory(a, b)
 
 
+@pytest.mark.parametrize("polarization", Polarization)
+def test_lossy_stack_is_one_geev_call(monkeypatch, polarization):
+    """Three lossy pairs are decomposed by one ``np.linalg.eig`` call on their stack."""
+    spec = uniform_spec(2.25, 1.0, polarization=polarization, order=3)
+    slices = [uniform_slice(complex(eps, 1e-3), z=z) for z, eps in enumerate((2.25, 4.0, 12.25))]
+    stack = [assemble_operators(slc, spec) for slc in slices]
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    eigen_basis_stack(stack)
+    assert calls == [(3, 7, 7)]
+
+
+GEEV_PAIRS = {
+    "good": ops_from(np.eye(2), np.array([[1.0, 2.0], [0.0, 3.0]])),
+    "diverging": ops_from(np.eye(2), np.array([[1.0, 5.0], [0.0, 3.0]])),
+    "non-finite": ops_from(np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize(
+    "names, error",
+    [
+        (("good", "diverging"), EigendecompositionError),
+        (("non-finite", "diverging"), ValueError),
+        (("diverging", "non-finite"), EigendecompositionError),
+    ],
+)
+def test_first_failing_geev_pair_decides_the_error(monkeypatch, names, error):
+    """geev fails on the pair whose Q[0, 1] is 5 here; the first failing pair in stack order raises."""
+    eig = np.linalg.eig
+
+    def diverging(a):
+        if np.any(a[..., 0, 1] == 5.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", diverging)
+    with pytest.raises(error):
+        eigen_basis_stack([GEEV_PAIRS[name] for name in names])
+
+
 def test_pair_whose_b_is_not_positive_definite_leaves_its_stack_for_geev():
     """A Hermitian TM pair whose -Q is indefinite takes geev; its stack's other pairs keep the Hermitian route."""
     spec = uniform_spec(2.25, 1.0, polarization=Polarization.TM, order=3)
     lossless = assemble_operators(uniform_slice(complex(4.0, 0.0)), spec)
     indefinite = ops_from(np.diag(np.linspace(2.0, 3.0, lossless.n)), np.eye(lossless.n), z=1.0)
-    assert modal._hermitian_eig([lossless]) is not None and modal._hermitian_eig([indefinite]) is None
+    assert hermitian_eig(lossless) is not None and hermitian_eig(indefinite) is None
     stack = [lossless, indefinite, lossless]
     for stacked, single in zip(eigen_basis_stack(stack), [eigen_basis(ops) for ops in stack]):
         for name in ("W", "V", "lam", "W_inv", "V_inv"):

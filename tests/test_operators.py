@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
+from arcwa import operators
 from arcwa.errors import SingularOperatorError
 from arcwa.geometry import PermittivitySlice, Polarization
 from arcwa.numerics import guarded_solve, refusal
@@ -21,7 +22,7 @@ def eps_coefficients(slc, order, period=1.0):
     table = _phase_table(np.array([[(x0, x1) for x0, x1, _ in slc.intervals]]), period, order)
     values = [eps for _, _, eps in slc.intervals]
     inverse = [1.0 / eps for eps in values]
-    return tuple(_piecewise_coefficients([slc], [v], table, period)[0] for v in (values, inverse))
+    return tuple(_piecewise_coefficients([slc.intervals], [v], table, period)[0] for v in (values, inverse))
 
 
 def step_slice(x0=0.0, x1=0.5, eps_in=4.0, eps_out=1.0):
@@ -279,6 +280,32 @@ def test_assembly_matches_interval_loop_bit_for_bit(period, data, order, polariz
     inverted = tuple((x0, x1, 1.0 / eps) for x0, x1, eps in slc.intervals)
     assert np.array_equal(coeffs, loop_coefficients(slc.intervals, period, order))
     assert np.array_equal(coeffs_inv, loop_coefficients(inverted, period, order))
+
+
+@pytest.mark.parametrize("polarization", Polarization)
+def test_slices_of_different_interval_counts_share_one_stack(monkeypatch, polarization):
+    """Slices of 1, 3 and 5 intervals are padded into one phase table; each pair equals its stack of one."""
+    cells = ((0.0, 0.2, 1.0), (0.2, 0.4, 4.0), (0.4, 0.6, 12.25 + 0.1j), (0.6, 0.8, 4.0), (0.8, 1.0, 1.0))
+    slices = [
+        uniform_slice(2.25, z=0.0),
+        PermittivitySlice(z=1.0, intervals=((0.0, 0.3, 1.0 + 0j), (0.3, 0.6, 12.25 + 0j), (0.6, 1.0, 1.0 + 0j))),
+        PermittivitySlice(z=2.0, intervals=tuple((x0, x1, complex(eps)) for x0, x1, eps in cells)),
+    ]
+    spec = uniform_spec(2.25, 1.0, polarization=polarization, order=4)
+    singles = [assemble_operators(slc, spec) for slc in slices]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _phase_table(*args)
+
+    monkeypatch.setattr(operators, "_phase_table", counted)
+    stacked = assemble_stack(slices, spec)
+    assert len(calls) == 1
+    for pair, single in zip(stacked, singles):
+        assert np.array_equal(pair.P, single.P)
+        assert np.array_equal(pair.Q, single.Q)
+        assert pair.z == single.z
 
 
 @pytest.mark.parametrize("polarization", Polarization)

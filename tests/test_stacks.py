@@ -65,3 +65,12 @@ def test_stacked_kernels_equal_single_calls_bit_for_bit(drawn, order, polarizati
             single.smat.right_basis_id,
         )
         assert stacked.est_error == single.est_error
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [lambda: assemble_stack([], uniform_spec_on(1.0)), lambda: eigen_basis_stack([]), lambda: first_order_stack([])],
+    ids=["assemble_stack", "eigen_basis_stack", "first_order_stack"],
+)
+def test_empty_stacks(kernel):
+    assert kernel() == []
