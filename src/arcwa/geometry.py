@@ -31,6 +31,10 @@ from .errors import SpecSemanticError, SpecSyntaxError
 # scaled by the domain size where applied.
 _GEOM_RTOL = 1e-12
 
+# Longest z span, in wavelengths, that a document may ask for. Adaptive leaves grow about 3.3x per
+# decade of span (the README taper at alpha = 1e-2), so 1e6 wavelengths already take some 2e4 leaves.
+_MAX_SPAN_WAVELENGTHS = 1e6
+
 
 class Polarization(enum.Enum):
     TE = "TE"
@@ -378,6 +382,12 @@ def parse_structure(text: str) -> StructureSpec:
         raise _semantic(
             f"wavelength_um = {wavelength:g} and z_range_um = [{z_min:g}, {z_max:g}] give a propagation phase "
             f"k0 * (z_max - z_min) = {phase:.3e} rad, beyond the 2^52 rad a double resolves"
+        )
+    span = (z_max - z_min) / wavelength
+    if span > _MAX_SPAN_WAVELENGTHS:
+        raise _semantic(
+            f"z_range_um = [{z_min:g}, {z_max:g}] spans {span:.3e} wavelengths of wavelength_um = {wavelength:g}, "
+            f"beyond the {_MAX_SPAN_WAVELENGTHS:.0e} wavelengths a solve can afford"
         )
 
     order = doc["truncation_order"]

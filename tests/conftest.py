@@ -19,7 +19,7 @@ from arcwa.geometry import PermittivitySlice, StructureSpec, parse_structure, sl
 from arcwa.modal import ModalBasis, eigen_basis_stack
 from arcwa.numerics import max_abs
 from arcwa.operators import OperatorPair, assemble_stack
-from arcwa.sections import ScatteringMatrix, SectionResult, first_order_stack, identity_smatrix  # noqa: F401
+from arcwa.sections import ScatteringMatrix, SectionResult, first_order_stack
 from arcwa.solver import solve_uniform
 
 
@@ -35,6 +35,13 @@ def assemble_operators(slc: PermittivitySlice, spec: StructureSpec) -> OperatorP
 
 def eigen_basis(ops: OperatorPair) -> ModalBasis:
     return eigen_basis_stack([ops])[0]
+
+
+def assert_check(check, *args) -> str:
+    """Run one of the ``arcwa validate`` checks, assert that it passed, and return its detail."""
+    passed, detail = check(*args)
+    assert passed, detail
+    return detail
 
 
 def two_step_join(left, left_basis, right, right_basis):

@@ -8,30 +8,24 @@ is a 256-section zeroth-order cascade.
 import time
 
 import numpy as np
-import pytest
 
+from arcwa import checks
 from arcwa.cascade import projection_pair, project_left, star
-from arcwa.checks import airy_slab_coefficients, slab_sandwich_smatrix
-from arcwa.geometry import Polarization, parse_structure, slice_at
+from arcwa.geometry import Polarization, slice_at
 from arcwa.harness import max_norm_difference
-from arcwa.modal import mode_coefficients, reconstruct_fields
 from arcwa.numerics import max_abs
 from arcwa.sections import zeroth_order_smatrix
 from arcwa.solver import SolverConfig, solve_adaptive, solve_uniform
 
 from conftest import (
-    CONSTANT_DOC,
     assemble_operators,
+    assert_check,
     blocks_diff,
     eigen_basis,
     first_order_section,
-    identity_smatrix,
     random_basis,
     random_passive_smatrix,
-    smat_scale,
 )
-
-WAVELENGTH = 1.55
 
 
 def report_pass(number: int, message: str) -> None:
@@ -40,42 +34,18 @@ def report_pass(number: int, message: str) -> None:
 
 def test_criterion_1_zero_variation_equivalence():
     started = time.perf_counter()
-    worst = 0.0
-    for polarization, order in ((Polarization.TE, 3), (Polarization.TM, 2)):
-        doc = CONSTANT_DOC.replace("TE", polarization.value).replace(
-            "truncation_order: 3", f"truncation_order: {order}"
-        )
-        spec = parse_structure(doc)
-        ops = assemble_operators(slice_at(spec, 0.5), spec)
-        basis = eigen_basis(ops)
-        first = first_order_section(spec, spec.z_min, spec.z_max, basis, ops)
-        zeroth = zeroth_order_smatrix(basis, spec.z_min, spec.z_max)
-        rel = blocks_diff(first.smat, zeroth) / smat_scale(zeroth)
-        worst = max(worst, rel)
-        assert rel <= 1e-12
+    detail = assert_check(checks.constant_section_order_equivalence)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
-    report_pass(1, f"constant-section order gap {worst:.2e} <= 1e-12 relative ({elapsed:.2f}s)")
+    report_pass(1, f"constant sections, {detail} ({elapsed:.2f}s)")
 
 
 def test_criterion_2_analytic_slab_oracle():
     started = time.perf_counter()
-    thickness = WAVELENGTH / 2.0
-    r_ref, t_ref = airy_slab_coefficients(2.0, thickness, WAVELENGTH)
-    worst = 0.0
-    for polarization in (Polarization.TE, Polarization.TM):
-        s = slab_sandwich_smatrix(4.0, thickness, WAVELENGTH, polarization).smat
-        worst = max(
-            worst,
-            abs(s.T_LR[0, 0] - t_ref),
-            abs(s.R_L[0, 0] - r_ref),
-            abs(s.T_RL[0, 0] - t_ref),
-            abs(s.R_R[0, 0] - r_ref),
-        )
-        assert worst <= 1e-10
+    details = [f"{p.value} {assert_check(checks.slab_airy, p)}" for p in Polarization]
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
-    report_pass(2, f"TE/TM slab vs two-interface formula, max dev {worst:.2e} <= 1e-10 ({elapsed:.2f}s)")
+    report_pass(2, f"slab vs two-interface formula, {', '.join(details)} ({elapsed:.2f}s)")
 
 
 def test_criterion_3_convergence_order(taper_spec, taper_oracle):
@@ -140,6 +110,7 @@ def test_criterion_5_efficiency_proxy(taper_spec, taper_oracle):
 
 
 def test_criterion_6_projection_correctness():
+    started = time.perf_counter()
     rng = np.random.default_rng(60)
     n = 4
     worst = 0.0
@@ -172,15 +143,16 @@ def test_criterion_6_projection_correctness():
         )
         assert worst <= 1e-9
 
-    # Identity projection is exact.
-    s = random_passive_smatrix(rng, n, 1, 1)
-    pp = (np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128))
-    identity_gap = blocks_diff(project_left(s, pp, 1), s)
-    assert identity_gap <= 1e-12
-    report_pass(6, f"50 random projections vs direct solve, worst residual {worst:.2e} <= 1e-9")
+    identity = assert_check(checks.projection_identity)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0
+    report_pass(
+        6, f"50 random projections vs direct solve, worst residual {worst:.2e} <= 1e-9; {identity} ({elapsed:.2f}s)"
+    )
 
 
 def test_criterion_7_algebra_properties():
+    started = time.perf_counter()
     rng = np.random.default_rng(70)
     n = 4
     ids = [1, 2, 3, 4]
@@ -192,26 +164,13 @@ def test_criterion_7_algebra_properties():
         worst_assoc = max(worst_assoc, blocks_diff(star(star(s1, s2), s3), star(s1, star(s2, s3))))
         assert worst_assoc <= 1e-10
 
-    ident = identity_smatrix(n, ids[0])
-    s = random_passive_smatrix(rng, n, ids[0], ids[0])
-    ident_gap = max(blocks_diff(star(s, ident), s), blocks_diff(star(ident, s), s))
-    assert ident_gap <= 1e-12
-
-    from conftest import uniform_slice, uniform_spec
-
-    spec = uniform_spec(6.25, 1.0, order=3)
-    basis = eigen_basis(assemble_operators(uniform_slice(6.25), spec))
-    worst_roundtrip = 0.0
-    for _ in range(100):
-        e = rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
-        h = rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
-        e2, h2 = reconstruct_fields(mode_coefficients(e, h, basis), basis)
-        worst_roundtrip = max(worst_roundtrip, max_abs(e2 - e), max_abs(h2 - h))
-        assert worst_roundtrip <= 1e-12
+    identity = assert_check(checks.star_identity)
+    roundtrip = assert_check(checks.mode_roundtrip)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0
     report_pass(
         7,
-        f"associativity {worst_assoc:.2e} <= 1e-10, identity {ident_gap:.2e} <= 1e-12, "
-        f"round-trip {worst_roundtrip:.2e} <= 1e-12",
+        f"associativity {worst_assoc:.2e} <= 1e-10, {identity}, {roundtrip} ({elapsed:.2f}s)",
     )
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from arcwa import cli, harness
 from arcwa import operators as operators_mod
-from arcwa.geometry import Polarization
+from arcwa.geometry import Polarization, parse_structure
 from arcwa.sections import ScatteringMatrix
 
 from conftest import CONSTANT_DOC, TAPER_DOC
@@ -313,9 +314,16 @@ def test_validate_passes(capsys):
 
 def test_validate_list(capsys):
     assert cli.main(["validate", "--list"]) == 0
-    names = capsys.readouterr().out.split()
-    assert "slab-airy-te" in names
-    assert "vacuum-te-spectrum" in names
+    assert capsys.readouterr().out.split() == [
+        "vacuum-te-spectrum",
+        "vacuum-tm-unit-index",
+        "slab-airy-te",
+        "slab-airy-tm",
+        "mode-roundtrip",
+        "star-identity",
+        "projection-identity",
+        "constant-section-order-equivalence",
+    ]
 
 
 def test_validate_detects_tm_sign_flip(monkeypatch, capsys):
@@ -436,6 +444,20 @@ def test_unresolvable_propagation_phase_exit2_naming_the_keys(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "wavelength_um" in err and "z_range_um" in err
     assert "beyond the 2^52 rad a double resolves" in err
+
+
+def test_unaffordable_span_exit2_naming_the_keys(tmp_path, capsys):
+    """6.5e13 wavelengths pass the 2^52 rad phase bound, but a solve would need some 1e8 leaves."""
+    path = tmp_path / "span.spec"
+    path.write_text(TAPER_DOC.replace("wavelength_um: 1.55", "wavelength_um: 1.0e-14"))
+    started = time.perf_counter()
+    code = cli.main(["solve", "--structure", str(path), "--alpha", "1e-2"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "wavelength_um" in err and "z_range_um" in err
+    assert "beyond the 1e+06 wavelengths a solve can afford" in err
+    assert parse_structure(TAPER_DOC.replace("wavelength_um: 1.55", "wavelength_um: 1.0e-5")).wavelength_um == 1e-5
 
 
 def test_document_beyond_memory_exit2_naming_truncation_order(tmp_path, capsys):

@@ -123,17 +123,6 @@ def test_mode_coefficients_pure_forward_backward(rng):
     assert_allclose(state.b, 2.0 * x, atol=1e-12)
 
 
-def test_field_roundtrip(rng):
-    spec = uniform_spec(6.25, 1.0, order=3)
-    basis = eigen_basis(assemble_operators(uniform_slice(6.25), spec))
-    for _ in range(25):
-        e = rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
-        h = rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
-        e2, h2 = reconstruct_fields(mode_coefficients(e, h, basis), basis)
-        assert_allclose(e2, e, atol=1e-12)
-        assert_allclose(h2, h, atol=1e-12)
-
-
 def test_basis_column_reconstruction():
     spec = uniform_spec(2.25, 1.0, order=1)
     basis = eigen_basis(assemble_operators(uniform_slice(2.25), spec))

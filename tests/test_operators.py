@@ -8,13 +8,21 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
-from arcwa import operators
+from arcwa import checks, operators
 from arcwa.errors import SingularOperatorError
 from arcwa.geometry import PermittivitySlice, Polarization
 from arcwa.numerics import guarded_solve, refusal
 from arcwa.operators import _phase_table, _piecewise_coefficients, _toeplitz_from, assemble_stack
 
-from conftest import assemble_operators, owning_buffer, random_slice, uniform_slice, uniform_spec, uniform_spec_on
+from conftest import (
+    assemble_operators,
+    assert_check,
+    owning_buffer,
+    random_slice,
+    uniform_slice,
+    uniform_spec,
+    uniform_spec_on,
+)
 
 
 def eps_coefficients(slc, order, period=1.0):
@@ -161,21 +169,11 @@ def test_truncation_nesting():
 
 
 def test_vacuum_te_operators():
-    order = 3
-    spec = uniform_spec(1.0, 1.0, order=order)
-    ops = assemble_operators(uniform_slice(1.0), spec)
-    assert_allclose(ops.P, np.eye(7), atol=0)
-    m = np.arange(-order, order + 1)
-    expected = np.eye(7) - np.diag((m * 1.55) ** 2)
-    assert_allclose(ops.P @ ops.Q, expected, atol=1e-13)
+    assert_check(checks.vacuum_te_spectrum)
 
 
 def test_vacuum_tm_order0_unit_index():
-    spec = uniform_spec(1.0, 1.0, polarization=Polarization.TM, order=0)
-    ops = assemble_operators(uniform_slice(1.0), spec)
-    assert ops.P[0, 0] == pytest.approx(-1.0)
-    assert ops.Q[0, 0] == pytest.approx(-1.0)
-    assert (ops.P @ ops.Q)[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert_check(checks.vacuum_tm_unit_index)
 
 
 def test_uniform_te_spectrum_matches_closed_form():

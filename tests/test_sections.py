@@ -16,7 +16,6 @@ from arcwa.solver import solve_uniform
 from arcwa.harness import max_norm_difference
 
 from conftest import (
-    CONSTANT_DOC,
     TAPER_DOC,
     assemble_operators,
     blocks_diff,
@@ -92,18 +91,6 @@ def test_zeroth_order_semigroup():
     half2 = zeroth_order_smatrix(basis, 0.45, 0.9)
     full = zeroth_order_smatrix(basis, 0.0, 0.9)
     assert blocks_diff(star(half1, half2), full) <= 1e-12
-
-
-@pytest.mark.parametrize("polarization", ["TE", "TM"])
-def test_first_order_equals_zeroth_for_constant(polarization):
-    # TM samples hold their own P, equal to the reference P, so their dP is formed and is exact zeros.
-    spec = parse_structure(CONSTANT_DOC.replace("polarization: TE", f"polarization: {polarization}"))
-    ops = assemble_operators(slice_at(spec, 0.5), spec)
-    basis = eigen_basis(ops)
-    first = first_order_section(spec, 0.0, 1.0, basis, ops)
-    zeroth = zeroth_order_smatrix(basis, 0.0, 1.0)
-    assert blocks_diff(first.smat, zeroth) == 0.0
-    assert first.est_error == 0.0
 
 
 def test_short_section_limit(taper):
