@@ -162,3 +162,49 @@ def join(
         left_basis_id=left.left_basis_id,
         right_basis_id=right.right_basis_id,
     )
+
+
+def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """The square matrices ``blocks`` along the diagonal of one matrix, zeros elsewhere."""
+    size = sum(len(b) for b in blocks)
+    out = np.zeros((size, size), dtype=np.complex128)
+    start = 0
+    for b in blocks:
+        out[start : start + len(b), start : start + len(b)] = b
+        start += len(b)
+    return out
+
+
+def _embedded(t: np.ndarray, bases: tuple[ModalBasis, ...]) -> ModalBasis:
+    """One basis of bases of orthogonal subspaces, the columns of the unitary ``t`` split among them in order.
+
+    W = t diag(W_k), V = t diag(V_k), with inverses diag(W_k^-1) t^H and
+    diag(V_k^-1) t^H; lam is the bases' in order, and z_ref and k0 are the
+    first basis'.
+    """
+    t_h = t.conj().T
+    return ModalBasis(
+        W=t @ _block_diagonal([b.W for b in bases]),
+        V=t @ _block_diagonal([b.V for b in bases]),
+        lam=np.concatenate([b.lam for b in bases]),
+        z_ref=bases[0].z_ref,
+        k0=bases[0].k0,
+        W_inv=_block_diagonal([b.W_inv for b in bases]) @ t_h,
+        V_inv=_block_diagonal([b.V_inv for b in bases]) @ t_h,
+    )
+
+
+def direct_sum(
+    t: np.ndarray, parts: list[tuple[ScatteringMatrix, ModalBasis, ModalBasis]]
+) -> tuple[ScatteringMatrix, ModalBasis, ModalBasis]:
+    """Scattering matrices of subspaces that never couple, as one: (S-matrix, left basis, right basis).
+
+    ``parts`` holds each subspace's (S-matrix, left basis, right basis),
+    and the unitary ``t`` carries the subspaces, its columns split among
+    them in order. The S-matrix is block-diagonal in mode coefficients,
+    and each end basis embeds the parts' bases through ``t``.
+    """
+    smats, lefts, rights = zip(*parts)
+    left, right = _embedded(t, lefts), _embedded(t, rights)
+    blocks = {name: _block_diagonal([getattr(s, name) for s in smats]) for name in ("T_LR", "R_R", "R_L", "T_RL")}
+    return ScatteringMatrix(**blocks, left_basis_id=left.basis_id, right_basis_id=right.basis_id), left, right

@@ -184,6 +184,22 @@ class StructureSpec:
     def n_harmonics(self) -> int:
         return 2 * self.truncation_order + 1
 
+    @property
+    def mirror_x_um(self) -> float | None:
+        """The x that every slice is mirror-symmetric about, or None.
+
+        That is the one center of every region when each center profile is
+        constant (its bounds coincide) and no region reaches past an edge of
+        the period, where ``slice_at`` would clip it. Read from the profiles'
+        bounds, in O(regions); a spec without regions has none.
+        """
+        centers = {region.center.bounds() for region in self.regions}
+        if len(centers) != 1:
+            return None
+        ((x0, hi),) = centers
+        reach = max(region.width.bounds()[1] for region in self.regions) / 2.0
+        return x0 if x0 == hi and x0 - reach >= 0.0 and x0 + reach <= self.period_x_um else None
+
 
 @dataclass(frozen=True)
 class PermittivitySlice:

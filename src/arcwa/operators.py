@@ -114,7 +114,50 @@ def _toeplitz_from(coeffs: np.ndarray, order: int) -> np.ndarray:
     return coeffs.take(center + index[:, None] - index, axis=-1)
 
 
-def assemble_stack(slices: Sequence[PermittivitySlice], spec: StructureSpec) -> list[OperatorPair]:
+def _parity_block(coeffs: np.ndarray, order: int, sector: int) -> np.ndarray:
+    """Sector ``sector``'s block of Toeplitz(c) in the parity basis, for coefficients c taken about the mirror.
+
+    With a_m = (c_m + c_-m) / 2 (m = 0..2*order), the even block (sector 0,
+    harmonics m = 0..order) is s_p s_q (a_|p-q| + a_{p+q}), with s_0 = 1/sqrt(2)
+    and s_m = 1 otherwise, and the odd block (sector 1, m = 1..order) is
+    a_|p-q| - a_{p+q}: Toeplitz plus or minus Hankel, exactly the diagonal
+    blocks of U^H Toeplitz(c) U for the U of ``parity_basis``.
+    """
+    center = coeffs.shape[-1] // 2
+    if center < 2 * order:
+        raise ValueError(f"need coefficients up to |m| = {2 * order}, got {center}")
+    a = (coeffs[..., center:] + coeffs[..., center::-1]) / 2.0
+    m = np.arange(sector, order + 1)
+    toeplitz, hankel = a[..., np.abs(m[:, None] - m)], a[..., m[:, None] + m]
+    if sector:
+        return toeplitz - hankel
+    s = np.where(m == 0, np.sqrt(0.5), 1.0)
+    return (toeplitz + hankel) * (s[:, None] * s)
+
+
+def parity_basis(spec: StructureSpec) -> np.ndarray:
+    """The unitary T = D U that splits a mirror-symmetric spec's operators into its two sectors.
+
+    D = diag(exp(-2j*pi*m*x0/period)) moves the harmonics' origin to the
+    mirror x0 = ``spec.mirror_x_um``; U's first order+1 columns are e_0 and
+    (e_m + e_-m)/sqrt(2), the even sector (0), and its last order columns
+    (e_m - e_-m)/sqrt(2), the odd sector (1), for m = 1..order. T^H A T is
+    block-diagonal for A = P and Q of every slice, and its two blocks are
+    what ``assemble_stack`` builds for the two sectors.
+    """
+    order = spec.truncation_order
+    m = np.arange(1, order + 1)
+    u = np.zeros((2 * order + 1, 2 * order + 1))
+    u[order, 0] = 1.0
+    u[order + m, m] = u[order - m, m] = u[order + m, order + m] = np.sqrt(0.5)
+    u[order - m, order + m] = -np.sqrt(0.5)
+    harmonics = np.arange(-order, order + 1)
+    return np.exp(-2j * np.pi * harmonics * spec.mirror_x_um / spec.period_x_um)[:, None] * u
+
+
+def assemble_stack(
+    slices: Sequence[PermittivitySlice], spec: StructureSpec, sector: int | None = None
+) -> list[OperatorPair]:
     """The dense P, Q pairs of slices of one spec, for its polarization, computed as stacks.
 
     Pure function. Each pair equals the one assembled in a stack of one,
@@ -129,6 +172,14 @@ def assemble_stack(slices: Sequence[PermittivitySlice], spec: StructureSpec) -> 
     Toeplitz(eps) first, so the first slice in stack order whose matrix
     fails the guard raises SingularOperatorError (with a condition
     estimate), which requires a pathological eps distribution.
+
+    ``sector`` None fills P and Q over all 2*order+1 harmonics. On a spec
+    with a ``mirror_x_um``, sector 0 (even, order+1 modes) or 1 (odd, order
+    modes) gives instead that diagonal block of T^H P T and T^H Q T, for the
+    T of ``parity_basis``, built at its own size from the coefficients
+    taken about the mirror (``_parity_block``). In TM, K maps each sector
+    onto the other, so P takes the inverse of the other sector's block of
+    Toeplitz(eps), on the harmonics m >= 1 the two share.
     """
     if not slices:
         return []
@@ -139,26 +190,39 @@ def assemble_stack(slices: Sequence[PermittivitySlice], spec: StructureSpec) -> 
     # (x0, x1, eps) of every interval, padded.
     rows = [tuple(slc.intervals) + pad * (width - len(slc.intervals)) for slc in slices]
     intervals = np.array(rows)  # shaped (slices, intervals, 3)
-    table = _phase_table(intervals[..., :2].real, period, order)
-    eps_toeplitz = _toeplitz_from(_piecewise_coefficients(rows, intervals[..., 2], table, period), order)
-    m = np.arange(-order, order + 1, dtype=np.float64)
+    bounds = intervals[..., :2].real
+    table = _phase_table(bounds if sector is None else bounds - spec.mirror_x_um, period, order)
+
+    def block(values, part: int | None) -> np.ndarray:
+        """Toeplitz(values) over every harmonic (``part`` None) or its block for sector ``part``."""
+        coeffs = _piecewise_coefficients(rows, values, table, period)
+        return _toeplitz_from(coeffs, order) if part is None else _parity_block(coeffs, order, part)
+
+    m = np.arange(-order, order + 1, dtype=np.float64) if sector is None else np.arange(sector, order + 1.0)
     kt = m * spec.wavelength_um / period  # transverse wavevector / k0
-    n = 2 * order + 1
+    n = kt.size
 
     if spec.polarization is Polarization.TE:
         p = [_identity(n)] * len(slices)
         shift = np.diag(kt**2).astype(np.complex128)
-        q = [t - shift for t in eps_toeplitz]
+        q = [t - shift for t in block(intervals[..., 2], sector)]
     else:
         def inverses(toeplitz: np.ndarray, what: str) -> np.ndarray:
             return guarded_inverses(toeplitz, [refusal(SingularOperatorError, what)] * len(slices))
 
         eye = np.eye(n, dtype=np.complex128)
-        p = [kt[:, None] * e * kt[None, :] - eye for e in inverses(eps_toeplitz, "Toeplitz(eps)")]
+        if sector is None:
+            e_inv = inverses(block(intervals[..., 2], None), "Toeplitz(eps)")
+        else:
+            # The other sector's harmonics start at 1 - sector; m = 0, in the even sector only, has kt = 0.
+            e_inv = np.zeros((len(slices), n, n), dtype=np.complex128)
+            e_inv[:, 1 - sector :, 1 - sector :] = inverses(block(intervals[..., 2], 1 - sector), "Toeplitz(eps)")[
+                :, sector:, sector:
+            ]
+        p = [kt[:, None] * e * kt[None, :] - eye for e in e_inv]
         inverse_values = [[1.0 / eps for _, _, eps in row] for row in rows]
-        inv_toeplitz = _toeplitz_from(_piecewise_coefficients(rows, inverse_values, table, period), order)
         # Each Q negates its own entry, so no pair's Q is a view of the stack.
-        q = [-e for e in inverses(inv_toeplitz, "Toeplitz(1/eps)")]
+        q = [-e for e in inverses(block(inverse_values, sector), "Toeplitz(1/eps)")]
 
     return [
         OperatorPair(P=p_i, Q=q_i, z=slc.z, k0=spec.k0)

@@ -46,6 +46,17 @@ content, so results of different methods, resolutions and solves compare
 entry by entry. Each solve decomposes its own end points (nothing is
 cached). The port eigendecompositions are not charged to
 ``total_eig_count``.
+
+Mirror-parity sectors: from ``_SPLIT_HARMONICS`` modes up, a spec with a
+``mirror_x_um`` (every region has one constant center and none is clipped
+at the period's edge) has operators that split into an even and an odd
+block, which never couple. The engine then runs once per sector, on
+operators assembled at the sector's size, each sector with its own end
+points, tree, batch size and rerun. The two folds are embedded
+block-diagonally through ``operators.parity_basis`` and joined to the
+full-size port bases as above, so ports, basis ids and the mode order are
+those of an unsplit solve. Every other spec, and every spec below
+``_SPLIT_HARMONICS`` modes, runs as one fold.
 """
 from __future__ import annotations
 
@@ -95,7 +106,10 @@ class SolveReport:
     tiling [z_min, z_max] exactly in order. ``sections_solved`` counts
     every section evaluation including interior nodes that were later
     subdivided; ``total_eig_count`` counts eigendecompositions actually
-    performed (reused bases count once).
+    performed (reused bases count once). On a solve split into parity
+    sectors (see the module docstring), ``sections`` is the common
+    refinement of the two sectors' leaves, each piece with the larger of
+    the two estimates that cover it, and both counters sum the sectors.
     """
 
     smat: ScatteringMatrix
@@ -110,6 +124,13 @@ class SolveReport:
 # 2 cores with one BLAS thread 4096 ran n = 21 solves a third faster than
 # 512; 8192 (B = 3 at n = 51) only grew n = 51 peak memory, by 4%.
 _BATCH_ENTRIES = 4096
+
+# Harmonic count from which a spec with a ``mirror_x_um`` solves as its two
+# parity sectors. On 2 cores with one BLAS thread, the split solve of the
+# README taper at alpha = 1e-3 ran (TE/TM) 0.54/0.71x as fast as the
+# unsplit one at n = 7, 0.81/0.92x at 15, 1.04/1.26x at 21, 1.19/1.38x at
+# 25 and 1.53/1.81x at 51 (best of 6 or more solves).
+_SPLIT_HARMONICS = 25
 
 # What the report keeps of an accepted section: (z_L, z_R, est_error).
 _Leaf = tuple[float, float, float]
@@ -143,10 +164,11 @@ class _Open:
 _Accepted = tuple[_Point, ScatteringMatrix, ModalBasis, _Leaf]
 
 
-def _assemble(spec: StructureSpec, points: Iterable[_Point]) -> None:
-    """Give the points that lack operators theirs, each point once, as one stack."""
+def _assemble(spec: StructureSpec, points: Iterable[_Point], sector: int | None = None) -> None:
+    """Give the points that lack operators theirs (the ``sector``'s block), each point once, as one stack."""
     missing = [p for p in dict.fromkeys(points) if p.ops is None]
-    for point, ops in zip(missing, operators.assemble_stack([geometry.slice_at(spec, p.z) for p in missing], spec)):
+    slices = [geometry.slice_at(spec, p.z) for p in missing]
+    for point, ops in zip(missing, operators.assemble_stack(slices, spec, sector)):
         point.ops = ops
 
 
@@ -184,13 +206,18 @@ def _split(section: _Open) -> list[_Open]:
     return children
 
 
+# What a fold returns: its S-matrix, its first and last leaf bases, its leaves and its counters.
+_Fold = tuple[ScatteringMatrix, ModalBasis, ModalBasis, list[_Leaf], dict[str, int]]
+
+
 def _refine(
     spec: StructureSpec,
     config: SolverConfig,
     cuts: Sequence[float],
     ends: tuple[_Point, _Point],
     batch: int,
-) -> tuple[ScatteringMatrix, ModalBasis, ModalBasis, list[_Leaf], dict[str, int]]:
+    sector: int | None,
+) -> _Fold:
     """Evaluate the frontier ``batch`` sections at a time and fold the leaves left to right.
 
     The open sections sit on a stack in z order, leftmost on top. Each
@@ -200,7 +227,8 @@ def _refine(
     sections it refines. With ``batch`` = 1 this is the depth-first order,
     operation by operation. After each round the running fold takes in
     every accepted section whose left point is its right edge. Returns the
-    fold, its first and last leaf bases, the leaves and the counters.
+    fold, its first and last leaf bases, the leaves and the counters. Every
+    operator pair is the ``sector``'s block (see ``operators.assemble_stack``).
     """
     counters = {"eig": 0, "solved": 0}
     edge = ends[0]
@@ -214,7 +242,7 @@ def _refine(
         taken.extend(itertools.islice(unmade, batch - len(taken)))
         if not taken:
             return smat, first, last, leaves, counters
-        stack.extend(reversed(_evaluate(spec, config, taken, accepted, counters)))
+        stack.extend(reversed(_evaluate(spec, config, taken, accepted, counters, sector)))
         while edge in accepted:
             edge, piece, basis, leaf = accepted.pop(edge)
             if smat is None:
@@ -231,6 +259,7 @@ def _evaluate(
     taken: list[_Open],
     accepted: dict[_Point, _Accepted],
     counters: dict[str, int],
+    sector: int | None,
 ) -> list[_Open]:
     """One round: evaluate the sections ``taken`` (in z order) and return the children to push.
 
@@ -244,7 +273,7 @@ def _evaluate(
     """
     estimate = config.order == 1 or config.alpha < math.inf
     fresh = [s.middle for s in taken if s.middle.basis is None]
-    _assemble(spec, [p for s in taken for p in (s.middle, s.right)] if estimate else fresh)
+    _assemble(spec, [p for s in taken for p in (s.middle, s.right)] if estimate else fresh, sector)
     counters["eig"] += _decompose(fresh)
     counters["solved"] += len(taken)
 
@@ -270,27 +299,75 @@ def _evaluate(
     return children
 
 
-def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> SolveReport:
-    """Cut the structure at ``cuts`` (z_min first, z_max last) and refine each root section down to alpha.
+def _fold(
+    spec: StructureSpec, config: SolverConfig, cuts: Sequence[float], ends: tuple[_Point, _Point], sector: int | None
+) -> _Fold:
+    """``_refine`` in batches sized for the ``sector``'s modes; after any error, rerun one section at a time.
 
-    The end points are assembled first, a section's other points when it is
-    evaluated (only its middle point when nothing reads the estimate). A
-    batch evaluates sections out of depth-first order, so after any error
-    the solve is rerun one section at a time from fresh inner points, which
-    raises the error the depth-first order meets first. The end points are
-    then decomposed as one stack for the ports.
+    A batch evaluates sections out of depth-first order; the rerun starts
+    from fresh inner points and raises the error that order meets first.
     """
-    started = time.perf_counter()
-    batch = max(1, _BATCH_ENTRIES // spec.n_harmonics**2)
-    ends = (_Point(cuts[0]), _Point(cuts[-1]))
-    _assemble(spec, ends)
+    modes = spec.n_harmonics if sector is None else spec.truncation_order + 1 - sector
+    batch = max(1, _BATCH_ENTRIES // modes**2)
     try:
-        folded = _refine(spec, config, cuts, ends, batch)
+        return _refine(spec, config, cuts, ends, batch, sector)
     except Exception:
         if batch == 1:
             raise
         # One section at a time is the depth-first order: the rerun raises the error it meets first.
-        folded = _refine(spec, config, cuts, ends, 1)
+        return _refine(spec, config, cuts, ends, 1, sector)
+
+
+def _common_refinement(even: list[_Leaf], odd: list[_Leaf]) -> list[_Leaf]:
+    """The pieces between the edges of two tilings, each with the larger estimate of the two leaves covering it."""
+    edges = sorted({z for leaf in even + odd for z in leaf[:2]})
+    pieces: list[_Leaf] = []
+    i = j = 0
+    for z_l, z_r in zip(edges, edges[1:]):
+        while even[i][1] <= z_l:
+            i += 1
+        while odd[j][1] <= z_l:
+            j += 1
+        pieces.append((z_l, z_r, max(even[i][2], odd[j][2])))
+    return pieces
+
+
+def _sector_fold(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> _Fold:
+    """The fold of a spec with a ``mirror_x_um``, made of one fold per parity sector.
+
+    Each sector is refined alone, from end points of its own, with its own
+    tree, even sector first. The sectors never couple, so the direct sum of
+    their folds through ``operators.parity_basis`` is the structure's fold:
+    a block-diagonal S-matrix between embedded end bases. Its leaves are
+    the common refinement of the two tilings, and its counters sum both.
+    """
+    folds = []
+    for sector in (0, 1):
+        ends = (_Point(cuts[0]), _Point(cuts[-1]))
+        _assemble(spec, ends, sector)
+        folds.append(_fold(spec, config, cuts, ends, sector))
+    (*even, even_leaves, even_counters), (*odd, odd_leaves, odd_counters) = folds
+    smat, first, last = cascade.direct_sum(operators.parity_basis(spec), [even, odd])
+    counters = {key: even_counters[key] + odd_counters[key] for key in even_counters}
+    return smat, first, last, _common_refinement(even_leaves, odd_leaves), counters
+
+
+def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> SolveReport:
+    """Cut the structure at ``cuts`` (z_min first, z_max last) and refine each root section down to alpha.
+
+    The end points are assembled first, a section's other points when it is
+    evaluated (only its middle point when nothing reads the estimate). From
+    ``_SPLIT_HARMONICS`` modes up, a spec with a ``mirror_x_um`` is folded
+    per parity sector (``_sector_fold``), every other spec in one fold. The
+    end points are then decomposed at full size as one stack for the ports.
+    """
+    started = time.perf_counter()
+    ends = (_Point(cuts[0]), _Point(cuts[-1]))
+    _assemble(spec, ends)
+    if spec.n_harmonics >= _SPLIT_HARMONICS and spec.mirror_x_um is not None:
+        folded = _sector_fold(spec, config, cuts)
+    else:
+        folded = _fold(spec, config, cuts, ends, None)
     smat, first, last, leaves, counters = folded
     _decompose(ends)
     left, right = ends
@@ -312,6 +389,9 @@ def solve_uniform(spec: StructureSpec, n_sections: int, order: int = 0) -> Solve
     the result is expressed in the end-point port bases. At order 1 every
     boundary point is assembled once and shared by its two sections; at
     order 0 only the reference points and the two end points are assembled.
+    A solve split into parity sectors (see the module docstring) does all
+    this once per sector, at the sector's size, so each section counts
+    twice in ``sections_solved`` and ``total_eig_count``.
     """
     if n_sections < 1:
         raise ValueError(f"n_sections must be >= 1, got {n_sections}")
@@ -331,6 +411,13 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
     selects which scattering matrix a leaf contributes. Raises
     MaxDepthExceededError when a section still reaches alpha at depth 20,
     which signals a structure too singular for the requested alpha.
+
+    From 25 modes up, a mirror-symmetric structure (``spec.mirror_x_um``
+    not None) is refined per parity sector: each half-size sector has its
+    own tree, the report's ``sections`` is the common refinement of the
+    two trees, with the larger estimate on each piece, and the counters sum
+    both sectors. The result is still expressed in the full-size port
+    bases of ``port_bases``.
 
     Caveat: each section inspects the cross-section only at its two ends
     and midpoint. A modulation that vanishes at all of those (e.g. a

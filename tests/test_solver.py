@@ -415,18 +415,23 @@ def test_batching_is_invisible(monkeypatch, doc, polarization, loss, truncation)
 @pytest.mark.parametrize("truncation, n_sections", [(3, 100), (10, 20), (25, 3)], ids=["n7", "n21", "n51"])
 def test_batch_sizes(monkeypatch, truncation, n_sections):
     """An order-0 uniform solve decomposes its references in full batches of B = max(1, _BATCH_ENTRIES // n^2),
-    then the two ports as one stack; B is above 1 at n = 21."""
+    then the two ports as one stack; B is above 1 at n = 21. At n = 51 the mirror-symmetric taper solves per
+    parity sector: each sector's references in one stack of its own size (B = 6 at 26 and at 25 modes), then
+    the two full-size ports."""
     spec = parse_structure(TAPER_DOC.replace("truncation_order: 3", f"truncation_order: {truncation}"))
-    sizes = []
+    stacks = []
     eigen_basis_stack = modal.eigen_basis_stack
 
     def recording(stack):
-        sizes.append(len(stack))
+        stacks.append(stack)
         return eigen_basis_stack(stack)
 
     monkeypatch.setattr(modal, "eigen_basis_stack", recording)
     solve_uniform(spec, n_sections)
-    *frontier, ports = sizes
+    if truncation == 25:
+        assert [(len(stack), stack[0].n) for stack in stacks] == [(3, 26), (3, 25), (2, 51)]
+        return
+    *frontier, ports = [len(stack) for stack in stacks]
     batch = max(1, solver._BATCH_ENTRIES // spec.n_harmonics**2)
     assert max(frontier) == min(n_sections, batch)
     assert frontier == [batch] * (n_sections // batch) + [n_sections % batch] * (n_sections % batch > 0)
