@@ -24,10 +24,11 @@ a fixed partition that is never refined.
 The engine works on a frontier: a stack of the open sections in z order,
 leftmost on top. Each round takes the B leftmost of them as one batch, B =
 max(1, 4096 // n^2) for n modes (83 at n = 7, 9 at n = 21, 1 from n = 47
-up): their points that lack operators are assembled as one stack, their
-fresh reference points are decomposed as one stack (one Hermitian
-eigensolver call per route, and one ``geev`` call for the lossy ones) and
-their first-order matrices are evaluated as one stack.
+up; n is the even sector's size on a split solve): their points that lack
+operators are assembled as one stack, their fresh reference points are
+decomposed as one stack (one Hermitian eigensolver call per route, and one
+``geev`` call for the lossy ones) and their first-order matrices are
+evaluated as one stack, each once per sector.
 Then, in z order, each section is accepted or refined, and the children of
 a refined section go back on top. A batch shares each kernel call's fixed
 cost, most of a section's cost at n = 7 and much of it at n = 21. Root
@@ -50,13 +51,17 @@ cached). The port eigendecompositions are not charged to
 Mirror-parity sectors: from ``_SPLIT_HARMONICS`` modes up, a spec with a
 ``mirror_x_um`` (every region has one constant center and none is clipped
 at the period's edge) has operators that split into an even and an odd
-block, which never couple. The engine then runs once per sector, on
-operators assembled at the sector's size, each sector with its own end
-points, tree, batch size and rerun. The two folds are embedded
-block-diagonally through ``operators.parity_basis`` and joined to the
+block, which never couple. Each point then carries the operators and the
+basis of both sectors, even first, assembled from one slice at each
+sector's size, and a section is accepted when the larger of its two
+estimates is below alpha. The unsplit first-order terms are
+block-diagonal in the parity basis, so that is the unsplit test, and the
+one tree, frontier and rerun are the unsplit ones up to rounding. The fold
+keeps one running S-matrix per sector; the two are embedded
+block-diagonally through ``operators.parity_basis`` once and joined to the
 full-size port bases as above, so ports, basis ids and the mode order are
 those of an unsplit solve. Every other spec, and every spec below
-``_SPLIT_HARMONICS`` modes, runs as one fold.
+``_SPLIT_HARMONICS`` modes, has one full-size sector.
 """
 from __future__ import annotations
 
@@ -106,10 +111,11 @@ class SolveReport:
     tiling [z_min, z_max] exactly in order. ``sections_solved`` counts
     every section evaluation including interior nodes that were later
     subdivided; ``total_eig_count`` counts eigendecompositions actually
-    performed (reused bases count once). On a solve split into parity
-    sectors (see the module docstring), ``sections`` is the common
-    refinement of the two sectors' leaves, each piece with the larger of
-    the two estimates that cover it, and both counters sum the sectors.
+    performed (reused bases count once). A solve split into parity
+    sectors (see the module docstring) grows one tree, the unsplit one up
+    to rounding: ``sections`` is that tree's leaves, each with the larger
+    of its two sector estimates, ``sections_solved`` counts each section
+    once and ``total_eig_count`` counts the decompositions of both sectors.
     """
 
     smat: ScatteringMatrix
@@ -140,13 +146,15 @@ _Leaf = tuple[float, float, float]
 class _Point:
     """A Simpson sample whose operators and basis are each filled in at most once.
 
-    ``ops`` stays None until something reads them (only a reference's when
-    nothing reads the estimate) and ``basis`` until the point is a reference.
+    Each holds one entry per sector of the solve, in the order of its
+    ``sectors``. ``ops`` stays None until something reads them (only a
+    reference's when nothing reads the estimate) and ``basis`` until the
+    point is a reference.
     """
 
     z: float
-    ops: OperatorPair | None = None
-    basis: ModalBasis | None = None
+    ops: tuple[OperatorPair, ...] | None = None
+    basis: tuple[ModalBasis, ...] | None = None
 
 
 @dataclass(eq=False, slots=True)
@@ -160,32 +168,34 @@ class _Open:
 
 
 # An accepted section, keyed by its left point until the fold reaches it:
-# (right point, scattering matrix, reference basis, leaf).
-_Accepted = tuple[_Point, ScatteringMatrix, ModalBasis, _Leaf]
+# (right point, scattering matrix per sector, reference basis per sector, leaf).
+_Accepted = tuple[_Point, list[ScatteringMatrix], tuple[ModalBasis, ...], _Leaf]
 
 
-def _assemble(spec: StructureSpec, points: Iterable[_Point], sector: int | None = None) -> None:
-    """Give the points that lack operators theirs (the ``sector``'s block), each point once, as one stack."""
+def _assemble(spec: StructureSpec, points: Iterable[_Point], sectors: Sequence[int | None]) -> None:
+    """Give the points that lack operators theirs, each point once: one slice each, one stack per sector."""
     missing = [p for p in dict.fromkeys(points) if p.ops is None]
     slices = [geometry.slice_at(spec, p.z) for p in missing]
-    for point, ops in zip(missing, operators.assemble_stack(slices, spec, sector)):
+    stacks = [operators.assemble_stack(slices, spec, sector) for sector in sectors]
+    for point, ops in zip(missing, zip(*stacks)):
         point.ops = ops
 
 
 def _decompose(points: Sequence[_Point]) -> int:
-    """Give the points that lack a basis theirs, as one stack; returns how many were decomposed."""
+    """Give the points that lack a basis theirs, as one stack per sector; returns how many bases were built."""
     missing = [p for p in points if p.basis is None]
-    for point, basis in zip(missing, modal.eigen_basis_stack([p.ops for p in missing])):
-        point.basis = basis
-    return len(missing)
+    stacks = [modal.eigen_basis_stack(ops) for ops in zip(*(p.ops for p in missing))]
+    for point, bases in zip(missing, zip(*stacks)):
+        point.basis = bases
+    return len(missing) * len(stacks)
 
 
 def port_bases(spec: StructureSpec) -> tuple[ModalBasis, ModalBasis]:
     """End cross-section bases that solve results are expressed in (not cached)."""
     ends = (_Point(spec.z_min), _Point(spec.z_max))
-    _assemble(spec, ends)
+    _assemble(spec, ends, (None,))
     _decompose(ends)
-    return ends[0].basis, ends[1].basis
+    return ends[0].basis[0], ends[1].basis[0]
 
 
 def _sections(points: Iterator[_Point], depth: int) -> Iterator[_Open]:
@@ -206,8 +216,8 @@ def _split(section: _Open) -> list[_Open]:
     return children
 
 
-# What a fold returns: its S-matrix, its first and last leaf bases, its leaves and its counters.
-_Fold = tuple[ScatteringMatrix, ModalBasis, ModalBasis, list[_Leaf], dict[str, int]]
+# What a fold returns: per sector its S-matrix and its first and last leaf bases, then its leaves and its counters.
+_Fold = tuple[Sequence[ScatteringMatrix], Sequence[ModalBasis], Sequence[ModalBasis], list[_Leaf], dict[str, int]]
 
 
 def _refine(
@@ -215,8 +225,8 @@ def _refine(
     config: SolverConfig,
     cuts: Sequence[float],
     ends: tuple[_Point, _Point],
+    sectors: Sequence[int | None],
     batch: int,
-    sector: int | None,
 ) -> _Fold:
     """Evaluate the frontier ``batch`` sections at a time and fold the leaves left to right.
 
@@ -225,69 +235,75 @@ def _refine(
     sections between the ``cuts``, which run from end point to end point
     and are made only when needed, and pushes back the children of the
     sections it refines. With ``batch`` = 1 this is the depth-first order,
-    operation by operation. After each round the running fold takes in
-    every accepted section whose left point is its right edge. Returns the
-    fold, its first and last leaf bases, the leaves and the counters. Every
-    operator pair is the ``sector``'s block (see ``operators.assemble_stack``).
+    operation by operation. After each round the running fold of each
+    sector takes in every accepted section whose left point is its right
+    edge. Returns the folds, their first and last leaf bases, the leaves
+    and the counters.
     """
     counters = {"eig": 0, "solved": 0}
     edge = ends[0]
     unmade = _sections(itertools.chain(ends[:1], map(_Point, cuts[1:-1]), ends[1:]), 0)
     stack: list[_Open] = []
     accepted: dict[_Point, _Accepted] = {}
-    smat = first = last = None
+    smats = firsts = lasts = None
     leaves: list[_Leaf] = []
     while True:
         taken = [stack.pop() for _ in range(min(batch, len(stack)))]
         taken.extend(itertools.islice(unmade, batch - len(taken)))
         if not taken:
-            return smat, first, last, leaves, counters
-        stack.extend(reversed(_evaluate(spec, config, taken, accepted, counters, sector)))
+            return smats, firsts, lasts, leaves, counters
+        stack.extend(reversed(_evaluate(spec, config, sectors, taken, accepted, counters)))
         while edge in accepted:
-            edge, piece, basis, leaf = accepted.pop(edge)
-            if smat is None:
-                smat, first = piece, basis
+            edge, pieces, bases, leaf = accepted.pop(edge)
+            if smats is None:
+                smats, firsts = pieces, bases
             else:
-                smat = cascade.join(smat, last, piece, basis)
-            last = basis
+                smats = [cascade.join(*operands) for operands in zip(smats, lasts, pieces, bases)]
+            lasts = bases
             leaves.append(leaf)
 
 
 def _evaluate(
     spec: StructureSpec,
     config: SolverConfig,
+    sectors: Sequence[int | None],
     taken: list[_Open],
     accepted: dict[_Point, _Accepted],
     counters: dict[str, int],
-    sector: int | None,
 ) -> list[_Open]:
     """One round: evaluate the sections ``taken`` (in z order) and return the children to push.
 
-    Their middle and right points that lack operators are assembled as one
-    stack (only the fresh middle points when nothing reads the estimate),
-    the fresh middle points are decomposed as one stack and the sections
-    are solved at first order as one stack, or not at all when nothing
-    reads the estimate, which then counts as 0.0. Then, in z order, each
-    section is either recorded in ``accepted`` under its left point or
-    split.
+    Their middle and right points that lack operators are assembled (only
+    the fresh middle points when nothing reads the estimate), the fresh
+    middle points are decomposed and the sections are solved at first
+    order, or not at all when nothing reads the estimate, which then
+    counts as 0.0; each step is one stack per sector. Then, in z order,
+    each section is either recorded in ``accepted`` under its left point or
+    split. A section's estimate is the larger of its sectors' estimates.
     """
     estimate = config.order == 1 or config.alpha < math.inf
     fresh = [s.middle for s in taken if s.middle.basis is None]
-    _assemble(spec, [p for s in taken for p in (s.middle, s.right)] if estimate else fresh, sector)
+    _assemble(spec, [p for s in taken for p in (s.middle, s.right)] if estimate else fresh, sectors)
     counters["eig"] += _decompose(fresh)
     counters["solved"] += len(taken)
 
     results = [None] * len(taken)
     if estimate:
-        stack = [(s.left.z, s.right.z, s.middle.basis, s.middle.ops, (s.left.ops, s.right.ops)) for s in taken]
-        results = sections.first_order_stack(stack)
+        per_sector = [
+            [(s.left.z, s.right.z, s.middle.basis[k], s.middle.ops[k], (s.left.ops[k], s.right.ops[k])) for s in taken]
+            for k in range(len(sectors))
+        ]
+        results = zip(*map(sections.first_order_stack, per_sector))
     children: list[_Open] = []
     for s, result in zip(taken, results):
-        z_l, z_r, basis = s.left.z, s.right.z, s.middle.basis
-        est_error = 0.0 if result is None else result.est_error
+        z_l, z_r, bases = s.left.z, s.right.z, s.middle.basis
+        est_error = 0.0 if result is None else max([r.est_error for r in result])
         if est_error < config.alpha:
-            smat = sections.zeroth_order_smatrix(basis, z_l, z_r) if config.order == 0 else result.smat
-            accepted[s.left] = (s.right, smat, basis, (z_l, z_r, est_error))
+            if config.order == 0:
+                smats = [sections.zeroth_order_smatrix(basis, z_l, z_r) for basis in bases]
+            else:
+                smats = [r.smat for r in result]
+            accepted[s.left] = (s.right, smats, bases, (z_l, z_r, est_error))
         elif s.depth >= _MAX_DEPTH:
             raise MaxDepthExceededError(
                 f"section [{z_l:g}, {z_r:g}] still has estimated error "
@@ -300,80 +316,56 @@ def _evaluate(
 
 
 def _fold(
-    spec: StructureSpec, config: SolverConfig, cuts: Sequence[float], ends: tuple[_Point, _Point], sector: int | None
+    spec: StructureSpec,
+    config: SolverConfig,
+    cuts: Sequence[float],
+    ends: tuple[_Point, _Point],
+    sectors: Sequence[int | None],
 ) -> _Fold:
-    """``_refine`` in batches sized for the ``sector``'s modes; after any error, rerun one section at a time.
+    """``_refine`` in batches sized for the first sector's modes; after any error, rerun one section at a time.
 
     A batch evaluates sections out of depth-first order; the rerun starts
     from fresh inner points and raises the error that order meets first.
     """
-    modes = spec.n_harmonics if sector is None else spec.truncation_order + 1 - sector
-    batch = max(1, _BATCH_ENTRIES // modes**2)
+    batch = max(1, _BATCH_ENTRIES // ends[0].ops[0].n ** 2)
     try:
-        return _refine(spec, config, cuts, ends, batch, sector)
+        return _refine(spec, config, cuts, ends, sectors, batch)
     except Exception:
         if batch == 1:
             raise
         # One section at a time is the depth-first order: the rerun raises the error it meets first.
-        return _refine(spec, config, cuts, ends, 1, sector)
-
-
-def _common_refinement(even: list[_Leaf], odd: list[_Leaf]) -> list[_Leaf]:
-    """The pieces between the edges of two tilings, each with the larger estimate of the two leaves covering it."""
-    edges = sorted({z for leaf in even + odd for z in leaf[:2]})
-    pieces: list[_Leaf] = []
-    i = j = 0
-    for z_l, z_r in zip(edges, edges[1:]):
-        while even[i][1] <= z_l:
-            i += 1
-        while odd[j][1] <= z_l:
-            j += 1
-        pieces.append((z_l, z_r, max(even[i][2], odd[j][2])))
-    return pieces
-
-
-def _sector_fold(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> _Fold:
-    """The fold of a spec with a ``mirror_x_um``, made of one fold per parity sector.
-
-    Each sector is refined alone, from end points of its own, with its own
-    tree, even sector first. The sectors never couple, so the direct sum of
-    their folds through ``operators.parity_basis`` is the structure's fold:
-    a block-diagonal S-matrix between embedded end bases. Its leaves are
-    the common refinement of the two tilings, and its counters sum both.
-    """
-    folds = []
-    for sector in (0, 1):
-        ends = (_Point(cuts[0]), _Point(cuts[-1]))
-        _assemble(spec, ends, sector)
-        folds.append(_fold(spec, config, cuts, ends, sector))
-    (*even, even_leaves, even_counters), (*odd, odd_leaves, odd_counters) = folds
-    smat, first, last = cascade.direct_sum(operators.parity_basis(spec), [even, odd])
-    counters = {key: even_counters[key] + odd_counters[key] for key in even_counters}
-    return smat, first, last, _common_refinement(even_leaves, odd_leaves), counters
+        return _refine(spec, config, cuts, ends, sectors, 1)
 
 
 def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> SolveReport:
     """Cut the structure at ``cuts`` (z_min first, z_max last) and refine each root section down to alpha.
 
-    The end points are assembled first, a section's other points when it is
-    evaluated (only its middle point when nothing reads the estimate). From
-    ``_SPLIT_HARMONICS`` modes up, a spec with a ``mirror_x_um`` is folded
-    per parity sector (``_sector_fold``), every other spec in one fold. The
-    end points are then decomposed at full size as one stack for the ports.
+    The full-size end points are assembled first, for the ports. From
+    ``_SPLIT_HARMONICS`` modes up, a spec with a ``mirror_x_um`` is solved
+    in its two parity sectors, even first, from end points of their own;
+    every other spec in one full-size sector, from the port points. A
+    section's other points are assembled when it is evaluated (only its
+    middle point when nothing reads the estimate). The sectors' folds are
+    embedded through ``operators.parity_basis`` and the port points are
+    decomposed at full size as one stack.
     """
     started = time.perf_counter()
-    ends = (_Point(cuts[0]), _Point(cuts[-1]))
-    _assemble(spec, ends)
-    if spec.n_harmonics >= _SPLIT_HARMONICS and spec.mirror_x_um is not None:
-        folded = _sector_fold(spec, config, cuts)
+    ports = (_Point(cuts[0]), _Point(cuts[-1]))
+    _assemble(spec, ports, (None,))
+    split = spec.n_harmonics >= _SPLIT_HARMONICS and spec.mirror_x_um is not None
+    sectors = (0, 1) if split else (None,)
+    ends = (_Point(cuts[0]), _Point(cuts[-1])) if split else ports
+    _assemble(spec, ends, sectors)
+    smats, firsts, lasts, leaves, counters = _fold(spec, config, cuts, ends, sectors)
+    if split:
+        smat, first, last = cascade.direct_sum(operators.parity_basis(spec), list(zip(smats, firsts, lasts)))
     else:
-        folded = _fold(spec, config, cuts, ends, None)
-    smat, first, last, leaves, counters = folded
-    _decompose(ends)
-    left, right = ends
-    smat = cascade.join(sections.identity_smatrix(left.basis.n, left.basis.basis_id), left.basis, smat, first)
+        (smat,), (first,), (last,) = smats, firsts, lasts
+    _decompose(ports)
+    left, right = (port.basis[0] for port in ports)
+    smat = cascade.join(sections.identity_smatrix(left.n, left.basis_id), left, smat, first)
     return SolveReport(
-        smat=cascade.join(smat, last, sections.identity_smatrix(right.basis.n, right.basis.basis_id), right.basis),
+        smat=cascade.join(smat, last, sections.identity_smatrix(right.n, right.basis_id), right),
         sections=tuple(leaves),
         total_eig_count=counters["eig"],
         total_wall_time=time.perf_counter() - started,
@@ -389,9 +381,10 @@ def solve_uniform(spec: StructureSpec, n_sections: int, order: int = 0) -> Solve
     the result is expressed in the end-point port bases. At order 1 every
     boundary point is assembled once and shared by its two sections; at
     order 0 only the reference points and the two end points are assembled.
-    A solve split into parity sectors (see the module docstring) does all
-    this once per sector, at the sector's size, so each section counts
-    twice in ``sections_solved`` and ``total_eig_count``.
+    A solve split into parity sectors (see the module docstring) does the
+    operator and basis work once per sector, at the sector's size, on the
+    same N sections: each section counts once in ``sections_solved`` and
+    twice in ``total_eig_count``.
     """
     if n_sections < 1:
         raise ValueError(f"n_sections must be >= 1, got {n_sections}")
@@ -413,11 +406,12 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
     which signals a structure too singular for the requested alpha.
 
     From 25 modes up, a mirror-symmetric structure (``spec.mirror_x_um``
-    not None) is refined per parity sector: each half-size sector has its
-    own tree, the report's ``sections`` is the common refinement of the
-    two trees, with the larger estimate on each piece, and the counters sum
-    both sectors. The result is still expressed in the full-size port
-    bases of ``port_bases``.
+    not None) is solved as two half-size parity sectors that grow one tree,
+    the unsplit one up to rounding, accepting a section when both sector
+    estimates are below alpha. The report's ``sections`` is that tree,
+    ``sections_solved`` counts each section once and ``total_eig_count``
+    counts both sectors' decompositions. The result is still expressed in
+    the full-size port bases of ``port_bases``.
 
     Caveat: each section inspects the cross-section only at its two ends
     and midpoint. A modulation that vanishes at all of those (e.g. a

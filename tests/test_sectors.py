@@ -67,7 +67,7 @@ def test_sector_operators_are_the_parity_projection(polarization, loss, center, 
 
 
 def unsplit(monkeypatch, solve):
-    """``solve()`` with the split disabled: every spec takes the one-fold path."""
+    """``solve()`` with the split disabled: every spec takes the one-sector, full-size path."""
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_SPLIT_HARMONICS", np.inf)
         return solve()
@@ -78,10 +78,6 @@ def split(monkeypatch, solve):
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_SPLIT_HARMONICS", 7)
         return solve()
-
-
-def edges(report):
-    return {z for leaf in report.sections for z in leaf[:2]}
 
 
 def deviation(a, b):
@@ -109,7 +105,7 @@ def test_split_uniform_solve_equals_unsplit(monkeypatch, name, polarization, doc
         expected.smat.right_basis_id,
     )
     assert [leaf[:2] for leaf in report.sections] == [leaf[:2] for leaf in expected.sections]
-    assert (report.sections_solved, report.total_eig_count) == (2 * expected.sections_solved, 2 * expected.total_eig_count)
+    assert (report.sections_solved, report.total_eig_count) == (expected.sections_solved, 2 * expected.total_eig_count)
 
 
 @pytest.mark.parametrize("polarization", ["TE", "TM"])
@@ -121,23 +117,37 @@ def test_split_n51_uniform_solve_equals_unsplit(monkeypatch, polarization):
     assert deviation(report, expected) <= 1e-10
     assert report.smat.left_basis_id == expected.smat.left_basis_id
     assert report.smat.right_basis_id == expected.smat.right_basis_id
-    assert report.sections_solved == 2 * expected.sections_solved == 32
+    assert report.sections_solved == expected.sections_solved == 16
+
+
+def assert_same_tree(report, expected):
+    """One tree: the same leaves and section count, estimates within 1e-12 and raw S-matrix entries within 1e-12."""
+    assert [leaf[:2] for leaf in report.sections] == [leaf[:2] for leaf in expected.sections]
+    assert report.sections_solved == expected.sections_solved
+    assert max(abs(a[2] - b[2]) for a, b in zip(report.sections, expected.sections)) <= 1e-12
+    assert deviation(report, expected) <= 1e-12
 
 
 @pytest.mark.parametrize("doc", [TAPER_DOC, SINUSOID_DOC], ids=["taper", "sinusoid"])
 @pytest.mark.parametrize("polarization", ["TE", "TM"])
-@pytest.mark.parametrize("alpha", [1e-2, 1e-3])
-def test_split_adaptive_solve_stays_within_alpha(monkeypatch, alpha, polarization, doc):
-    """Each sector's estimate is at most the unsplit one, so every split leaf edge is an unsplit leaf edge."""
-    spec = taper(polarization, doc=doc)
+@pytest.mark.parametrize("loss", ["0.0", "0.001"], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("alpha", [1e-2, 1e-3, 1e-4])
+def test_split_adaptive_solve_equals_unsplit(monkeypatch, alpha, loss, polarization, doc):
+    """The larger sector estimate is the unsplit estimate, so both sectors refine along the unsplit tree."""
+    spec = taper(polarization, loss=loss, doc=doc)
     expected = unsplit(monkeypatch, lambda: solve_adaptive(spec, SolverConfig(alpha=alpha)))
     report = split(monkeypatch, lambda: solve_adaptive(spec, SolverConfig(alpha=alpha)))
-    assert deviation(report, expected) <= alpha
-    assert edges(report) <= edges(expected)
-    # The report's pieces tile the span, each with an estimate below alpha.
-    assert report.sections[0][0] == spec.z_min and report.sections[-1][1] == spec.z_max
-    assert all(left[1] == right[0] for left, right in zip(report.sections, report.sections[1:]))
-    assert max(leaf[2] for leaf in report.sections) < alpha
+    assert_same_tree(report, expected)
+    assert report.total_eig_count == 2 * expected.total_eig_count
+
+
+def test_split_n51_adaptive_solve_equals_unsplit(monkeypatch):
+    """At n = 51 and the default threshold the split solve is the unsplit one too."""
+    spec = taper("TM", 25)
+    report = solve_adaptive(spec, SolverConfig(alpha=1e-2))
+    expected = unsplit(monkeypatch, lambda: solve_adaptive(spec, SolverConfig(alpha=1e-2)))
+    assert len(report.sections) == 81
+    assert_same_tree(report, expected)
 
 
 @pytest.mark.parametrize("doc", [TAPER_DOC, SINUSOID_DOC], ids=["taper", "sinusoid"])

@@ -1,6 +1,7 @@
 """Fixed-resolution and adaptive solvers."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -181,7 +182,17 @@ def test_adaptive_determinism(taper_spec):
     assert np.array_equal(r1.smat.T_RL, r2.smat.T_RL)
 
 
-def test_adaptive_max_depth(taper_spec, monkeypatch):
+def section_and_depth(error):
+    """The section [z_L, z_R] and the depth a MaxDepthExceededError names, without its estimate."""
+    return re.search(r"section (\[.*?\]) .* at depth (\d+)", str(error)).groups()
+
+
+@pytest.mark.parametrize("split_harmonics", [math.inf, 7], ids=["unsplit", "split"])
+def test_adaptive_max_depth(taper_spec, monkeypatch, split_harmonics):
+    """Both paths grow one tree, so a split solve has one rerun and fails where the unsplit one does."""
+    with pytest.raises(MaxDepthExceededError) as unsplit:
+        solve_adaptive(taper_spec, SolverConfig(alpha=0.0))
+    monkeypatch.setattr(solver, "_SPLIT_HARMONICS", split_harmonics)
     # No estimate is below alpha = 0, so the refinement reaches the depth limit.
     with pytest.raises(MaxDepthExceededError, match="at depth 20") as batched:
         solve_adaptive(taper_spec, SolverConfig(alpha=0.0))
@@ -190,6 +201,7 @@ def test_adaptive_max_depth(taper_spec, monkeypatch):
     with pytest.raises(MaxDepthExceededError) as depth_first:
         solve_adaptive(taper_spec, SolverConfig(alpha=0.0))
     assert str(batched.value) == str(depth_first.value)
+    assert section_and_depth(batched.value) == section_and_depth(unsplit.value)
 
 
 def test_adaptive_order0_uses_zeroth_order_leaves(taper_spec, taper_oracle):
