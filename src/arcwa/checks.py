@@ -76,7 +76,7 @@ def uniform_basis(
 ) -> modal.ModalBasis:
     """Modal basis of a uniform medium on the unit transverse period."""
     spec = uniform_spec(eps, 1.0, wavelength, polarization, order)
-    return modal.eigen_basis_stack(operators.assemble_stack([uniform_slice(eps)], spec))[0]
+    return modal.eigen_basis_stack(operators.assemble_stack([uniform_slice(eps)], spec)[0])[0]
 
 
 def random_passive_smatrix(rng: np.random.Generator, n: int, left_id: int, right_id: int) -> sections.ScatteringMatrix:
@@ -130,7 +130,7 @@ def slab_sandwich_smatrix(
 
 def vacuum_te_spectrum() -> tuple[bool, str]:
     """TE vacuum at order 3: P = I exactly, and PQ = diag(1 - (m wavelength / period)^2) in entries and spectrum."""
-    (ops,) = operators.assemble_stack([uniform_slice(1.0)], uniform_spec(1.0, 1.0, order=3))
+    (ops,) = operators.assemble_stack([uniform_slice(1.0)], uniform_spec(1.0, 1.0, order=3))[0]
     expected = 1.0 - (np.arange(-3, 4) * 1.55) ** 2
     pq = ops.P @ ops.Q
     spectrum = np.sort(np.linalg.eigvals(pq).real)
@@ -142,7 +142,7 @@ def vacuum_te_spectrum() -> tuple[bool, str]:
 
 def vacuum_tm_unit_index() -> tuple[bool, str]:
     """TM vacuum at order 0: P = Q = -1, so PQ = 1."""
-    (ops,) = operators.assemble_stack([uniform_slice(1.0)], uniform_spec(1.0, 1.0, polarization=Polarization.TM))
+    (ops,) = operators.assemble_stack([uniform_slice(1.0)], uniform_spec(1.0, 1.0, polarization=Polarization.TM))[0]
     err = max(abs(ops.P[0, 0] + 1.0), abs(ops.Q[0, 0] + 1.0), abs((ops.P @ ops.Q)[0, 0] - 1.0))
     return err <= 1e-14, f"max of |P + 1|, |Q + 1|, |PQ - 1| = {err:.2e}, bound 1e-14"
 
@@ -229,7 +229,7 @@ def constant_section_order_equivalence() -> tuple[bool, str]:
     worst = 0.0
     for spec in specs:
         ends = (spec.z_min, spec.z_max)
-        ops, *end_ops = operators.assemble_stack([slice_at(spec, z) for z in (0.5 * sum(ends), *ends)], spec)
+        ops, *end_ops = operators.assemble_stack([slice_at(spec, z) for z in (0.5 * sum(ends), *ends)], spec)[0]
         (basis,) = modal.eigen_basis_stack([ops])
         (first,) = sections.first_order_stack([(*ends, basis, ops, tuple(end_ops))])
         zeroth = sections.zeroth_order_smatrix(basis, *ends)

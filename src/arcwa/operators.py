@@ -17,8 +17,9 @@ Concrete fillings, normal incidence, nonmagnetic media:
 where E = Toeplitz(eps coefficients), K = diag(m * wavelength / period).
 The coefficients are exact for the piecewise-constant slice; eps and 1/eps
 share one table of interval phases, computed with a single exp for a whole
-stack of slices. Both the coefficients and the wavevectors K are taken on
-the spec's transverse period.
+stack of slices, and every parity sector of a mirror-symmetric stack takes
+its blocks from the same coefficients. Both the coefficients and the
+wavevectors K are taken on the spec's transverse period.
 The TM sign fold makes vacuum satisfy P*Q = I, matching TE; the inverse
 rule for Q keeps TM convergence correct across material steps. Both
 fillings are pinned by the vacuum spectrum check and the analytic slab
@@ -156,33 +157,34 @@ def parity_basis(spec: StructureSpec) -> np.ndarray:
 
 
 def assemble_stack(
-    slices: Sequence[PermittivitySlice], spec: StructureSpec, sector: int | None = None
-) -> list[OperatorPair]:
-    """The dense P, Q pairs of slices of one spec, for its polarization, computed as stacks.
+    slices: Sequence[PermittivitySlice], spec: StructureSpec, sectors: Sequence[int | None] = (None,)
+) -> list[list[OperatorPair]]:
+    """The dense P, Q pairs of slices of one spec, for its polarization: one list per entry of ``sectors``.
 
     Pure function. Each pair equals the one assembled in a stack of one,
-    bit for bit. Every slice is padded to the stack's largest interval
-    count with empty intervals (period, period, 1.0): their phase
-    differences and widths are exact zeros, and they come after the
-    slice's own intervals in each coefficient sum. Each pair owns its
-    matrices, so it keeps no other pair's alive, except that every TE pair
-    holds the same read-only identity as P. The 1/eps coefficients are
-    computed only for TM, the one filling that uses them. Its two Toeplitz
-    stacks are inverted by one ``guarded_inverses`` call each,
-    Toeplitz(eps) first, so the first slice in stack order whose matrix
-    fails the guard raises SingularOperatorError (with a condition
-    estimate), which requires a pathological eps distribution.
+    and in a call for its sector alone, bit for bit. Every slice is padded
+    to the stack's largest interval count with empty intervals (period,
+    period, 1.0): their phase differences and widths are exact zeros, and
+    they come after the slice's own intervals in each coefficient sum.
+    Every sector takes its blocks from one phase table and one set of eps
+    coefficients, plus, in TM only, one of 1/eps. Each pair owns its
+    matrices, except that every TE pair's P is the same read-only identity.
 
-    ``sector`` None fills P and Q over all 2*order+1 harmonics. On a spec
-    with a ``mirror_x_um``, sector 0 (even, order+1 modes) or 1 (odd, order
-    modes) gives instead that diagonal block of T^H P T and T^H Q T, for the
-    T of ``parity_basis``, built at its own size from the coefficients
-    taken about the mirror (``_parity_block``). In TM, K maps each sector
-    onto the other, so P takes the inverse of the other sector's block of
-    Toeplitz(eps), on the harmonics m >= 1 the two share.
+    ``sectors`` (None,) fills P and Q over all 2*order+1 harmonics. On a
+    spec with a ``mirror_x_um`` it may list parity sectors instead, never
+    with None: sector 0 (even, order+1 modes) or 1 (odd, order modes) gives
+    that diagonal block of T^H P T and T^H Q T, for the T of
+    ``parity_basis``, built at its own size from the coefficients taken
+    about the mirror (``_parity_block``). In TM, K maps each sector onto
+    the other, so P takes the inverse of the other sector's block of
+    Toeplitz(eps), on the harmonics m >= 1 the two share. Sector by sector,
+    one ``guarded_inverses`` call inverts the Toeplitz(eps) stack that P
+    uses, then one the sector's Toeplitz(1/eps): the first matrix in that
+    order to fail the guard raises SingularOperatorError (with a condition
+    estimate), which requires a pathological eps distribution.
     """
     if not slices:
-        return []
+        return [[] for _ in sectors]
     order = spec.truncation_order
     period = spec.period_x_um
     width = max(len(slc.intervals) for slc in slices)
@@ -191,40 +193,39 @@ def assemble_stack(
     rows = [tuple(slc.intervals) + pad * (width - len(slc.intervals)) for slc in slices]
     intervals = np.array(rows)  # shaped (slices, intervals, 3)
     bounds = intervals[..., :2].real
-    table = _phase_table(bounds if sector is None else bounds - spec.mirror_x_um, period, order)
+    table = _phase_table(bounds if None in sectors else bounds - spec.mirror_x_um, period, order)
+    eps = _piecewise_coefficients(rows, intervals[..., 2], table, period)
+    inverse_eps = None  # TM only; formed after the first Toeplitz(eps) guard, so that guard raises first
 
-    def block(values, part: int | None) -> np.ndarray:
-        """Toeplitz(values) over every harmonic (``part`` None) or its block for sector ``part``."""
-        coeffs = _piecewise_coefficients(rows, values, table, period)
-        return _toeplitz_from(coeffs, order) if part is None else _parity_block(coeffs, order, part)
+    def block(coeffs: np.ndarray, sector: int | None) -> np.ndarray:
+        """Toeplitz(coeffs) over every harmonic (``sector`` None) or its block for ``sector``."""
+        return _toeplitz_from(coeffs, order) if sector is None else _parity_block(coeffs, order, sector)
 
-    m = np.arange(-order, order + 1, dtype=np.float64) if sector is None else np.arange(sector, order + 1.0)
-    kt = m * spec.wavelength_um / period  # transverse wavevector / k0
-    n = kt.size
+    def inverses(toeplitz: np.ndarray, what: str) -> np.ndarray:
+        return guarded_inverses(toeplitz, [refusal(SingularOperatorError, what)] * len(slices))
 
-    if spec.polarization is Polarization.TE:
-        p = [_identity(n)] * len(slices)
-        shift = np.diag(kt**2).astype(np.complex128)
-        q = [t - shift for t in block(intervals[..., 2], sector)]
-    else:
-        def inverses(toeplitz: np.ndarray, what: str) -> np.ndarray:
-            return guarded_inverses(toeplitz, [refusal(SingularOperatorError, what)] * len(slices))
-
-        eye = np.eye(n, dtype=np.complex128)
-        if sector is None:
-            e_inv = inverses(block(intervals[..., 2], None), "Toeplitz(eps)")
+    stacks = []
+    for sector in sectors:
+        m = np.arange(-order, order + 1, dtype=np.float64) if sector is None else np.arange(sector, order + 1.0)
+        kt = m * spec.wavelength_um / period  # transverse wavevector / k0
+        n = kt.size
+        if spec.polarization is Polarization.TE:
+            p = [_identity(n)] * len(slices)
+            shift = np.diag(kt**2).astype(np.complex128)
+            q = [t - shift for t in block(eps, sector)]
         else:
-            # The other sector's harmonics start at 1 - sector; m = 0, in the even sector only, has kt = 0.
-            e_inv = np.zeros((len(slices), n, n), dtype=np.complex128)
-            e_inv[:, 1 - sector :, 1 - sector :] = inverses(block(intervals[..., 2], 1 - sector), "Toeplitz(eps)")[
-                :, sector:, sector:
-            ]
-        p = [kt[:, None] * e * kt[None, :] - eye for e in e_inv]
-        inverse_values = [[1.0 / eps for _, _, eps in row] for row in rows]
-        # Each Q negates its own entry, so no pair's Q is a view of the stack.
-        q = [-e for e in inverses(block(inverse_values, sector), "Toeplitz(1/eps)")]
-
-    return [
-        OperatorPair(P=p_i, Q=q_i, z=slc.z, k0=spec.k0)
-        for slc, p_i, q_i in zip(slices, p, q)
-    ]
+            if sector is None:
+                e_inv = inverses(block(eps, None), "Toeplitz(eps)")
+            else:
+                # The other sector's harmonics start at 1 - sector; m = 0, in the even sector only, has kt = 0.
+                e_inv = np.zeros((len(slices), n, n), dtype=np.complex128)
+                shared = inverses(block(eps, 1 - sector), "Toeplitz(eps)")[:, sector:, sector:]
+                e_inv[:, 1 - sector :, 1 - sector :] = shared
+            p = [kt[:, None] * e * kt[None, :] - _identity(n) for e in e_inv]
+            if inverse_eps is None:
+                inverse_values = [[1.0 / value for _, _, value in row] for row in rows]
+                inverse_eps = _piecewise_coefficients(rows, inverse_values, table, period)
+            # Each Q negates its own entry, so no pair's Q is a view of the stack.
+            q = [-e for e in inverses(block(inverse_eps, sector), "Toeplitz(1/eps)")]
+        stacks.append([OperatorPair(P=p_i, Q=q_i, z=slc.z, k0=spec.k0) for slc, p_i, q_i in zip(slices, p, q)])
+    return stacks

@@ -24,11 +24,11 @@ a fixed partition that is never refined.
 The engine works on a frontier: a stack of the open sections in z order,
 leftmost on top. Each round takes the B leftmost of them as one batch, B =
 max(1, 4096 // n^2) for n modes (83 at n = 7, 9 at n = 21, 1 from n = 47
-up; n is the even sector's size on a split solve): their points that lack
-operators are assembled as one stack, their fresh reference points are
-decomposed as one stack (one Hermitian eigensolver call per route, and one
-``geev`` call for the lossy ones) and their first-order matrices are
-evaluated as one stack, each once per sector.
+up; on a split solve n is the even sector's size, so B = 6 at n = 51):
+their points that lack operators are assembled as one stack for every
+sector, and per sector their fresh reference points are decomposed as one
+stack (one Hermitian eigensolver call per route, and one ``geev`` call for
+the lossy ones) and their first-order matrices are evaluated as one stack.
 Then, in z order, each section is accepted or refined, and the children of
 a refined section go back on top. A batch shares each kernel call's fixed
 cost, most of a section's cost at n = 7 and much of it at n = 21. Root
@@ -52,16 +52,16 @@ Mirror-parity sectors: from ``_SPLIT_HARMONICS`` modes up, a spec with a
 ``mirror_x_um`` (every region has one constant center and none is clipped
 at the period's edge) has operators that split into an even and an odd
 block, which never couple. Each point then carries the operators and the
-basis of both sectors, even first, assembled from one slice at each
-sector's size, and a section is accepted when the larger of its two
-estimates is below alpha. The unsplit first-order terms are
-block-diagonal in the parity basis, so that is the unsplit test, and the
-one tree, frontier and rerun are the unsplit ones up to rounding. The fold
-keeps one running S-matrix per sector; the two are embedded
-block-diagonally through ``operators.parity_basis`` once and joined to the
-full-size port bases as above, so ports, basis ids and the mode order are
-those of an unsplit solve. Every other spec, and every spec below
-``_SPLIT_HARMONICS`` modes, has one full-size sector.
+basis of both sectors, even first; one ``assemble_stack`` call builds both
+sectors' operators from one slice and one Fourier table. A section is
+accepted when the larger of its two estimates is below alpha. The unsplit
+first-order terms are block-diagonal in the parity basis, so that is the
+unsplit test, and the one tree, frontier and rerun are the unsplit ones up
+to rounding. The fold keeps one running S-matrix per sector; the two are
+embedded block-diagonally through ``operators.parity_basis`` once and
+joined to the full-size port bases as above, so ports, basis ids and the
+mode order are those of an unsplit solve. Every other spec, and every spec
+below ``_SPLIT_HARMONICS`` modes, has one full-size sector.
 """
 from __future__ import annotations
 
@@ -87,8 +87,8 @@ _MAX_DEPTH = 20
 class SolverConfig:
     """Solver knobs.
 
-    ``alpha`` is the per-section error bound the estimate is compared
-    against; alpha = inf never refines. At order 0 with alpha = inf
+    ``alpha`` > 0 is the per-section error bound that a section's estimate
+    must be below; alpha = inf never refines. At order 0 with alpha = inf
     nothing reads the estimate, so it is not computed and every section
     reports ``est_error`` 0.0.
     """
@@ -97,8 +97,8 @@ class SolverConfig:
     order: int = 1
 
     def __post_init__(self) -> None:
-        if not self.alpha >= 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
+        if not self.alpha > 0.0:
+            raise ValueError(f"alpha must be > 0, got {self.alpha!r}")
         if self.order not in (0, 1):
             raise ValueError(f"order must be 0 or 1, got {self.order!r}")
 
@@ -126,9 +126,9 @@ class SolveReport:
 
 
 # Matrix entries (sections x n^2) evaluated in one frontier batch: B =
-# max(1, _BATCH_ENTRIES // n^2), 83 at n = 7, 9 at n = 21, 1 at n = 51. On
-# 2 cores with one BLAS thread 4096 ran n = 21 solves a third faster than
-# 512; 8192 (B = 3 at n = 51) only grew n = 51 peak memory, by 4%.
+# max(1, _BATCH_ENTRIES // n^2): 83 at n = 7, 9 at n = 21, 6 per sector at
+# split n = 51. On 2 cores with one BLAS thread 4096 ran n = 21 solves a
+# third faster than 512, and split n = 51 ones 12% faster than B = 3.
 _BATCH_ENTRIES = 4096
 
 # Harmonic count from which a spec with a ``mirror_x_um`` solves as its two
@@ -173,10 +173,9 @@ _Accepted = tuple[_Point, list[ScatteringMatrix], tuple[ModalBasis, ...], _Leaf]
 
 
 def _assemble(spec: StructureSpec, points: Iterable[_Point], sectors: Sequence[int | None]) -> None:
-    """Give the points that lack operators theirs, each point once: one slice each, one stack per sector."""
+    """Give the points that lack operators theirs, each point once: one slice each, one stack for every sector."""
     missing = [p for p in dict.fromkeys(points) if p.ops is None]
-    slices = [geometry.slice_at(spec, p.z) for p in missing]
-    stacks = [operators.assemble_stack(slices, spec, sector) for sector in sectors]
+    stacks = operators.assemble_stack([geometry.slice_at(spec, p.z) for p in missing], spec, sectors)
     for point, ops in zip(missing, zip(*stacks)):
         point.ops = ops
 

@@ -30,7 +30,7 @@ def uniform_spec_on(period: float, eps: complex = 1.0, **kwargs) -> StructureSpe
 
 # Stacks of one, for the tests that assemble or decompose a single slice or pair.
 def assemble_operators(slc: PermittivitySlice, spec: StructureSpec) -> OperatorPair:
-    return assemble_stack([slc], spec)[0]
+    return assemble_stack([slc], spec)[0][0]
 
 
 def eigen_basis(ops: OperatorPair) -> ModalBasis:
@@ -127,7 +127,7 @@ def first_order_section(
     spec: StructureSpec, z_l: float, z_r: float, basis: ModalBasis, ref_ops: OperatorPair
 ) -> SectionResult:
     """Section [z_l, z_r] solved by ``first_order_stack``, with its two end samples assembled here."""
-    ends = tuple(assemble_stack([slice_at(spec, z) for z in (z_l, z_r)], spec))
+    ends = tuple(assemble_stack([slice_at(spec, z) for z in (z_l, z_r)], spec)[0])
     return first_order_stack([(z_l, z_r, basis, ref_ops, ends)])[0]
 
 

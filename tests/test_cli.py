@@ -41,9 +41,9 @@ def assembled(monkeypatch):
     sizes = []
     assemble_stack = operators_mod.assemble_stack
 
-    def recording(slices, spec):
+    def recording(slices, spec, *sectors):
         sizes.append(len(slices))
-        return assemble_stack(slices, spec)
+        return assemble_stack(slices, spec, *sectors)
 
     monkeypatch.setattr(operators_mod, "assemble_stack", recording)
     return sizes
@@ -192,7 +192,14 @@ def test_tm_zero_eps_exit2(tmp_path, capsys):
 def test_nan_alpha_exit2(taper_file, capsys):
     code = cli.main(["solve", "--structure", str(taper_file), "--alpha", "nan"])
     assert code == 2
-    assert "alpha must be >= 0, got nan" in capsys.readouterr().err
+    assert "alpha must be > 0, got nan" in capsys.readouterr().err
+
+
+def test_zero_alpha_exit2(constant_file, capsys):
+    """No estimate, not even a constant section's 0.0, is below alpha = 0: an input error, not a depth failure."""
+    code = cli.main(["solve", "--structure", str(constant_file), "--alpha", "0"])
+    assert code == 2
+    assert "alpha must be > 0, got 0.0" in capsys.readouterr().err
 
 
 def test_uniform_command(taper_file, tmp_path, capsys):
@@ -330,11 +337,13 @@ def test_validate_detects_tm_sign_flip(monkeypatch, capsys):
     """Mutation check: a TM assembly sign error must fail the slab oracle."""
     original = operators_mod.assemble_stack
 
-    def flipped(slices, spec):
-        pairs = original(slices, spec)
+    def flipped(slices, spec, *sectors):
+        stacks = original(slices, spec, *sectors)
         if spec.polarization is Polarization.TM:
-            return [operators_mod.OperatorPair(P=ops.P, Q=-ops.Q, z=ops.z, k0=ops.k0) for ops in pairs]
-        return pairs
+            stacks = [
+                [operators_mod.OperatorPair(P=ops.P, Q=-ops.Q, z=ops.z, k0=ops.k0) for ops in pairs] for pairs in stacks
+            ]
+        return stacks
 
     monkeypatch.setattr(operators_mod, "assemble_stack", flipped)
     code = cli.main(["validate"])

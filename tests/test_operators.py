@@ -298,7 +298,7 @@ def test_slices_of_different_interval_counts_share_one_stack(monkeypatch, polari
         return _phase_table(*args)
 
     monkeypatch.setattr(operators, "_phase_table", counted)
-    stacked = assemble_stack(slices, spec)
+    stacked = assemble_stack(slices, spec)[0]
     assert len(calls) == 1
     for pair, single in zip(stacked, singles):
         assert np.array_equal(pair.P, single.P)
@@ -313,7 +313,7 @@ def test_stacked_pairs_own_their_matrices(polarization):
     Views of different entries of one stack do not overlap, so the buffers that own them are compared.
     """
     spec = uniform_spec(2.25, 1.0, polarization=polarization, order=3)
-    pairs = assemble_stack([uniform_slice(eps, z=z) for z, eps in enumerate((2.25, 4.0, 12.25))], spec)
+    pairs = assemble_stack([uniform_slice(eps, z=z) for z, eps in enumerate((2.25, 4.0, 12.25))], spec)[0]
     matrices = [ops.Q for ops in pairs]
     if polarization is Polarization.TM:
         matrices += [ops.P for ops in pairs]

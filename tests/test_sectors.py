@@ -1,5 +1,7 @@
 """Mirror-parity sectors: operators, detection and split solves against the unsplit engine."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,8 @@ def test_sector_operators_are_the_parity_projection(polarization, loss, center, 
     spec = taper(polarization, truncation, loss, center)
     assert spec.mirror_x_um == float(center)
     slices = [slice_at(spec, z) for z in (0.0, 0.4, 1.0)]
-    full = operators.assemble_stack(slices, spec)
-    sectors = [operators.assemble_stack(slices, spec, sector) for sector in (0, 1)]
+    full = operators.assemble_stack(slices, spec)[0]
+    sectors = operators.assemble_stack(slices, spec, (0, 1))
     t = operators.parity_basis(spec)
     assert np.allclose(t.conj().T @ t, np.eye(spec.n_harmonics), rtol=0.0, atol=1e-15)
     split = truncation + 1
@@ -66,6 +68,27 @@ def test_sector_operators_are_the_parity_projection(polarization, loss, center, 
             assert b is not None
 
 
+# A second core, concentric with the first, whose width ramps from 0: the slice at z = 0 has fewer intervals.
+RAMP_DOC = TAPER_DOC + "  - eps: [4.0, 0.0]\n    center_x: 0.5\n    profile: {kind: linear, start: 0.0, end: 0.2}\n"
+
+
+@pytest.mark.parametrize("truncation", [3, 25], ids=["n7", "n51"])
+@pytest.mark.parametrize("loss", ["0.0", "0.001"], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+def test_sector_stacks_equal_stacks_of_one(polarization, loss, truncation):
+    """A padded two-sector stack equals its per-slice calls and its one-sector calls in every P and Q, bit for bit."""
+    spec = taper(polarization, truncation, loss, doc=RAMP_DOC)
+    assert spec.mirror_x_um == 0.5
+    slices = [slice_at(spec, z) for z in (0.0, 0.4, 1.0)]
+    assert [len(slc.intervals) for slc in slices] == [3, 5, 5]
+    for sector, stack in enumerate(operators.assemble_stack(slices, spec, (0, 1))):
+        (alone,) = operators.assemble_stack(slices, spec, (sector,))
+        for slc, ops, one_sector in zip(slices, stack, alone):
+            ((single,),) = operators.assemble_stack([slc], spec, (sector,))
+            for other in (one_sector, single):
+                assert np.array_equal(ops.P, other.P) and np.array_equal(ops.Q, other.Q)
+
+
 def unsplit(monkeypatch, solve):
     """``solve()`` with the split disabled: every spec takes the one-sector, full-size path."""
     with monkeypatch.context() as patch:
@@ -78,6 +101,45 @@ def split(monkeypatch, solve):
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_SPLIT_HARMONICS", 7)
         return solve()
+
+
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+def test_split_solve_assembles_each_z_once(monkeypatch, polarization):
+    """One call per round builds both sectors from one phase table and the eps (and, in TM, 1/eps) coefficients."""
+    spec = taper(polarization)
+    work = {"_phase_table": 0, "_piecewise_coefficients": 0}
+    calls = []
+
+    def counting(name):
+        original = getattr(operators, name)
+
+        def wrapper(*args):
+            work[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    def recording(slices, spec, sectors=(None,)):
+        before = dict(work)
+        stacks = assemble_stack(slices, spec, sectors)
+        calls.append((sectors, [slc.z for slc in slices], {name: work[name] - before[name] for name in work}))
+        return stacks
+
+    assemble_stack = operators.assemble_stack
+    for name in work:
+        monkeypatch.setattr(operators, name, counting(name))
+    monkeypatch.setattr(operators, "assemble_stack", recording)
+    report = split(monkeypatch, lambda: solve_adaptive(spec, SolverConfig(alpha=1e-3)))
+    assert len(report.sections) > 1
+    # Each z of the tree is assembled once for both sectors; the end points once more, at full size, for the ports.
+    assembled = collections.Counter(z for _, zs, _ in calls for z in zs)
+    ends = [spec.z_min, spec.z_max]
+    assert assembled[spec.z_min] == assembled[spec.z_max] == 2
+    assert all(count == 1 for z, count in assembled.items() if z not in ends)
+    assert {z for leaf in report.sections for z in leaf[:2]} <= assembled.keys()
+    assert [zs for sectors, zs, _ in calls if sectors == (None,)] == [ends]
+    per_call = {"_phase_table": 1, "_piecewise_coefficients": 1 if polarization == "TE" else 2}
+    assert all(work_done == per_call for _, _, work_done in calls)
 
 
 def deviation(a, b):

@@ -191,15 +191,15 @@ def section_and_depth(error):
 def test_adaptive_max_depth(taper_spec, monkeypatch, split_harmonics):
     """Both paths grow one tree, so a split solve has one rerun and fails where the unsplit one does."""
     with pytest.raises(MaxDepthExceededError) as unsplit:
-        solve_adaptive(taper_spec, SolverConfig(alpha=0.0))
+        solve_adaptive(taper_spec, SolverConfig(alpha=1e-300))
     monkeypatch.setattr(solver, "_SPLIT_HARMONICS", split_harmonics)
-    # No estimate is below alpha = 0, so the refinement reaches the depth limit.
+    # No estimate is below alpha = 1e-300, so the refinement reaches the depth limit.
     with pytest.raises(MaxDepthExceededError, match="at depth 20") as batched:
-        solve_adaptive(taper_spec, SolverConfig(alpha=0.0))
+        solve_adaptive(taper_spec, SolverConfig(alpha=1e-300))
     # A batch meets the limit out of depth-first order; the error is the depth-first one.
     monkeypatch.setattr(solver, "_BATCH_ENTRIES", 1)
     with pytest.raises(MaxDepthExceededError) as depth_first:
-        solve_adaptive(taper_spec, SolverConfig(alpha=0.0))
+        solve_adaptive(taper_spec, SolverConfig(alpha=1e-300))
     assert str(batched.value) == str(depth_first.value)
     assert section_and_depth(batched.value) == section_and_depth(unsplit.value)
 
@@ -279,7 +279,7 @@ def test_results_compare_after_many_other_solves(taper_spec):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(alpha=-1.0)
-    with pytest.raises(ValueError, match="alpha must be >= 0, got nan"):
+    with pytest.raises(ValueError, match="alpha must be > 0, got nan"):
         SolverConfig(alpha=math.nan)
     with pytest.raises(ValueError):
         SolverConfig(alpha=1.0, order=2)

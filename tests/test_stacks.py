@@ -37,7 +37,7 @@ def test_stacked_kernels_equal_single_calls_bit_for_bit(drawn, order, polarizati
     period, stack = drawn
     spec = uniform_spec_on(period, 2.25, polarization=polarization, order=order)
     slices = [slc for section in stack for slc in section.values()]
-    ops = assemble_stack(slices, spec)
+    ops = assemble_stack(slices, spec)[0]
     for slc, stacked in zip(slices, ops):
         assert_same(stacked, assemble_operators(slc, spec), ("P", "Q"))
         assert stacked.z == slc.z
@@ -69,7 +69,11 @@ def test_stacked_kernels_equal_single_calls_bit_for_bit(drawn, order, polarizati
 
 @pytest.mark.parametrize(
     "kernel",
-    [lambda: assemble_stack([], uniform_spec_on(1.0)), lambda: eigen_basis_stack([]), lambda: first_order_stack([])],
+    [
+        lambda: assemble_stack([], uniform_spec_on(1.0))[0],
+        lambda: eigen_basis_stack([]),
+        lambda: first_order_stack([]),
+    ],
     ids=["assemble_stack", "eigen_basis_stack", "first_order_stack"],
 )
 def test_empty_stacks(kernel):
