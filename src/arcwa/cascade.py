@@ -9,9 +9,10 @@ continuity at the shared plane gives the coupling matrices
 which map old-basis coefficients (a', b') to new ones via a = X a' + Y b',
 b = Y a' + X b'.
 
-``join`` composes a left matrix S' (ending in basis i-1) with a right
-one S (starting in basis i) straight from those equations. The left
-matrix sends a' = T_LR' a_L + R_R' b' into the plane, so in basis i the
+``join_stack`` composes left matrices S' (each ending in a basis i-1)
+with right ones S (each starting in a basis i) straight from those
+equations, every pair an entry of one stack (pairs, n, n); ``join`` is a
+stack of one. The left matrix sends a' = T_LR' a_L + R_R' b' into the plane, so in basis i the
 right matrix sees
 
     a = K a_L + G b',    b = Y T_LR' a_L + H b',
@@ -22,30 +23,41 @@ back, for incidence from either side at once:
 
     L [B_a | B_b] = [R_L K - Y T_LR' | T_RL],    L = H - R_L G.
 
-That is one guarded inverse of L, applied to the 2n right-hand sides; then
+That is one guarded inverse of L per pair, one ``np.linalg.inv`` for the
+stack, applied to the 2n right-hand sides; then
 T_LR = T_LR (K + G B_a), R_R = R_R + T_LR G B_b, R_L = R_L' + T_RL' B_a
 and T_RL = T_RL' B_b. Where the reprojection exists,
 L = (X - R_L Y)(I - R_L^p R_R'), with R_L^p the reprojected reflection,
-so a near-singular reprojection or resonance shows up in L. When the
-guard refuses L, ``join`` reruns the two-step recipe (``project_left``,
-then the Redheffer ``star`` product): it raises its own error class and
+so a near-singular reprojection or resonance shows up in L. The guard
+gives each entry its own verdict: a pair whose L it refuses, and only
+that pair, reruns the two-step recipe (``project_left``, then the
+Redheffer ``star`` product), which raises its own error class and
 message, or returns its result when both of its matrices pass. L can be
 regular where X - R_L Y is not (the pair is well posed although the right
-matrix alone has no S-matrix in the left basis); ``join`` then returns
-the composite where the two-step recipe would raise.
+matrix alone has no S-matrix in the left basis); ``join_stack`` then
+returns the composite where the two-step recipe would raise.
 
 ``star`` refuses to combine matrices whose shared-plane basis ids
-disagree, as that is always a caller bug; ``join`` keeps that check.
+disagree, as that is always a caller bug; ``join_stack`` keeps that
+check for every pair.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from .errors import BasisMismatchError, NumericalError, ProjectionBreakdownError, ResonanceError
+from . import numerics
+from .errors import BasisMismatchError, ProjectionBreakdownError, ResonanceError
 from .modal import ModalBasis
-from .numerics import guarded_solve, refusal
+from .numerics import as_stack, guarded_solve, refusal
 from .sections import ScatteringMatrix
+
+
+def _coupling(ww: np.ndarray, vv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) from W_i^-1 W_{i-1} and V_i^-1 V_{i-1}, or from stacks of them."""
+    return (ww + vv) / 2.0, (ww - vv) / 2.0
 
 
 def projection_pair(from_basis: ModalBasis, to_basis: ModalBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -57,9 +69,7 @@ def projection_pair(from_basis: ModalBasis, to_basis: ModalBasis) -> tuple[np.nd
     """
     if from_basis.n != to_basis.n:
         raise ValueError(f"basis dimensions differ: {from_basis.n} vs {to_basis.n}")
-    ww = to_basis.W_inv @ from_basis.W
-    vv = to_basis.V_inv @ from_basis.V
-    return (ww + vv) / 2.0, (ww - vv) / 2.0
+    return _coupling(to_basis.W_inv @ from_basis.W, to_basis.V_inv @ from_basis.V)
 
 
 def project_left(
@@ -120,48 +130,76 @@ def star(s_left: ScatteringMatrix, s_right: ScatteringMatrix) -> ScatteringMatri
     )
 
 
-class _Refused(NumericalError):
-    """The fused interface system failed the conditioning guard."""
+# One pair of ``join_stack``: (left, left basis, right, right basis).
+_Pair = tuple[ScatteringMatrix, ModalBasis, ScatteringMatrix, ModalBasis]
+
+
+def join_stack(pairs: Sequence[_Pair]) -> list[ScatteringMatrix]:
+    """Compose each ``left``, ending in ``left_basis``, with its ``right``, starting in ``right_basis``.
+
+    Every operand of ``pairs`` is n x n for one n. The fused systems of all
+    pairs are built as stacks (pairs, n, n) and inverted by one
+    ``guarded_inverses`` call, and each result equals the one of a stack
+    of one, bit for bit. Wherever ``star(left, project_left(right,
+    projection_pair(left_basis, right_basis), left_basis.basis_id))``
+    succeeds, a result equals it up to rounding, from one guarded inverse
+    instead of three (see the module docstring). A pair whose fused system
+    the guard refuses runs that two-step recipe alone, which raises its own
+    error (or returns its result); the pairs before it are composed first.
+    A pair whose left matrix does not end in its left basis raises
+    BasisMismatchError before anything is computed.
+    """
+    for left, left_basis, _, _ in pairs:
+        _check_shared_plane(left.right_basis_id, left_basis.basis_id)
+    lefts, left_bases, rights, right_bases = zip(*pairs)
+
+    def stack(items: tuple, name: str) -> np.ndarray:
+        return as_stack([getattr(item, name) for item in items])
+
+    x, y = _coupling(
+        stack(right_bases, "W_inv") @ stack(left_bases, "W"), stack(right_bases, "V_inv") @ stack(left_bases, "V")
+    )
+    left_r_r, left_t_lr, right_r_l = stack(lefts, "R_R"), stack(lefts, "T_LR"), stack(rights, "R_L")
+    g = y + x @ left_r_r
+    k = x @ left_t_lr
+    lead = x + y @ left_r_r - right_r_l @ g
+    rhs = np.concatenate((right_r_l @ k - y @ left_t_lr, stack(rights, "T_RL")), axis=-1)
+    # A refused system gets an all-NaN inverse, and its pair the two-step recipe. The guard is reached
+    # through its module, as ``guarded_solve`` reaches it, so whatever wraps it sees these inverses too.
+    inverses = numerics.guarded_inverses(lead, [None] * len(pairs))
+    b = inverses @ rhs
+    n = lead.shape[-1]
+    # Waves entering the right matrices, K + G B, for incidence from either side.
+    fwd = g @ b
+    fwd[..., :n] += k
+    fwd = stack(rights, "T_LR") @ fwd
+    fwd[..., n:] += stack(rights, "R_R")
+    back = stack(lefts, "T_RL") @ b
+    back[..., :n] += stack(lefts, "R_L")
+    joined = []
+    for i, (left, left_basis, right, _) in enumerate(pairs):
+        if np.isnan(inverses[i, 0, 0]):
+            joined.append(star(left, project_left(right, (x[i], y[i]), left_basis.basis_id)))
+            continue
+        # Blocks of their own: views of the stacks would keep every entry alive with any one.
+        joined.append(
+            ScatteringMatrix(
+                T_LR=np.copy(fwd[i, :, :n]),
+                R_R=np.copy(fwd[i, :, n:]),
+                R_L=np.copy(back[i, :, :n]),
+                T_RL=np.copy(back[i, :, n:]),
+                left_basis_id=left.left_basis_id,
+                right_basis_id=right.right_basis_id,
+            )
+        )
+    return joined
 
 
 def join(
     left: ScatteringMatrix, left_basis: ModalBasis, right: ScatteringMatrix, right_basis: ModalBasis
 ) -> ScatteringMatrix:
-    """Compose ``left``, ending in ``left_basis``, with ``right``, starting in ``right_basis``.
-
-    Wherever ``star(left, project_left(right, projection_pair(left_basis,
-    right_basis), left_basis.basis_id))`` succeeds, the result equals it up
-    to rounding, from one guarded inverse instead of three (see the
-    module docstring). When the guard refuses the fused system, that
-    two-step recipe runs and raises its own error (or returns its result).
-    """
-    _check_shared_plane(left.right_basis_id, left_basis.basis_id)
-    pp = projection_pair(left_basis, right_basis)
-    x, y = pp
-    g = y + x @ left.R_R
-    k = x @ left.T_LR
-    lead = x + y @ left.R_R - right.R_L @ g
-    rhs = np.hstack((right.R_L @ k - y @ left.T_LR, right.T_RL))
-    try:
-        b = guarded_solve(lead, rhs, _Refused)
-    except _Refused:
-        return star(left, project_left(right, pp, left_basis.basis_id))
-    n = left.n
-    # Waves entering the right matrix, K + G B, for incidence from either side.
-    fwd = g @ b
-    fwd[:, :n] += k
-    fwd = right.T_LR @ fwd
-    fwd[:, n:] += right.R_R
-    back = left.T_RL @ b
-    back[:, :n] += left.R_L
-    return ScatteringMatrix(
-        T_LR=fwd[:, :n],
-        R_R=fwd[:, n:],
-        R_L=back[:, :n],
-        T_RL=back[:, n:],
-        left_basis_id=left.left_basis_id,
-        right_basis_id=right.right_basis_id,
-    )
+    """``left``, ending in ``left_basis``, composed with ``right``, starting in ``right_basis``: a stack of one."""
+    return join_stack([(left, left_basis, right, right_basis)])[0]
 
 
 def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from functools import partial
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import BasisMismatchError
 from .geometry import StructureSpec
@@ -59,14 +60,11 @@ def _section_count(method: str, knob: float) -> int:
     return int(knob)
 
 
-def _run_method(spec: StructureSpec, method: str, knob: float) -> SolveReport:
-    if method == "uniform0":
-        return solve_uniform(spec, _section_count(method, knob), order=0)
-    if method == "uniform1":
-        return solve_uniform(spec, _section_count(method, knob), order=1)
+def _planned_run(method: str, knob: float) -> Callable[[StructureSpec], SolveReport]:
+    """The solve of one pair of a method of METHODS and its knob, checked now: a section count or an alpha."""
     if method == "adaptive":
-        return solve_adaptive(spec, SolverConfig(alpha=float(knob)))
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        return partial(solve_adaptive, config=SolverConfig(alpha=float(knob)))
+    return partial(solve_uniform, n_sections=_section_count(method, knob), order={"uniform0": 0, "uniform1": 1}[method])
 
 
 def run_sweep(
@@ -78,7 +76,8 @@ def run_sweep(
     """Run every (method, knob) pair against a fixed-resolution ground truth.
 
     The knob is a section count for the uniform methods and an error bound
-    alpha for the adaptive one. Rows come back in deterministic
+    alpha for the adaptive one. Every pair's knob is checked before the
+    ground truth or any pair is solved. Rows come back in deterministic
     method-major, knob-minor order.
     """
     if not methods:
@@ -88,21 +87,21 @@ def run_sweep(
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method(s) {unknown}; expected one of {METHODS}")
+    runs = [(method, knob, _planned_run(method, knob)) for method in methods for knob in grid]
 
     oracle = solve_uniform(spec, oracle_sections, order=0)
     records = []
-    for method in methods:
-        for knob in grid:
-            report = _run_method(spec, method, knob)
-            records.append(
-                SweepRecord(
-                    method=method,
-                    knob=float(knob),
-                    error_max_norm=max_norm_difference(report.smat, oracle.smat),
-                    wall_ms=report.total_wall_time * 1e3,
-                    eig_count=report.total_eig_count,
-                )
+    for method, knob, run in runs:
+        report = run(spec)
+        records.append(
+            SweepRecord(
+                method=method,
+                knob=float(knob),
+                error_max_norm=max_norm_difference(report.smat, oracle.smat),
+                wall_ms=report.total_wall_time * 1e3,
+                eig_count=report.total_eig_count,
             )
+        )
     return records
 
 

@@ -17,12 +17,14 @@ computed inverse. Every other matrix (inside that band, singular or
 non-finite) gets the exact SVD-based ``condition_number``, which gives the
 verdict and the value reported in the error. Accept/reject decisions and
 messages are therefore those of the exact 2-norm test, and a solve is the
-guarded inverse times the right-hand side.
+guarded inverse times the right-hand side. A caller that handles refused
+matrices itself (the stacked interface join) gets the verdict per matrix
+instead of an error: a refused matrix's inverse comes back all NaN.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,16 +51,14 @@ def refusal(error_cls: type[NumericalError], what: str) -> Callable[[float], Num
     return lambda cond: error_cls(f"{what}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
 
 
-def guard_inverses(
-    a: np.ndarray, a_inv: np.ndarray, rejects: Sequence[Callable[[float], NumericalError]]
-) -> None:
-    """Raise ``reject(cond)`` for the first matrix of a stack (matrices, n, n) that fails COND_LIMIT.
+def refusals(a: np.ndarray, a_inv: np.ndarray) -> Iterator[tuple[int, float]]:
+    """Index and exact 2-norm condition number of each matrix of a stack (matrices, n, n) that fails COND_LIMIT.
 
-    ``a_inv`` holds their inverses, ``rejects`` one ``reject`` each. A
-    matrix with ``10 n ||a||_1 ||a_inv||_1 <= COND_LIMIT`` passes on the
-    screen; any other one (inside that band, singular or non-finite) gets
-    the exact 2-norm ``condition_number``, which ``reject`` receives. A
-    matrix whose inverse is not finite never passes.
+    ``a_inv`` holds their inverses. A matrix with ``10 n ||a||_1 ||a_inv||_1
+    <= COND_LIMIT`` passes on the screen; any other one (inside that band,
+    singular or non-finite) gets the exact 2-norm ``condition_number``, as
+    the iteration reaches it. A matrix whose inverse is not finite never
+    passes.
     """
     with np.errstate(over="ignore"):
         norms = zip(_norm1(a).tolist(), _norm1(a_inv).tolist())
@@ -68,7 +68,15 @@ def guard_inverses(
         if not norm_a * norm_inv <= limit:
             cond = condition_number(a[k])
             if not cond <= COND_LIMIT or not np.all(np.isfinite(a_inv[k])):
-                raise rejects[k](cond)
+                yield k, cond
+
+
+def guard_inverses(
+    a: np.ndarray, a_inv: np.ndarray, rejects: Sequence[Callable[[float], NumericalError]]
+) -> None:
+    """Raise ``reject(cond)`` for the first of the ``refusals`` of a stack, with one ``reject`` per matrix."""
+    for k, cond in refusals(a, a_inv):
+        raise rejects[k](cond)
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -101,18 +109,26 @@ def per_item(
     return index, solve(*(s[index] for s in stacks)), error
 
 
-def guarded_inverses(a: np.ndarray, rejects: Sequence[Callable[[float], NumericalError]]) -> np.ndarray:
-    """Inverses of a stack (matrices, n, n), from one ``np.linalg.inv``, after ``guard_inverses``.
+def guarded_inverses(
+    a: np.ndarray, rejects: Sequence[Callable[[float], NumericalError] | None]
+) -> np.ndarray:
+    """Inverses of a stack (matrices, n, n), from one ``np.linalg.inv``, each checked by ``refusals``.
 
-    Each inverse equals the one of a stack of one, bit for bit. An exactly
-    singular matrix gets a NaN inverse, which fails the guard.
+    A refused matrix raises its ``reject(cond)``, the first refused one
+    first; one whose ``reject`` is None instead gets an all-NaN inverse,
+    for the caller to handle. Every other inverse is finite and equals the
+    one of a stack of one, bit for bit. An exactly singular matrix gets a
+    NaN inverse, which fails the guard.
     """
     solved, a_inv, error = per_item(np.linalg.inv, a)
     if error is not None:
         inverses = np.full(a.shape, np.nan, dtype=np.result_type(a, 1.0))
         inverses[solved] = a_inv
         a_inv = inverses
-    guard_inverses(a, a_inv, rejects)
+    for k, cond in refusals(a, a_inv):
+        if rejects[k] is not None:
+            raise rejects[k](cond)
+        a_inv[k] = np.nan
     return a_inv
 
 

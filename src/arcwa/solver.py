@@ -2,12 +2,15 @@
 
 The engine cuts [z_min, z_max] at given root cut positions, solves each
 section in the eigenbasis of its reference point and trisects it whenever
-its estimated error reaches the user bound alpha. Accepted sections are
-folded strictly left to right, in z order: each section boundary is one
-``cascade.join``, which writes field continuity between the two bases and
-composes the scattering matrices with a single guarded inverse. The
-star product is associative, so this plain cascade is as valid a grouping
-as any other.
+its estimated error reaches the user bound alpha. Accepted sections, the
+leaves, are folded in z order by a binary counter: leaf after leaf is
+added to a few waiting partial folds of 2^j consecutive leaves each, and
+two partials of 2^j leaves merge into one of 2^(j + 1). Each merge is one
+join, which writes field continuity between the two bases at their shared
+plane and composes the scattering matrices with a single guarded inverse;
+the merges of one level in one round are one ``cascade.join_stack`` call.
+The star product is associative, so this grouping is as valid as any
+other, and it depends on the number of leaves alone.
 
 A point is a z with its operators and its modal basis, each filled in at
 most once. A section has a point per Simpson sample: left and right, shared
@@ -34,7 +37,10 @@ a refined section go back on top. A batch shares each kernel call's fixed
 cost, most of a section's cost at n = 7 and much of it at n = 21. Root
 sections enter the frontier only as the batches reach them. An accepted
 section waits, keyed by its left point, until every section to its left has
-been folded; so the joins, and the output, do not depend on B. Batching
+been accepted; the run of leaves that this completes is carried into the
+counter after the round, and the at most log2(L) partials left at the end
+are joined left to right. So the joins, and the output, do not depend on
+B: a stacked join gives each entry what a stack of one gives. Batching
 changes only the order in which sections are evaluated; an error inside a
 batched solve therefore reruns the solve one section at a time, which is
 the depth-first order and raises the error that order meets first.
@@ -57,10 +63,10 @@ sectors' operators from one slice and one Fourier table. A section is
 accepted when the larger of its two estimates is below alpha. The unsplit
 first-order terms are block-diagonal in the parity basis, so that is the
 unsplit test, and the one tree, frontier and rerun are the unsplit ones up
-to rounding. The fold keeps one running S-matrix per sector; the two are
-embedded block-diagonally through ``operators.parity_basis`` once and
-joined to the full-size port bases as above, so ports, basis ids and the
-mode order are those of an unsplit solve. Every other spec, and every spec
+to rounding. Each sector folds its own tree of joins, the same tree; the
+two folds are embedded block-diagonally through ``operators.parity_basis``
+once and joined to the full-size port bases as above, so ports, basis ids
+and the mode order are those of an unsplit solve. Every other spec, and every spec
 below ``_SPLIT_HARMONICS`` modes, has one full-size sector.
 """
 from __future__ import annotations
@@ -70,6 +76,7 @@ import math
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cascade, geometry, modal, operators, sections
 from .errors import MaxDepthExceededError
@@ -215,8 +222,56 @@ def _split(section: _Open) -> list[_Open]:
     return children
 
 
-# What a fold returns: per sector its S-matrix and its first and last leaf bases, then its leaves and its counters.
+class _Partial(NamedTuple):
+    """Consecutive leaves folded into one: per sector its S-matrix and its first and last leaf bases."""
+
+    smats: Sequence[ScatteringMatrix]
+    firsts: Sequence[ModalBasis]
+    lasts: Sequence[ModalBasis]
+
+
+# What a fold returns: the partial of all leaves, then the leaves and the counters.
 _Fold = tuple[Sequence[ScatteringMatrix], Sequence[ModalBasis], Sequence[ModalBasis], list[_Leaf], dict[str, int]]
+
+
+def _join(lefts: Sequence[_Partial], rights: Sequence[_Partial]) -> list[_Partial]:
+    """Each partial of ``lefts`` joined to the one of ``rights`` that follows it: one stacked join per sector."""
+    per_sector = [
+        cascade.join_stack([(a.smats[k], a.lasts[k], b.smats[k], b.firsts[k]) for a, b in zip(lefts, rights)])
+        for k in range(len(lefts[0].smats))
+    ]
+    return [_Partial(smats, a.firsts, b.lasts) for a, b, smats in zip(lefts, rights, zip(*per_sector))]
+
+
+def _carry(
+    partials: dict[int, _Partial], accepted: dict[_Point, _Accepted], edge: _Point, leaves: list[_Leaf]
+) -> _Point:
+    """Fold the accepted sections from ``edge`` on into ``partials`` as a binary increment; returns the new edge.
+
+    The sections, taken from ``accepted`` in z order while each starts
+    where the last one ends, join ``leaves`` and are the items of level 0.
+    ``partials`` holds at most one partial of 2^j leaves at each level j,
+    a larger one to the left of a smaller. At level j the waiting partial
+    goes in front of the level's items, the items are joined in pairs,
+    all in one stacked join per sector, and an odd item left over waits at
+    level j; the joined pairs are the items of level j + 1. Each join
+    merges two aligned runs of 2^j leaves, so the tree depends on the
+    leaves alone, not on how they arrive.
+    """
+    items = []
+    while edge in accepted:
+        edge, smats, bases, leaf = accepted.pop(edge)
+        items.append(_Partial(smats, bases, bases))
+        leaves.append(leaf)
+    level = 0
+    while items:
+        if level in partials:
+            items.insert(0, partials.pop(level))
+        if len(items) % 2:
+            partials[level] = items.pop()
+        items = _join(items[::2], items[1::2]) if items else []
+        level += 1
+    return edge
 
 
 def _refine(
@@ -227,39 +282,35 @@ def _refine(
     sectors: Sequence[int | None],
     batch: int,
 ) -> _Fold:
-    """Evaluate the frontier ``batch`` sections at a time and fold the leaves left to right.
+    """Evaluate the frontier ``batch`` sections at a time and fold the leaves by a binary counter.
 
     The open sections sit on a stack in z order, leftmost on top. Each
     round takes the ``batch`` leftmost of them, topping up from the root
     sections between the ``cuts``, which run from end point to end point
     and are made only when needed, and pushes back the children of the
     sections it refines. With ``batch`` = 1 this is the depth-first order,
-    operation by operation. After each round the running fold of each
-    sector takes in every accepted section whose left point is its right
-    edge. Returns the folds, their first and last leaf bases, the leaves
-    and the counters.
+    operation by operation. After each round the accepted sections that
+    continue the folded leaves are carried into the partials of a binary
+    counter (``_carry``); at the end its at most log2(L) partials are
+    joined left to right. Returns the fold, the leaves and the counters.
     """
     counters = {"eig": 0, "solved": 0}
     edge = ends[0]
     unmade = _sections(itertools.chain(ends[:1], map(_Point, cuts[1:-1]), ends[1:]), 0)
     stack: list[_Open] = []
     accepted: dict[_Point, _Accepted] = {}
-    smats = firsts = lasts = None
+    partials: dict[int, _Partial] = {}
     leaves: list[_Leaf] = []
     while True:
         taken = [stack.pop() for _ in range(min(batch, len(stack)))]
         taken.extend(itertools.islice(unmade, batch - len(taken)))
         if not taken:
-            return smats, firsts, lasts, leaves, counters
+            folded, *rest = [partials[level] for level in sorted(partials, reverse=True)]
+            for partial in rest:
+                (folded,) = _join([folded], [partial])
+            return (*folded, leaves, counters)
         stack.extend(reversed(_evaluate(spec, config, sectors, taken, accepted, counters)))
-        while edge in accepted:
-            edge, pieces, bases, leaf = accepted.pop(edge)
-            if smats is None:
-                smats, firsts = pieces, bases
-            else:
-                smats = [cascade.join(*operands) for operands in zip(smats, lasts, pieces, bases)]
-            lasts = bases
-            leaves.append(leaf)
+        edge = _carry(partials, accepted, edge, leaves)
 
 
 def _evaluate(

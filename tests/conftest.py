@@ -123,6 +123,13 @@ def random_basis(rng: np.random.Generator, n: int, k0: float = 2.0 * np.pi / 1.5
     )
 
 
+def random_join_pair(rng: np.random.Generator, n: int) -> tuple:
+    """(left, left basis, right, right basis) for ``cascade.join``: random passive matrices in random bases."""
+    left_basis, right_basis = random_basis(rng, n), random_basis(rng, n)
+    left = random_passive_smatrix(rng, n, 1, left_basis.basis_id)
+    return left, left_basis, random_passive_smatrix(rng, n, right_basis.basis_id, 2), right_basis
+
+
 def first_order_section(
     spec: StructureSpec, z_l: float, z_r: float, basis: ModalBasis, ref_ops: OperatorPair
 ) -> SectionResult:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from arcwa.cascade import join, project_left, projection_pair, star
+from arcwa import cascade
+from arcwa.cascade import join, join_stack, project_left, projection_pair, star
 from arcwa.checks import slab_sandwich_smatrix
 from arcwa.errors import BasisMismatchError, ProjectionBreakdownError, ResonanceError
 from arcwa.geometry import Polarization
@@ -19,6 +20,7 @@ from arcwa.sections import ScatteringMatrix, zeroth_order_smatrix
 from conftest import (
     blocks_diff,
     random_basis,
+    random_join_pair,
     random_passive_smatrix,
     smat_scale,
     two_step_join,
@@ -178,6 +180,69 @@ def test_join_refuses_a_singular_projection_like_the_two_step_recipe(rng):
     assert str(refused.value) == str(expected.value)
 
 
+def test_a_refused_pair_raises_from_inside_a_stack_as_alone(rng):
+    """The singular projection of the test above, between two regular pairs: the stack raises its error."""
+    n = 4
+    left_basis, right_basis = random_basis(rng, n), random_basis(rng, n)
+    left = random_passive_smatrix(rng, n, 1, left_basis.basis_id)
+    left = replace(left, R_R=np.zeros((n, n), dtype=np.complex128))
+    right = random_passive_smatrix(rng, n, right_basis.basis_id, 2)
+    singular = (left, left_basis, with_singular_projection(rng, left_basis, right, right_basis), right_basis)
+    with pytest.raises(ProjectionBreakdownError) as alone:
+        join(*singular)
+    with pytest.raises(ProjectionBreakdownError) as stacked:
+        join_stack([random_join_pair(rng, n), singular, random_join_pair(rng, n)])
+    assert str(stacked.value) == str(alone.value)
+
+
+def refused_but_composable_pair(rng, n):
+    """A pair whose fused system L = (X - R_L Y)(I - R_L^p R_R') has condition number 1e14, while the two-step
+    recipe's matrices X - R_L Y, I - R_R' R_L^p and I - R_L^p R_R' have about 1e7 each.
+
+    The right basis is the unit one, so the left basis' W = X + Y and V = X - Y realize any X and Y. X and Y
+    are solved for from R_L, X - R_L Y = A and R_L^p = P (unitary / 2): Y - R_L X = -A P. R_R' = P^-1 (I - M)
+    makes I - R_L^p R_R' = M, and M's smallest output direction is A's smallest input direction.
+    """
+
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+    u, w, v, p, r_l = unitary(), unitary(), unitary(), 0.5 * unitary(), 0.5 * unitary()
+    spread = np.diag([1.0] * (n - 1) + [1e-7])
+    a, m = u @ spread @ w.conj().T, w @ spread @ v.conj().T
+    y = np.linalg.solve(r_l @ r_l - np.eye(n), a @ p - r_l @ a)
+    x = r_l @ y + a
+    left_basis = ModalBasis(W=x + y, V=x - y, lam=np.ones(n, dtype=np.complex128), z_ref=0.0, k0=1.0,
+                            W_inv=np.linalg.inv(x + y), V_inv=np.linalg.inv(x - y))
+    right_basis = unit_basis(n)
+    left = replace(random_passive_smatrix(rng, n, 1, left_basis.basis_id), R_R=np.linalg.solve(p, np.eye(n) - m))
+    right = replace(random_passive_smatrix(rng, n, right_basis.basis_id, 2), R_L=r_l)
+    return left, left_basis, right, right_basis
+
+
+def test_a_refused_pair_takes_the_two_step_recipe_alone(rng, monkeypatch):
+    """Inside a stack, only the pair whose fused system the guard refuses is reprojected; every entry is what
+    its stack of one gives, bit for bit, and the refused one is the two-step recipe's result."""
+    n = 4
+    pairs = [random_join_pair(rng, n), refused_but_composable_pair(rng, n), random_join_pair(rng, n)]
+    projected = []
+    project_left = cascade.project_left
+
+    def recording(smat, pp, new_left_basis_id):
+        projected.append(smat)
+        return project_left(smat, pp, new_left_basis_id)
+
+    monkeypatch.setattr(cascade, "project_left", recording)
+    stacked = join_stack(pairs)
+    assert len(projected) == 1 and projected[0] is pairs[1][2]
+    for pair, joined in zip(pairs, stacked):
+        (single,) = join_stack([pair])
+        for block in ("T_LR", "R_R", "R_L", "T_RL"):
+            assert np.array_equal(getattr(joined, block), getattr(single, block))
+    expected = two_step_join(*pairs[1])
+    assert blocks_diff(stacked[1], expected) <= 1e-12 * max(1.0, smat_scale(expected))
+
+
 def test_join_composes_where_the_reprojection_alone_breaks_down(rng):
     """A singular X - R_L Y, but the left matrix reflects: the pair is well posed."""
     n = 4
@@ -231,6 +296,18 @@ def test_join_rejects_mismatched_bases(rng):
     with pytest.raises(BasisMismatchError) as refused:
         join(left, left_basis, right, right_basis)
     assert str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_join_stack_rejects_mismatched_bases_on_any_entry(rng, at):
+    pairs = [random_join_pair(rng, 3) for _ in range(3)]
+    left, left_basis, right, right_basis = pairs[at]
+    pairs[at] = (left, random_basis(rng, 3), right, right_basis)
+    with pytest.raises(BasisMismatchError) as alone:
+        join(*pairs[at])
+    with pytest.raises(BasisMismatchError) as stacked:
+        join_stack(pairs)
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_single_interface_fresnel():

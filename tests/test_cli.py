@@ -283,6 +283,28 @@ def test_sweep_rejects_non_integer_section_count(taper_file, capsys, knob):
     assert f"uniform0 knob must be a whole number of sections >= 1, got {float(knob)!r}" in err
 
 
+def unsolvable(*args, **kwargs):
+    raise AssertionError("a solve ran before every knob was checked")
+
+
+@pytest.mark.parametrize(
+    "methods, grid, message",
+    [
+        ("adaptive", "0", "alpha must be > 0, got 0.0"),
+        ("adaptive", "1e-2,0", "alpha must be > 0, got 0.0"),
+        ("uniform1,adaptive", "4,0", "uniform1 knob must be a whole number of sections >= 1, got 0.0"),
+    ],
+    ids=["bad", "good-bad", "two-methods"],
+)
+def test_sweep_checks_every_knob_before_any_solve(taper_file, capsys, monkeypatch, methods, grid, message):
+    """Neither the ground truth nor a good knob is solved when any knob is bad."""
+    monkeypatch.setattr(harness, "solve_uniform", unsolvable)
+    monkeypatch.setattr(harness, "solve_adaptive", unsolvable)
+    code = cli.main(["sweep", "--structure", str(taper_file), "--methods", methods, "--grid", grid])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_csv_bit_stable(taper_file, tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):

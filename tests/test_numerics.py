@@ -180,3 +180,21 @@ def test_stacked_inverses_raise_the_first_failure_and_equal_single_calls():
             guard_inverses(np.zeros((1, 3, 3)), np.full((1, 3, 3), np.inf), [refusal(SingularOperatorError, "zero")])
     # Both kinds of stack occur.
     assert 0 < raised < stacks
+
+
+def test_refusals_without_a_reject_come_back_as_nan_inverses():
+    """With a None ``reject``, a refused matrix of a stack gets an all-NaN inverse instead of an error, and every
+    other one what a stack of one gives, bit for bit."""
+    refused = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in SIZES:
+            stack = np.array([a for a in guard_cases() if a.shape[0] == n] + bad_matrices(n))
+            for a, inverse in zip(stack, guarded_inverses(stack, [None] * len(stack))):
+                single = single_outcome(a, refusal(SingularOperatorError, "alone"))
+                if isinstance(single, NumericalError):
+                    assert np.isnan(inverse).all()
+                    refused += 1
+                else:
+                    assert inverse.tobytes() == single.tobytes()
+    assert refused > 0

@@ -1,5 +1,6 @@
 """Fixed-resolution and adaptive solvers."""
 
+import bisect
 import math
 import re
 import tracemalloc
@@ -452,18 +453,78 @@ def test_batch_sizes(monkeypatch, truncation, n_sections):
         assert batch > 1
 
 
-def recorded_joins(monkeypatch):
-    """Wrap ``cascade.join``; returns (left, right, right basis, result) of its calls in order."""
-    joins = []
-    original = cascade.join
+def recorded_fold(monkeypatch):
+    """Wrap ``cascade.join_stack`` and ``sections.first_order_stack``; returns the events of a solve in order.
 
-    def recording(left, left_basis, right, right_basis):
-        result = original(left, left_basis, right, right_basis)
-        joins.append((left, right, right_basis, result))
-        return result
+    A round is ("round",), at its first-order stack; a stacked join is ("join", pairs, results).
+    """
+    events = []
+    join_stack, first_order_stack = cascade.join_stack, sections.first_order_stack
 
-    monkeypatch.setattr(cascade, "join", recording)
-    return joins
+    def joining(pairs):
+        results = join_stack(pairs)
+        events.append(("join", pairs, results))
+        return results
+
+    def evaluating(stack):
+        events.append(("round",))
+        return first_order_stack(stack)
+
+    monkeypatch.setattr(cascade, "join_stack", joining)
+    monkeypatch.setattr(sections, "first_order_stack", evaluating)
+    return events
+
+
+def merged_ranges(events, leaves):
+    """Per round, per stacked join, the leaf ranges ([first, mid), [mid, end)) that each of its pairs merges.
+
+    A leaf is an operand that no join returned. Each left basis lies in the last leaf of its left operand and
+    each right basis in the first leaf of its right operand: a section holds its reference point.
+    """
+    lefts = [z_l for z_l, _, _ in leaves]
+    spans = {}
+
+    def span(smat, basis, side):
+        i = bisect.bisect_right(lefts, basis.z_ref) - 1
+        first, end = spans.get(id(smat), (i, i + 1))
+        assert i == (end - 1 if side == "left" else first)
+        return first, end
+
+    rounds = []
+    for event in events:
+        if event[0] == "round":
+            rounds.append([])
+            continue
+        _, pairs, results = event
+        merges = []
+        for (left, left_basis, right, right_basis), result in zip(pairs, results):
+            (first, mid), (mid_again, end) = span(left, left_basis, "left"), span(right, right_basis, "right")
+            assert mid == mid_again
+            spans[id(result)] = (first, end)
+            merges.append(((first, mid), (mid, end)))
+        rounds[-1].append(merges)
+    return rounds
+
+
+def binary_counter_tree(n_leaves):
+    """The merges of the binary-counter fold of ``n_leaves`` leaves, sorted.
+
+    Every aligned run of 2^j leaves, j >= 1, inside [0, n_leaves) is two aligned halves merged; the runs
+    of the set bits of n_leaves, largest first, are then merged left to right.
+    """
+    merges = []
+    size = 2
+    while size <= n_leaves:
+        merges += [((s, s + size // 2), (s + size // 2, s + size)) for s in range(0, n_leaves - size + 1, size)]
+        size *= 2
+    runs, start = [], 0
+    for bit in reversed(range(n_leaves.bit_length())):
+        if n_leaves >> bit & 1:
+            runs.append((start, start + 2**bit))
+            start += 2**bit
+    for run in runs[1:]:
+        merges.append(((0, run[0]), run))
+    return sorted(merges)
 
 
 FOLD_SOLVES = {
@@ -474,25 +535,40 @@ FOLD_SOLVES = {
 
 @pytest.mark.parametrize("truncation, alpha", [(3, 1e-2), (10, 1e-2)], ids=["n7", "n21"])
 @pytest.mark.parametrize("solve", FOLD_SOLVES.values(), ids=FOLD_SOLVES.keys())
-def test_leaves_fold_left_to_right(monkeypatch, solve, truncation, alpha):
-    """Each join adds one leaf to the running composite, in z order; then the two ports are joined on.
+def test_leaves_fold_as_a_binary_counter(monkeypatch, solve, truncation, alpha):
+    """The joins merge the leaves as the binary-counter tree of L leaves, whatever the batch size, then the
+    two ports are joined on. Within a round, each level's merges are one stacked join.
 
     The sinusoid refines unevenly, so at n = 7 a batch accepts sections to the right of one it refines.
     """
     spec = parse_structure(SINUSOID_DOC.replace("truncation_order: 3", f"truncation_order: {truncation}"))
-    joins = recorded_joins(monkeypatch)
-    report = solve(spec, alpha)
-    *fold, left_port, right_port = joins
-    assert len(fold) == len(report.sections) - 1 > 1
-    for previous, (left, *_) in zip(fold, fold[1:]):
-        assert left is previous[-1]
-    # No right operand is a composite of several leaves, and they come in z order.
-    composites = {id(join[-1]) for join in joins}
-    assert not any(id(right) in composites for _, right, _, _ in fold)
-    reference_zs = [basis.z_ref for _, _, basis, _ in fold]
-    assert reference_zs == sorted(set(reference_zs))
-    assert left_port[1] is fold[-1][-1]
-    assert right_port[0] is left_port[-1]
+    trees = []
+    for batch_entries in (solver._BATCH_ENTRIES, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_BATCH_ENTRIES", batch_entries)
+            events = recorded_fold(patch)
+            report = solve(spec, alpha)
+        *fold, (_, (left_port,), (ported,)), (_, (right_port,), _) = events
+        assert left_port[2] is fold[-1][2][-1]
+        assert right_port[0] is ported
+        rounds = merged_ranges(fold, report.sections)
+        tree = sorted(merge for joins in rounds for merges in joins for merge in merges)
+        assert tree == binary_counter_tree(len(report.sections))
+        assert len(tree) == len(report.sections) - 1 > 1
+        for joins in rounds:
+            sizes = [{(mid - first, end - mid) for (first, mid), (_, end) in merges} for merges in joins]
+            assert all(len(pair) == 1 for pair in sizes)
+            sizes = [pair.pop() for pair in sizes]
+            # One stacked join per level and round; the final joins, of a longer run and a shorter, are single.
+            levels = [left for left, right in sizes if left == right]
+            assert len(levels) == len(set(levels))
+            assert all(len(merges) == 1 for merges, (left, right) in zip(joins, sizes) if left != right)
+        trees.append((tree, max(len(merges) for joins in rounds for merges in joins)))
+    (batched, widest), (single, one) = trees
+    assert batched == single
+    assert one == 1
+    if truncation == 3:
+        assert widest > 1
 
 
 def full_smatrix(smat):
@@ -552,6 +628,24 @@ def test_join_fold_matches_the_two_step_fold(monkeypatch, solve, polarization, t
     spec = parse_structure(doc.replace("polarization: TE", f"polarization: {polarization}"))
     report = solve(spec)
     monkeypatch.setattr(cascade, "join", two_step_join)
+    expected = solve(spec)
+    assert max_abs(full_smatrix(report.smat) - full_smatrix(expected.smat)) <= 1e-12
+    assert report.sections == expected.sections
+    assert (report.smat.left_basis_id, report.smat.right_basis_id) == (
+        expected.smat.left_basis_id,
+        expected.smat.right_basis_id,
+    )
+
+
+@pytest.mark.parametrize("truncation", [3, 10], ids=["n7", "n21"])
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+@pytest.mark.parametrize("solve", JOIN_CASES.values(), ids=JOIN_CASES.keys())
+def test_stacked_fold_matches_the_two_step_fold(monkeypatch, solve, polarization, truncation):
+    """Every pair of every stacked join, the fold's and the ports', against the two-step recipe."""
+    doc = TAPER_DOC.replace("truncation_order: 3", f"truncation_order: {truncation}")
+    spec = parse_structure(doc.replace("polarization: TE", f"polarization: {polarization}"))
+    report = solve(spec)
+    monkeypatch.setattr(cascade, "join_stack", lambda pairs: [two_step_join(*pair) for pair in pairs])
     expected = solve(spec)
     assert max_abs(full_smatrix(report.smat) - full_smatrix(expected.smat)) <= 1e-12
     assert report.sections == expected.sections

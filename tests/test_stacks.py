@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcwa.cascade import join_stack
 from arcwa.errors import NumericalError
 from arcwa.geometry import Polarization
 from arcwa.modal import eigen_basis_stack
 from arcwa.operators import assemble_stack
 from arcwa.sections import first_order_stack
 
-from conftest import assemble_operators, eigen_basis, random_slice, uniform_spec_on
+from conftest import assemble_operators, eigen_basis, random_join_pair, random_slice, uniform_spec_on
 
 
 @st.composite
@@ -65,6 +66,15 @@ def test_stacked_kernels_equal_single_calls_bit_for_bit(drawn, order, polarizati
             single.smat.right_basis_id,
         )
         assert stacked.est_error == single.est_error
+
+
+@pytest.mark.parametrize("n", [7, 21])
+def test_stacked_joins_equal_single_joins_bit_for_bit(rng, n):
+    pairs = [random_join_pair(rng, n) for _ in range(3)]
+    for pair, stacked in zip(pairs, join_stack(pairs)):
+        (single,) = join_stack([pair])
+        assert_same(stacked, single, ("T_LR", "R_R", "R_L", "T_RL"))
+        assert (stacked.left_basis_id, stacked.right_basis_id) == (single.left_basis_id, single.right_basis_id)
 
 
 @pytest.mark.parametrize(
