@@ -33,6 +33,13 @@ from typing import Sequence
 
 import numpy as np
 
+try:
+    # CPython's built-in BLAKE2, which hashlib.blake2b is too: importing hashlib also loads OpenSSL's
+    # libcrypto, 3.5 MB more resident memory per process.
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
+
 from .errors import (
     CutoffModeError,
     EigendecompositionError,
@@ -49,10 +56,10 @@ LAMBDA_CUTOFF = 1e-8
 class ModalBasis:
     """Eigenbasis of P_r Q_r at one reference position.
 
-    ``basis_id`` hashes the bytes of W, V and lam (``dataclasses.replace``
-    recomputes it): within one process equal content means an equal id and
-    any bitwise difference a different one. Ids differ between processes
-    (``PYTHONHASHSEED``). Inverses are precomputed because every downstream
+    ``basis_id`` is the 8-byte BLAKE2b digest of the bytes of W, V and lam,
+    as a signed 64-bit int (``dataclasses.replace`` recomputes it): equal
+    content means an equal id, in any process, and any bitwise difference a
+    different one. Inverses are precomputed because every downstream
     product needs them.
     """
 
@@ -66,7 +73,10 @@ class ModalBasis:
     V_inv: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "basis_id", hash((self.W.tobytes(), self.V.tobytes(), self.lam.tobytes())))
+        digest = blake2b(self.W.tobytes(), digest_size=8)
+        digest.update(self.V.tobytes())
+        digest.update(self.lam.tobytes())
+        object.__setattr__(self, "basis_id", int.from_bytes(digest.digest(), "little", signed=True))
 
     @property
     def n(self) -> int:

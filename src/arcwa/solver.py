@@ -26,24 +26,25 @@ a fixed partition that is never refined.
 
 The engine works on a frontier: a stack of the open sections in z order,
 leftmost on top. Each round takes the B leftmost of them as one batch, B =
-max(1, 4096 // n^2) for n modes (83 at n = 7, 9 at n = 21, 1 from n = 47
-up; on a split solve n is the even sector's size, so B = 6 at n = 51):
-their points that lack operators are assembled as one stack for every
-sector, and per sector their fresh reference points are decomposed as one
-stack (one Hermitian eigensolver call per route, and one ``geev`` call for
-the lossy ones) and their first-order matrices are evaluated as one stack.
-Then, in z order, each section is accepted or refined, and the children of
-a refined section go back on top. A batch shares each kernel call's fixed
-cost, most of a section's cost at n = 7 and much of it at n = 21. Root
-sections enter the frontier only as the batches reach them. An accepted
-section waits, keyed by its left point, until every section to its left has
-been accepted; the run of leaves that this completes is carried into the
-counter after the round, and the at most log2(L) partials left at the end
-are joined left to right. So the joins, and the output, do not depend on
-B: a stacked join gives each entry what a stack of one gives. Batching
-changes only the order in which sections are evaluated; an error inside a
-batched solve therefore reruns the solve one section at a time, which is
-the depth-first order and raises the error that order meets first.
+max(1, 4096 // n^2) for n modes (83 at n = 7, 9 at unsplit n = 21, 1 from
+n = 47 up; on a split solve n is the even sector's size, so B = 33 at
+n = 21 and 6 at n = 51): their points that lack operators are assembled as
+one stack for every sector, and per sector their fresh reference points are
+decomposed as one stack (one Hermitian eigensolver call per route, and one
+``geev`` call for the lossy ones) and their first-order matrices are
+evaluated as one stack. Then, in z order, each section is accepted or
+refined, and the children of a refined section go back on top. A batch
+shares each kernel call's fixed cost, most of a section's cost at n = 7
+and much of it at n = 21. Root sections enter the frontier only as the
+batches reach them. An accepted section waits, keyed by its left point,
+until every section to its left has been accepted; the run of leaves that
+this completes is carried into the counter after the round, and the at
+most log2(L) partials left at the end are joined left to right. So the
+joins, and the output, do not depend on B: a stacked join gives each entry
+what a stack of one gives. Batching changes only the order in which
+sections are evaluated; an error inside a batched solve therefore reruns
+the solve one section at a time, which is the depth-first order and raises
+the error that order meets first.
 
 The final scattering matrix is re-expressed in the bases of the two end
 points by two more joins, with an identity matrix in each port basis, so a
@@ -133,17 +134,26 @@ class SolveReport:
 
 
 # Matrix entries (sections x n^2) evaluated in one frontier batch: B =
-# max(1, _BATCH_ENTRIES // n^2): 83 at n = 7, 9 at n = 21, 6 per sector at
-# split n = 51. On 2 cores with one BLAS thread 4096 ran n = 21 solves a
-# third faster than 512, and split n = 51 ones 12% faster than B = 3.
+# max(1, _BATCH_ENTRIES // n^2): 83 at n = 7, 9 at unsplit n = 21, and per
+# sector 33 at split n = 21 and 6 at split n = 51. On 2 cores with one BLAS
+# thread 4096 ran unsplit n = 21 solves a third faster than 512, split
+# n = 51 ones 12% faster than B = 3, and split n = 21 ones in 25% less
+# time than B = 9 (sized for the full n).
 _BATCH_ENTRIES = 4096
 
 # Harmonic count from which a spec with a ``mirror_x_um`` solves as its two
-# parity sectors. On 2 cores with one BLAS thread, the split solve of the
-# README taper at alpha = 1e-3 ran (TE/TM) 0.54/0.71x as fast as the
-# unsplit one at n = 7, 0.81/0.92x at 15, 1.04/1.26x at 21, 1.19/1.38x at
-# 25 and 1.53/1.81x at 51 (best of 6 or more solves).
-_SPLIT_HARMONICS = 25
+# parity sectors: the smallest n from which the split was faster on every
+# cell of a sweep over taper and sinusoid, TE and TM, and adaptive alpha =
+# 1e-3, uniform N = 64 at order 0 and N = 32 at order 1. Unsplit time over
+# split time, per cell the median of 6 alternating pairs of best-of-5
+# solves, on 2 cores with one BLAS thread:
+#
+#   n       11    13    15    17    19    21    23
+#   min     0.70  0.77  0.98  0.93  1.13  1.12  1.23
+#   median  0.86  1.02  1.09  1.16  1.23  1.38  1.38
+#
+# The weakest cell is the shortest solve, taper TE adaptive (27 leaves).
+_SPLIT_HARMONICS = 19
 
 # What the report keeps of an accepted section: (z_L, z_R, est_error).
 _Leaf = tuple[float, float, float]
@@ -455,7 +465,7 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
     MaxDepthExceededError when a section still reaches alpha at depth 20,
     which signals a structure too singular for the requested alpha.
 
-    From 25 modes up, a mirror-symmetric structure (``spec.mirror_x_um``
+    From 19 modes up, a mirror-symmetric structure (``spec.mirror_x_um``
     not None) is solved as two half-size parity sectors that grow one tree,
     the unsplit one up to rounding, accepting a section when both sector
     estimates are below alpha. The report's ``sections`` is that tree,

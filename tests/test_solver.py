@@ -2,7 +2,10 @@
 
 import bisect
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -277,6 +280,25 @@ def test_results_compare_after_many_other_solves(taper_spec):
     assert max_norm_difference(first.smat, again.smat) == 0.0
 
 
+def test_basis_ids_are_equal_across_processes():
+    """Basis ids hash content alone: the same solve in two processes with different hash seeds, and in this
+    one, returns the same port basis ids."""
+    script = (
+        "import sys; from arcwa.geometry import parse_structure; from arcwa.solver import solve_uniform; "
+        "smat = solve_uniform(parse_structure(sys.argv[1]), 4).smat; print(smat.left_basis_id, smat.right_basis_id)"
+    )
+    ids = []
+    for seed in ("1", "2"):
+        # The child finds arcwa where this process found it, installed or not.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, TAPER_DOC], capture_output=True, text=True, env=env, check=True
+        )
+        ids.append(proc.stdout.split())
+    smat = solve_uniform(parse_structure(TAPER_DOC), 4).smat
+    assert ids[0] == ids[1] == [str(smat.left_basis_id), str(smat.right_basis_id)]
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(alpha=-1.0)
@@ -367,19 +389,31 @@ def test_handed_down_operators_match_fresh_assembly(taper_spec, monkeypatch, cas
             assert np.array_equal(getattr(fresh.smat, block), getattr(used.smat, block))
 
 
-def test_boundary_operators_are_freed_with_their_sections():
-    """The peak memory of a uniform solve does not grow with its section count: no point outlives its sections."""
+@pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+def test_boundary_operators_are_freed_with_their_sections(monkeypatch, split):
+    """The peak memory of a uniform solve does not grow with its section count: no point outlives its sections.
+
+    Both counts span at least two batches, so the smaller solve fills its rounds too: 16 and 128 sections
+    unsplit (B = 9 at n = 21), 2B and 16B split (B = 33 per parity sector).
+    """
     spec = parse_structure(TAPER_DOC.replace("truncation_order: 3", "truncation_order: 10"))
+    if split:
+        assert spec.mirror_x_um is not None and spec.n_harmonics >= solver._SPLIT_HARMONICS
+        batch = solver._BATCH_ENTRIES // (spec.n_harmonics // 2 + 1) ** 2
+        counts = (2 * batch, 16 * batch)
+    else:
+        monkeypatch.setattr(solver, "_SPLIT_HARMONICS", math.inf)
+        counts = (16, 128)
     solve_uniform(spec, 1, order=1)
-    peaks = {}
-    for n_sections in (16, 128):
+    peaks = []
+    for n_sections in counts:
         tracemalloc.start()
         try:
             solve_uniform(spec, n_sections, order=1)
-            peaks[n_sections] = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[128] <= 1.5 * peaks[16], peaks
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 SINUSOID_DOC = TAPER_DOC.replace(
@@ -428,9 +462,9 @@ def test_batching_is_invisible(monkeypatch, doc, polarization, loss, truncation)
 @pytest.mark.parametrize("truncation, n_sections", [(3, 100), (10, 20), (25, 3)], ids=["n7", "n21", "n51"])
 def test_batch_sizes(monkeypatch, truncation, n_sections):
     """An order-0 uniform solve decomposes its references in full batches of B = max(1, _BATCH_ENTRIES // n^2),
-    then the two ports as one stack; B is above 1 at n = 21. At n = 51 the mirror-symmetric taper solves per
-    parity sector: each sector's references in one stack of its own size (B = 6 at 26 and at 25 modes), then
-    the two full-size ports."""
+    then the two ports as one stack. From n = 21 up the mirror-symmetric taper solves per parity sector, with
+    B sized for the even sector: each sector's references in stacks of min(N, B) at its own size (B = 33 at 11
+    and at 10 modes, 6 at 26 and at 25), then the two full-size ports."""
     spec = parse_structure(TAPER_DOC.replace("truncation_order: 3", f"truncation_order: {truncation}"))
     stacks = []
     eigen_basis_stack = modal.eigen_basis_stack
@@ -441,36 +475,44 @@ def test_batch_sizes(monkeypatch, truncation, n_sections):
 
     monkeypatch.setattr(modal, "eigen_basis_stack", recording)
     solve_uniform(spec, n_sections)
-    if truncation == 25:
-        assert [(len(stack), stack[0].n) for stack in stacks] == [(3, 26), (3, 25), (2, 51)]
+    split_stacks = {10: [(20, 11), (20, 10), (2, 21)], 25: [(3, 26), (3, 25), (2, 51)]}
+    if truncation in split_stacks:
+        assert max(1, solver._BATCH_ENTRIES // (truncation + 1) ** 2) == {10: 33, 25: 6}[truncation]
+        assert [(len(stack), stack[0].n) for stack in stacks] == split_stacks[truncation]
         return
     *frontier, ports = [len(stack) for stack in stacks]
     batch = max(1, solver._BATCH_ENTRIES // spec.n_harmonics**2)
     assert max(frontier) == min(n_sections, batch)
     assert frontier == [batch] * (n_sections // batch) + [n_sections % batch] * (n_sections % batch > 0)
     assert ports == 2
-    if truncation == 10:
-        assert batch > 1
 
 
 def recorded_fold(monkeypatch):
-    """Wrap ``cascade.join_stack`` and ``sections.first_order_stack``; returns the events of a solve in order.
+    """Wrap ``cascade.join_stack``, ``cascade.direct_sum`` and ``sections.first_order_stack``; returns the
+    events of a solve in order.
 
-    A round is ("round",), at its first-order stack; a stacked join is ("join", pairs, results).
+    A round of a sector is ("round", modes), at its first-order stack; a stacked join is ("join", pairs,
+    results) and a direct sum ("sum", parts, result).
     """
     events = []
-    join_stack, first_order_stack = cascade.join_stack, sections.first_order_stack
+    join_stack, direct_sum, first_order_stack = cascade.join_stack, cascade.direct_sum, sections.first_order_stack
 
     def joining(pairs):
         results = join_stack(pairs)
         events.append(("join", pairs, results))
         return results
 
+    def summing(t, parts):
+        result = direct_sum(t, parts)
+        events.append(("sum", parts, result))
+        return result
+
     def evaluating(stack):
-        events.append(("round",))
+        events.append(("round", stack[0][2].n))
         return first_order_stack(stack)
 
     monkeypatch.setattr(cascade, "join_stack", joining)
+    monkeypatch.setattr(cascade, "direct_sum", summing)
     monkeypatch.setattr(sections, "first_order_stack", evaluating)
     return events
 
@@ -539,6 +581,8 @@ def test_leaves_fold_as_a_binary_counter(monkeypatch, solve, truncation, alpha):
     """The joins merge the leaves as the binary-counter tree of L leaves, whatever the batch size, then the
     two ports are joined on. Within a round, each level's merges are one stacked join.
 
+    At n = 21 the mirror-symmetric sinusoid solves as two parity sectors: each sector merges the same tree,
+    in the same stacked joins per round, and the left port is joined to the direct sum of the two folds.
     The sinusoid refines unevenly, so at n = 7 a batch accepts sections to the right of one it refines.
     """
     spec = parse_structure(SINUSOID_DOC.replace("truncation_order: 3", f"truncation_order: {truncation}"))
@@ -549,9 +593,21 @@ def test_leaves_fold_as_a_binary_counter(monkeypatch, solve, truncation, alpha):
             events = recorded_fold(patch)
             report = solve(spec, alpha)
         *fold, (_, (left_port,), (ported,)), (_, (right_port,), _) = events
-        assert left_port[2] is fold[-1][2][-1]
         assert right_port[0] is ported
-        rounds = merged_ranges(fold, report.sections)
+        folds = [left_port[2]]
+        if truncation == 10:
+            *fold, (_, parts, (summed, _, _)) = fold
+            assert left_port[2] is summed
+            folds = [smat for smat, _, _ in parts]
+        modes = list(dict.fromkeys(event[1] for event in fold if event[0] == "round"))
+        assert modes == ([truncation + 1, truncation] if truncation == 10 else [spec.n_harmonics])
+        sector_rounds = []
+        for n, folded in zip(modes, folds, strict=True):
+            sector = [event for event in fold if n == (event[1] if event[0] == "round" else event[1][0][1].n)]
+            assert folded is sector[-1][2][-1]
+            sector_rounds.append(merged_ranges(sector, report.sections))
+        rounds = sector_rounds[0]
+        assert all(other == rounds for other in sector_rounds)
         tree = sorted(merge for joins in rounds for merges in joins for merge in merges)
         assert tree == binary_counter_tree(len(report.sections))
         assert len(tree) == len(report.sections) - 1 > 1
