@@ -200,6 +200,19 @@ class StructureSpec:
         reach = max(region.width.bounds()[1] for region in self.regions) / 2.0
         return x0 if x0 == hi and x0 - reach >= 0.0 and x0 + reach <= self.period_x_um else None
 
+    @property
+    def period_z(self) -> float | None:
+        """The z period that every slice repeats with, or None.
+
+        That is the one ``period_z`` of the center and width profiles when
+        every profile that is not constant (its bounds coincide) is
+        sinusoidal and they share it. Read from the profiles, in
+        O(regions); a spec whose profiles are all constant has none.
+        """
+        varying = [p for region in self.regions for p in (region.center, region.width) if len(set(p.bounds())) > 1]
+        periods = {p.period_z if isinstance(p, SinusoidalProfile) else None for p in varying}
+        return periods.pop() if len(periods) == 1 else None
+
 
 @dataclass(frozen=True)
 class PermittivitySlice:

@@ -17,10 +17,16 @@ most once. A section has a point per Simpson sample: left and right, shared
 with the sections it meets, and a middle point of its own, which is its
 reference. Every reuse of operators or of a basis is by identity.
 
-``solve_adaptive`` cuts only at z_min and z_max. The parent's middle point
-becomes the middle third's middle point, so child 1 shares its parent's
-reference point and eigendecomposition, and ``total_eig_count`` reflects
-that reuse.
+``solve_adaptive`` cuts its roots from the profiles: at every interior
+breakpoint of a piecewise-linear profile and at every third of the
+smallest sinusoidal ``period_z``, counted from z_min. A section sees the
+cross-section only at its two ends and its midpoint; within a third of a
+period, or between two breakpoints, those three show one cross-section
+only where the structure is constant, so a zero estimate means that no
+profile varies there. Linear, exponential and constant profiles add no
+cut. The parent's middle point becomes the middle third's middle point,
+so child 1 shares its parent's reference point and eigendecomposition,
+and ``total_eig_count`` reflects that reuse.
 ``solve_uniform`` is the same engine with N equal pieces and alpha = inf:
 a fixed partition that is never refined.
 
@@ -54,6 +60,23 @@ content, so results of different methods, resolutions and solves compare
 entry by entry. Each solve decomposes its own end points (nothing is
 cached). The port eigendecompositions are not charged to
 ``total_eig_count``.
+
+Periodic structures: when every profile that varies is a sinusoid of one
+``period_z`` P (``StructureSpec.period_z``) and the span holds k >= 2
+whole periods, ``solve_adaptive`` evaluates each distinct root once. The
+span is k periods, then r < 3 whole thirds, then at most one shorter
+tail. Three runs of roots share one frontier, each folded by a binary
+counter of its own: A, the first period's first r thirds, which the r
+thirds after the k-th period repeat; B, the rest of the first period; and
+T, the tail. A and T may be empty. The result is (A B)^k A T, the k-th
+power by binary powers through the same joins: floor(log2 k) squarings
+and popcount(k) - 1 more joins. Such a solve with D distinct leaves
+performs (D - 1) + floor(log2 k) + popcount(k) - 1 + 2 guarded
+interface inverses, one more when A is not empty. ``sections`` still
+lists every leaf in z order; a translate of a first-period leaf is
+shifted by j P, keeps its estimate and ends at the seeded cuts where its
+root does, so neighbouring leaves share their endpoint exactly.
+``sections_solved`` and ``total_eig_count`` count evaluations.
 
 Mirror-parity sectors: from ``_SPLIT_HARMONICS`` modes up, a spec with a
 ``mirror_x_um`` (every region has one constant center and none is clipped
@@ -115,15 +138,18 @@ class SolverConfig:
 class SolveReport:
     """Outcome of one solve: scattering matrix plus observability data.
 
-    ``sections`` lists the solved leaf sections as (z_L, z_R, est_error),
-    tiling [z_min, z_max] exactly in order. ``sections_solved`` counts
-    every section evaluation including interior nodes that were later
+    ``sections`` lists the leaf sections as (z_L, z_R, est_error), tiling
+    [z_min, z_max] exactly in order. ``sections_solved`` counts every
+    section evaluation including interior nodes that were later
     subdivided; ``total_eig_count`` counts eigendecompositions actually
     performed (reused bases count once). A solve split into parity
     sectors (see the module docstring) grows one tree, the unsplit one up
     to rounding: ``sections`` is that tree's leaves, each with the larger
     of its two sector estimates, ``sections_solved`` counts each section
     once and ``total_eig_count`` counts the decompositions of both sectors.
+    An adaptive solve that composes whole periods lists the leaves of
+    every period, each translate shifted by a whole number of periods with
+    its estimate, while both counters count only what was evaluated.
     """
 
     smat: ScatteringMatrix
@@ -154,6 +180,14 @@ _BATCH_ENTRIES = 4096
 #
 # The weakest cell is the shortest solve, taper TE adaptive (27 leaves).
 _SPLIT_HARMONICS = 19
+
+# Roots that ``solve_adaptive`` cuts each period of a sinusoidal profile into. A third spans 120 degrees
+# and a sinusoid takes each value at most twice a period, so no section's two ends and midpoint see one
+# cross-section; trisection keeps every later cut on the same grid.
+_ROOTS_PER_PERIOD = 3
+
+# A remainder shorter than this many thirds of a period is rounding, not a root.
+_ROUNDING = 1e-9
 
 # What the report keeps of an accepted section: (z_L, z_R, est_error).
 _Leaf = tuple[float, float, float]
@@ -240,8 +274,11 @@ class _Partial(NamedTuple):
     lasts: Sequence[ModalBasis]
 
 
-# What a fold returns: the partial of all leaves, then the leaves and the counters.
-_Fold = tuple[Sequence[ScatteringMatrix], Sequence[ModalBasis], Sequence[ModalBasis], list[_Leaf], dict[str, int]]
+# Consecutive root sections: the first point, the cuts between them and the last point.
+_Run = tuple[_Point, Sequence[float], _Point]
+
+# What a fold returns: per run the partial of its leaves and the leaves, then the counters.
+_Fold = tuple[list[tuple[_Partial, list[_Leaf]]], dict[str, int]]
 
 
 def _join(lefts: Sequence[_Partial], rights: Sequence[_Partial]) -> list[_Partial]:
@@ -254,9 +291,9 @@ def _join(lefts: Sequence[_Partial], rights: Sequence[_Partial]) -> list[_Partia
 
 
 def _carry(
-    partials: dict[int, _Partial], accepted: dict[_Point, _Accepted], edge: _Point, leaves: list[_Leaf]
+    partials: dict[int, _Partial], accepted: dict[_Point, _Accepted], edge: _Point, end: _Point, leaves: list[_Leaf]
 ) -> _Point:
-    """Fold the accepted sections from ``edge`` on into ``partials`` as a binary increment; returns the new edge.
+    """Fold the accepted sections from ``edge`` to ``end`` into ``partials`` by binary increment; returns the new edge.
 
     The sections, taken from ``accepted`` in z order while each starts
     where the last one ends, join ``leaves`` and are the items of level 0.
@@ -269,7 +306,7 @@ def _carry(
     leaves alone, not on how they arrive.
     """
     items = []
-    while edge in accepted:
+    while edge is not end and edge in accepted:
         edge, smats, bases, leaf = accepted.pop(edge)
         items.append(_Partial(smats, bases, bases))
         leaves.append(leaf)
@@ -284,43 +321,52 @@ def _carry(
     return edge
 
 
+def _chained(partials: Sequence[_Partial]) -> _Partial:
+    """``partials``, each starting where the last one ends, joined left to right."""
+    folded, *rest = partials
+    for partial in rest:
+        (folded,) = _join([folded], [partial])
+    return folded
+
+
 def _refine(
     spec: StructureSpec,
     config: SolverConfig,
-    cuts: Sequence[float],
-    ends: tuple[_Point, _Point],
+    runs: Sequence[_Run],
     sectors: Sequence[int | None],
     batch: int,
 ) -> _Fold:
-    """Evaluate the frontier ``batch`` sections at a time and fold the leaves by a binary counter.
+    """Evaluate the frontier ``batch`` sections at a time and fold each run's leaves by a binary counter.
 
     The open sections sit on a stack in z order, leftmost on top. Each
     round takes the ``batch`` leftmost of them, topping up from the root
-    sections between the ``cuts``, which run from end point to end point
-    and are made only when needed, and pushes back the children of the
-    sections it refines. With ``batch`` = 1 this is the depth-first order,
-    operation by operation. After each round the accepted sections that
-    continue the folded leaves are carried into the partials of a binary
-    counter (``_carry``); at the end its at most log2(L) partials are
-    joined left to right. Returns the fold, the leaves and the counters.
+    sections of the ``runs``, in order, which are made only when needed,
+    and pushes back the children of the sections it refines. With
+    ``batch`` = 1 this is the depth-first order, operation by operation.
+    After each round the accepted sections that continue a run's folded
+    leaves are carried into the partials of that run's binary counter
+    (``_carry``); at the end each run's at most log2(L) partials are
+    joined left to right. Returns each run's fold and leaves, and the
+    counters.
     """
     counters = {"eig": 0, "solved": 0}
-    edge = ends[0]
-    unmade = _sections(itertools.chain(ends[:1], map(_Point, cuts[1:-1]), ends[1:]), 0)
+    unmade = itertools.chain.from_iterable(
+        _sections(itertools.chain([first], map(_Point, inner), [last]), 0) for first, inner, last in runs
+    )
     stack: list[_Open] = []
     accepted: dict[_Point, _Accepted] = {}
-    partials: dict[int, _Partial] = {}
-    leaves: list[_Leaf] = []
+    edges = [first for first, _, _ in runs]
+    partials: list[dict[int, _Partial]] = [{} for _ in runs]
+    leaves: list[list[_Leaf]] = [[] for _ in runs]
     while True:
         taken = [stack.pop() for _ in range(min(batch, len(stack)))]
         taken.extend(itertools.islice(unmade, batch - len(taken)))
         if not taken:
-            folded, *rest = [partials[level] for level in sorted(partials, reverse=True)]
-            for partial in rest:
-                (folded,) = _join([folded], [partial])
-            return (*folded, leaves, counters)
+            folds = [_chained([counter[level] for level in sorted(counter, reverse=True)]) for counter in partials]
+            return list(zip(folds, leaves)), counters
         stack.extend(reversed(_evaluate(spec, config, sectors, taken, accepted, counters)))
-        edge = _carry(partials, accepted, edge, leaves)
+        for i, (_, _, last) in enumerate(runs):
+            edges[i] = _carry(partials[i], accepted, edges[i], last, leaves[i])
 
 
 def _evaluate(
@@ -375,29 +421,106 @@ def _evaluate(
     return children
 
 
-def _fold(
-    spec: StructureSpec,
-    config: SolverConfig,
-    cuts: Sequence[float],
-    ends: tuple[_Point, _Point],
-    sectors: Sequence[int | None],
-) -> _Fold:
+def _fold(spec: StructureSpec, config: SolverConfig, runs: Sequence[_Run], sectors: Sequence[int | None]) -> _Fold:
     """``_refine`` in batches sized for the first sector's modes; after any error, rerun one section at a time.
 
     A batch evaluates sections out of depth-first order; the rerun starts
     from fresh inner points and raises the error that order meets first.
     """
-    batch = max(1, _BATCH_ENTRIES // ends[0].ops[0].n ** 2)
+    batch = max(1, _BATCH_ENTRIES // runs[0][0].ops[0].n ** 2)
     try:
-        return _refine(spec, config, cuts, ends, sectors, batch)
+        return _refine(spec, config, runs, sectors, batch)
     except Exception:
         if batch == 1:
             raise
         # One section at a time is the depth-first order: the rerun raises the error it meets first.
-        return _refine(spec, config, cuts, ends, sectors, 1)
+        return _refine(spec, config, runs, sectors, 1)
 
 
-def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> SolveReport:
+def _roots(spec: StructureSpec) -> tuple[list[float], int]:
+    """``solve_adaptive``'s root cuts, z_min first and z_max last, and how many whole thirds of a period start them.
+
+    Of the profiles that are not constant, every interior breakpoint of a
+    piecewise-linear one is a cut, and so is every third of the smallest
+    ``period_z`` of a sinusoidal one, counted from z_min; a third that
+    ends within rounding of z_max ends at z_max. The count is that of the
+    whole-third roots when the spec is periodic (its ``period_z`` is not
+    None), and 0 otherwise.
+    """
+    z_min, z_max = spec.z_min, spec.z_max
+    varying = [p for region in spec.regions for p in (region.center, region.width) if len(set(p.bounds())) > 1]
+    cuts = {z for p in varying if isinstance(p, geometry.PiecewiseLinearProfile) for z, _ in p.points}
+    periods = [p.period_z for p in varying if isinstance(p, geometry.SinusoidalProfile)]
+    thirds = 0
+    if periods:
+        period = min(periods)
+        count = (z_max - z_min) * _ROOTS_PER_PERIOD / period
+        thirds = math.floor(count + _ROUNDING)
+        # The last whole third is cut at its end only when a tail follows it; otherwise it ends at z_max.
+        tail = count - thirds > _ROUNDING
+        cuts.update(z_min + period * i / _ROOTS_PER_PERIOD for i in range(1, thirds + tail))
+    inner = sorted(z for z in cuts if z_min < z < z_max)
+    return [z_min, *inner, z_max], thirds if spec.period_z is not None else 0
+
+
+def _power(partial: _Partial, k: int) -> _Partial:
+    """``partial`` joined to itself k >= 1 times by binary powers: floor(log2 k) squarings and popcount(k) - 1 joins."""
+    power = None
+    while True:
+        if k & 1:
+            power = partial if power is None else _chained([power, partial])
+        k >>= 1
+        if not k:
+            return power
+        partial = _chained([partial, partial])
+
+
+def _fold_periods(
+    spec: StructureSpec,
+    config: SolverConfig,
+    cuts: Sequence[float],
+    thirds: int,
+    ends: tuple[_Point, _Point],
+    sectors: Sequence[int | None],
+) -> tuple[_Partial, list[_Leaf], dict[str, int]]:
+    """Fold k >= 2 whole periods, then r whole thirds and a tail, from each distinct root once.
+
+    ``thirds`` = 3k + r, and the roots after the first ``thirds`` are at
+    most one, the tail. Three runs are refined in one frontier: A, the
+    first period's first r roots, which the r whole thirds after the k-th
+    period repeat; B, the rest of the first period; and T, the tail; A
+    and T may be empty. The result is (A B)^k A T, the power by
+    ``_power``. The leaves are the first period's, then each translate's,
+    shifted by j period_z, with the cuts at its root ends, and T's;
+    translates keep their estimates. The counters count evaluations.
+    """
+    periods, whole = divmod(thirds, _ROOTS_PER_PERIOD)
+    seam = _Point(cuts[whole]) if whole else ends[0]
+    runs: dict[str, _Run] = {}
+    if whole:
+        runs["A"] = (ends[0], cuts[1:whole], seam)
+    runs["B"] = (seam, cuts[whole + 1 : _ROOTS_PER_PERIOD], _Point(cuts[_ROOTS_PER_PERIOD]))
+    if thirds < len(cuts) - 1:
+        runs["T"] = (_Point(cuts[thirds]), (), ends[1])
+    _assemble(spec, [first for first, _, _ in runs.values()], sectors)
+    folds, counters = _fold(spec, config, list(runs.values()), sectors)
+    partials = {name: partial for name, (partial, _) in zip(runs, folds)}
+    leaves = {name: run for name, (_, run) in zip(runs, folds)}
+    one_period = _chained([partials[name] for name in runs if name != "T"])
+    folded = _chained([_power(one_period, periods), *(partials[name] for name in runs if name != "B")])
+
+    def shifted(run: list[_Leaf], j: int) -> list[_Leaf]:
+        start = _ROOTS_PER_PERIOD * j
+        ends_at = dict(zip(cuts[: _ROOTS_PER_PERIOD + 1], cuts[start : start + _ROOTS_PER_PERIOD + 1]))
+        shift = j * spec.period_z
+        return [(ends_at.get(z_l, z_l + shift), ends_at.get(z_r, z_r + shift), est) for z_l, z_r, est in run]
+
+    first_period = [*leaves.get("A", []), *leaves["B"]]
+    tiled = [leaf for j in range(periods) for leaf in shifted(first_period, j)]
+    return folded, [*tiled, *shifted(leaves.get("A", []), periods), *leaves.get("T", [])], counters
+
+
+def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float], thirds: int = 0) -> SolveReport:
     """Cut the structure at ``cuts`` (z_min first, z_max last) and refine each root section down to alpha.
 
     The full-size end points are assembled first, for the ports. From
@@ -405,9 +528,12 @@ def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> 
     in its two parity sectors, even first, from end points of their own;
     every other spec in one full-size sector, from the port points. A
     section's other points are assembled when it is evaluated (only its
-    middle point when nothing reads the estimate). The sectors' folds are
-    embedded through ``operators.parity_basis`` and the port points are
-    decomposed at full size as one stack.
+    middle point when nothing reads the estimate). With ``thirds`` = 3k +
+    r for k >= 2, ``cuts`` are ``solve_adaptive``'s roots of a periodic
+    spec, and ``_fold_periods`` solves each distinct root once; otherwise
+    every root is refined. The sectors' folds are embedded through
+    ``operators.parity_basis`` and the port points are decomposed at full
+    size as one stack.
     """
     started = time.perf_counter()
     ports = (_Point(cuts[0]), _Point(cuts[-1]))
@@ -416,7 +542,10 @@ def _solve(spec: StructureSpec, config: SolverConfig, cuts: Sequence[float]) -> 
     sectors = (0, 1) if split else (None,)
     ends = (_Point(cuts[0]), _Point(cuts[-1])) if split else ports
     _assemble(spec, ends, sectors)
-    smats, firsts, lasts, leaves, counters = _fold(spec, config, cuts, ends, sectors)
+    if thirds >= 2 * _ROOTS_PER_PERIOD:
+        (smats, firsts, lasts), leaves, counters = _fold_periods(spec, config, cuts, thirds, ends, sectors)
+    else:
+        [((smats, firsts, lasts), leaves)], counters = _fold(spec, config, [(ends[0], cuts[1:-1], ends[1])], sectors)
     if split:
         smat, first, last = cascade.direct_sum(operators.parity_basis(spec), list(zip(smats, firsts, lasts)))
     else:
@@ -457,13 +586,28 @@ def solve_uniform(spec: StructureSpec, n_sections: int, order: int = 0) -> Solve
 def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
     """Adaptive subdivision down to the error bound alpha.
 
-    The solve engine with the whole structure as one root section. A
-    section whose estimated error stays below alpha is accepted as a leaf;
-    otherwise it is split evenly into 3 subsections that are solved in turn
-    and joined. The estimate is always the first-order one; ``config.order``
-    selects which scattering matrix a leaf contributes. Raises
-    MaxDepthExceededError when a section still reaches alpha at depth 20,
-    which signals a structure too singular for the requested alpha.
+    The solve engine with roots cut from the profiles: at every interior
+    piecewise-linear breakpoint and at every third of the smallest
+    sinusoidal ``period_z``, counted from z_min; a structure with none has
+    one root. A section whose estimated error stays below alpha is
+    accepted as a leaf; otherwise it is split evenly into 3 subsections
+    that are solved in turn and joined. The estimate is always the
+    first-order one; ``config.order`` selects which scattering matrix a
+    leaf contributes. Raises MaxDepthExceededError when a section still
+    reaches alpha at depth 20, which signals a structure too singular for
+    the requested alpha.
+
+    A section sees the cross-section only at its two ends and midpoint.
+    On these roots the three show one cross-section only where the
+    structure is constant, so a zero estimate is never a blind spot of the
+    sampling: a sinusoid with a whole number of periods over the span is
+    refined like any other.
+
+    When ``spec.period_z`` is not None and the span holds k >= 2 whole
+    periods, each distinct root is solved once and the periods are
+    composed by binary powers (see the module docstring); ``sections``
+    lists every period's leaves, and ``sections_solved`` and
+    ``total_eig_count`` count the evaluations.
 
     From 19 modes up, a mirror-symmetric structure (``spec.mirror_x_um``
     not None) is solved as two half-size parity sectors that grow one tree,
@@ -472,12 +616,5 @@ def solve_adaptive(spec: StructureSpec, config: SolverConfig) -> SolveReport:
     ``sections_solved`` counts each section once and ``total_eig_count``
     counts both sectors' decompositions. The result is still expressed in
     the full-size port bases of ``port_bases``.
-
-    Caveat: each section inspects the cross-section only at its two ends
-    and midpoint. A modulation that vanishes at all of those (e.g. a
-    sinusoid with exactly one period over the span) yields a zero estimate
-    and is accepted unrefined. Keep modulation periods non-commensurate
-    with the span, or start from solve_uniform at a resolution finer than
-    the modulation, when in doubt.
     """
-    return _solve(spec, config, [spec.z_min, spec.z_max])
+    return _solve(spec, config, *_roots(spec))

@@ -258,3 +258,33 @@ def test_varying_center_profile():
     c1 = [iv for iv in s1.intervals if iv[2] == 2.25 + 0j][0]
     assert (c0[0] + c0[1]) / 2.0 == pytest.approx(0.8, abs=1e-14)
     assert (c1[0] + c1[1]) / 2.0 == pytest.approx(1.2, abs=1e-14)
+
+
+
+def sinusoid(mean, period_z):
+    return f"{{kind: sinusoidal, mean: {mean}, amplitude: 0.05, period_z: {period_z}}}"
+
+
+# (center_x, width profile, width profile of a second region centered at 0.5 or None, period_z).
+PERIOD_Z_CASES = {
+    "constant-center-sinusoidal-width": ("0.5", sinusoid(0.3, 0.7), None, 0.7),
+    "sinusoidal-center-and-width": (sinusoid(0.5, 1.0), sinusoid(0.3, 1.0), None, 1.0),
+    "two-regions-one-period": ("0.5", sinusoid(0.3, 0.7), sinusoid(0.1, 0.7), 0.7),
+    "two-periods": ("0.5", sinusoid(0.3, 0.7), sinusoid(0.1, 0.9), None),
+    "linear-width": ("0.5", "{kind: linear, start: 0.26, end: 0.37}", None, None),
+    "exponential-width": ("0.5", "{kind: exponential, start: 0.26, end: 0.37, rate: 2.0}", None, None),
+    "piecewise-width": ("0.5", "{kind: piecewise_linear, points: [[0, 0.3], [0.5, 0.4], [1, 0.3]]}", None, None),
+    "linear-center": ("{kind: linear, start: 0.45, end: 0.55}", sinusoid(0.3, 0.7), None, None),
+    "constant": ("0.5", "{kind: constant, value: 0.3}", None, None),
+}
+
+
+@pytest.mark.parametrize("center, width, second_width, period_z", PERIOD_Z_CASES.values(), ids=PERIOD_Z_CASES.keys())
+def test_period_z_is_the_one_period_of_every_varying_profile(center, width, second_width, period_z):
+    """Constant profiles do not count; any varying profile that is not a sinusoid of the shared period does."""
+    doc = TAPER_DOC.replace("center_x: 0.5", f"center_x: {center}").replace(
+        "{kind: linear, start: 0.26, end: 0.37}", width
+    )
+    if second_width is not None:
+        doc += f"  - eps: [4.0, 0.0]\n    center_x: 0.5\n    profile: {second_width}\n"
+    assert parse_structure(doc).period_z == period_z

@@ -3,8 +3,8 @@
 Mirrors the validation families of the geometry model: exponential ramps,
 sinusoidal side variation and piecewise-linear outlines, each solved
 adaptively against its own high-resolution cascade. The piecewise case has
-profile kinks, which the even subdivision must resolve by refining around
-them.
+profile kinks, which the adaptive solve cuts its roots at and refines
+around.
 """
 
 import math
@@ -90,23 +90,29 @@ def test_sinusoidal_bounds_cover_full_cycle():
     assert hi == pytest.approx(0.35)
 
 
-def test_sampling_blind_spot_of_span_commensurate_modulation():
-    """Known limitation: modulation vanishing at every sampled position.
+# Profiles that take one value at z_min, at the midpoint and at z_max of a 1 um span: one whole sinusoid
+# period, and a piecewise-linear bump up and down again.
+COMMENSURATE_PROFILES = {
+    "one-period-sinusoid": "{kind: sinusoidal, mean: 0.3, amplitude: 0.05, period_z: 1.0}",
+    "bump": "{kind: piecewise_linear, points: [[0, 0.3], [0.25, 0.4], [0.5, 0.3], [0.75, 0.2], [1, 0.3]]}",
+}
 
-    A sinusoid with exactly one period over the span takes its mean value
-    at z_L, the midpoint and z_R, which are the only positions the
-    section's quadrature and reference inspect. The deviation matrices are
-    then identically zero at the sampled positions, the estimate is 0, and
-    the recursion accepts the whole structure as a single unrefined
-    section even though it varies. Non-commensurate periods (as in the
-    family test above) expose the variation to the estimator.
-    """
-    spec = family_spec("{kind: sinusoidal, mean: 0.3, amplitude: 0.05, period_z: 1.0}")
-    report = solve_adaptive(spec, SolverConfig(alpha=1e-3))
-    assert len(report.sections) == 1
-    assert report.sections[0][2] == 0.0
-    oracle = solve_uniform(spec, 256, order=0)
-    assert max_norm_difference(report.smat, oracle.smat) > 1e-3
+
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+@pytest.mark.parametrize("profile", COMMENSURATE_PROFILES.values(), ids=COMMENSURATE_PROFILES.keys())
+def test_seeded_roots_close_the_sampling_blind_spot(profile, polarization):
+    """A section sees the cross-section only at its two ends and midpoint. Over the whole span these show one
+    cross-section, so a single root would estimate 0.0 and be accepted; the roots cut at every third of the
+    period and at every breakpoint see the variation, and the solve meets alpha."""
+    spec = parse_structure(
+        TAPER_DOC.replace("{kind: linear, start: 0.26, end: 0.37}", profile).replace(
+            "polarization: TE", f"polarization: {polarization}"
+        )
+    )
+    alpha = 1e-3
+    report = solve_adaptive(spec, SolverConfig(alpha=alpha))
+    assert len(report.sections) > 3
+    assert max_norm_difference(report.smat, solve_uniform(spec, 1024, order=1).smat) <= alpha
 
 
 @pytest.mark.parametrize(

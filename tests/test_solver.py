@@ -709,3 +709,106 @@ def test_stacked_fold_matches_the_two_step_fold(monkeypatch, solve, polarization
         expected.smat.left_basis_id,
         expected.smat.right_basis_id,
     )
+
+
+def periodic_spec(z_max, polarization="TE", truncation=3, loss="0.0"):
+    """The sinusoid of ``SINUSOID_DOC`` (period_z 0.7) over [0, z_max]."""
+    doc = SINUSOID_DOC.replace("z_range_um: [0.0, 1.0]", f"z_range_um: [0.0, {z_max}]")
+    doc = doc.replace("polarization: TE", f"polarization: {polarization}")
+    doc = doc.replace("eps: [12.25, 0.0]", f"eps: [12.25, {loss}]")
+    return parse_structure(doc.replace("truncation_order: 3", f"truncation_order: {truncation}"))
+
+
+def assert_same_solve(report, expected):
+    """S within 1e-12 max-norm and the same leaves within 1e-12."""
+    assert max_abs(full_smatrix(report.smat) - full_smatrix(expected.smat)) <= 1e-12
+    assert len(report.sections) == len(expected.sections)
+    assert max_abs(np.array(report.sections) - np.array(expected.sections)) <= 1e-12
+
+
+@pytest.mark.parametrize("z_max, periods, whole, tail", [(2.0, 2, 2, 1), (5.6, 8, 0, 0)], ids=["z2", "8-periods"])
+@pytest.mark.parametrize("alpha", [1e-2, 1e-3])
+@pytest.mark.parametrize("loss", ["0.0", "0.001"], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+@pytest.mark.parametrize("truncation", [3, 10], ids=["n7", "n21"])
+def test_composed_periods_equal_the_cut_solve(
+    monkeypatch, truncation, polarization, loss, alpha, z_max, periods, whole, tail
+):
+    """A span of k >= 2 whole periods solves its distinct roots once and composes (A B)^k A T; every root
+    refined in turn on the same seeded cuts gives the same S-matrix and leaves. On [0, 2] two periods are
+    followed by two whole thirds (A) and a tail (T) of 2 - 1.4 - 2 * 0.7 / 3; 8 periods of 0.7 tile [0, 5.6]
+    with neither.
+
+    Unsplit, the joins are D - 1 for the D distinct leaves, one more for A, floor(log2 k) + popcount(k) - 1
+    for the power and 2 for the ports."""
+    spec = periodic_spec(z_max, polarization, truncation, loss)
+    cuts, thirds = solver._roots(spec)
+    assert divmod(thirds, 3) == (periods, whole) and len(cuts) == thirds + tail + 1
+    config = SolverConfig(alpha=alpha)
+    joins = counted_entries(monkeypatch, cascade, "join_stack")
+    report = solve_adaptive(spec, config)
+    if truncation == 3:
+        extra = (whole > 0) + math.floor(math.log2(periods)) + periods.bit_count() - 1
+        assert len(joins) == report.total_eig_count - 1 + extra + 2
+    expected = solver._solve(spec, config, cuts)
+    assert_same_solve(report, expected)
+    assert (report.sections[0][0], report.sections[-1][1]) == (0.0, z_max)
+    assert all(a[1] == b[0] for a, b in zip(report.sections, report.sections[1:]))
+    if periods == 8:
+        assert 4 * report.sections_solved <= expected.sections_solved
+
+
+def test_composed_periods_raise_the_depth_first_error():
+    """The three runs share one frontier and its rerun: the error is the one the cut solve raises."""
+    spec = periodic_spec(2.0)
+    config = SolverConfig(alpha=1e-300)
+    with pytest.raises(MaxDepthExceededError, match="at depth 20") as composed:
+        solve_adaptive(spec, config)
+    with pytest.raises(MaxDepthExceededError) as cut:
+        solver._solve(spec, config, solver._roots(spec)[0])
+    assert str(composed.value) == str(cut.value)
+
+
+def test_two_whole_periods_have_no_tail_root():
+    """[0, 1.4] is six thirds of 0.7 to rounding: the last third ends at z_max, and no root is left after it."""
+    spec = periodic_spec(1.4)
+    cuts, thirds = solver._roots(spec)
+    assert thirds == 6 and len(cuts) == 7 and cuts[-1] == 1.4
+    assert all(b - a > 0.2 for a, b in zip(cuts, cuts[1:]))
+    config = SolverConfig(alpha=1e-3)
+    assert_same_solve(solve_adaptive(spec, config), solver._solve(spec, config, cuts))
+
+
+def test_one_period_is_seeded_not_composed(monkeypatch):
+    """[0, 1] holds one whole period of 0.7: its five roots are cut at every third and refined in turn."""
+    spec = periodic_spec(1.0)
+    cuts, _ = solver._roots(spec)
+    assert cuts == [0.0, *(0.7 * i / 3 for i in range(1, 5)), 1.0]
+    monkeypatch.setattr(solver, "_fold_periods", None)
+    config = SolverConfig(alpha=1e-3)
+    report, expected = solve_adaptive(spec, config), solver._solve(spec, config, cuts)
+    assert np.array_equal(full_smatrix(report.smat), full_smatrix(expected.smat))
+    assert report.sections == expected.sections and report.sections_solved == expected.sections_solved
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_uniform_solve_of_a_periodic_spec_refines_every_section(monkeypatch, order):
+    """``solve_uniform`` cuts its own N pieces and never composes periods, however many the span holds."""
+    spec = periodic_spec(5.6)
+    monkeypatch.setattr(solver, "_fold_periods", None)
+    report = solve_uniform(spec, 2048, order=order)
+    assert report.sections_solved == len(report.sections) == 2048
+    assert report.sections[-1][1] == 5.6
+
+
+@pytest.mark.parametrize("truncation", [3, 10], ids=["n7", "n21"])
+@pytest.mark.parametrize("polarization", ["TE", "TM"])
+def test_composed_batching_is_invisible(monkeypatch, polarization, truncation):
+    """The three runs of a composed solve share one frontier; one section at a time gives the same bits."""
+    spec = periodic_spec(2.0, polarization, truncation)
+    report = solve_adaptive(spec, SolverConfig(alpha=1e-3))
+    monkeypatch.setattr(solver, "_BATCH_ENTRIES", 1)
+    expected = solve_adaptive(spec, SolverConfig(alpha=1e-3))
+    assert np.array_equal(full_smatrix(report.smat), full_smatrix(expected.smat))
+    assert report.sections == expected.sections
+    assert (report.sections_solved, report.total_eig_count) == (expected.sections_solved, expected.total_eig_count)
